@@ -727,7 +727,7 @@ impl<'a> Executor<'a> {
         placement: &Placement,
     ) -> Result<usize, ExecError> {
         let dag = gate_dag(circuit);
-        let remote = RemoteDag::new(circuit, placement, self.cloud);
+        let remote = RemoteDag::from_gate_dag(circuit, &dag, placement, self.cloud);
         for n in 0..remote.node_count() {
             let (a, b) = remote.endpoints(n);
             if self.cloud.qpu(a).communication_qubits() == 0
@@ -1444,29 +1444,6 @@ impl<'a> Executor<'a> {
             if !self.step() {
                 break;
             }
-        }
-        self.drain_finished_into(out);
-    }
-
-    /// Like [`Executor::run_until_next_completion`], but only processes
-    /// events at or before `deadline`: returns empty when no job
-    /// completes within the budget, leaving later events unprocessed
-    /// (pair with [`Executor::run_until`] to close the window). The
-    /// tick-budgeted continuous service uses this to stop an advance at
-    /// its drive deadline.
-    pub fn run_until_next_completion_before(&mut self, deadline: Tick) -> Vec<usize> {
-        let mut out = Vec::new();
-        self.run_until_next_completion_before_into(deadline, &mut out);
-        out
-    }
-
-    /// Buffer-reusing variant of
-    /// [`Executor::run_until_next_completion_before`].
-    pub fn run_until_next_completion_before_into(&mut self, deadline: Tick, out: &mut Vec<usize>) {
-        while self.newly_finished.is_empty()
-            && self.queue.peek_time().is_some_and(|t| t <= deadline)
-        {
-            self.step();
         }
         self.drain_finished_into(out);
     }

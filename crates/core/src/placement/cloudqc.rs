@@ -2,7 +2,7 @@
 
 use super::cost::{communication_cost, remote_ops_per_qpu};
 use super::estimate::estimate_execution_time;
-use super::find_placement::{expand_to_qubits, find_placement, FindPlacementMode};
+use super::find_placement::{expand_to_qubits, find_placement, CandidateSets, FindPlacementMode};
 use super::score::placement_score;
 use super::{check_total_capacity, Placement, PlacementAlgorithm};
 use crate::config::PlacementConfig;
@@ -97,8 +97,10 @@ pub(crate) fn place_with_mode(
         return Err(PlacementError::NoFeasiblePlacement);
     }
 
+    // Community detection depends only on (cloud, status, seed): once
+    // per call, not once per sweep candidate.
+    let candidate_sets = CandidateSets::new(cloud, status, mode, seed);
     let mut best: Option<(f64, Placement)> = None;
-    let mut sweep_ran = false;
     for (ai, &alpha) in config.imbalance_factors.iter().enumerate() {
         for k in k_min..=k_max {
             let part_cfg = PartitionConfig::new(k)
@@ -111,7 +113,7 @@ pub(crate) fn place_with_mode(
             let part_sizes: Vec<usize> = members.iter().map(|m| m.len()).collect();
             let part_graph = partition_interaction_graph(circuit, parts.assignment(), k);
             let Some(part_to_qpu) =
-                find_placement(&part_sizes, &part_graph, cloud, status, mode, seed)
+                find_placement(&part_sizes, &part_graph, cloud, status, &candidate_sets)
             else {
                 continue;
             };
@@ -130,13 +132,11 @@ pub(crate) fn place_with_mode(
             let time = estimate_execution_time(circuit, &placement, cloud);
             let cost = communication_cost(circuit, &placement, cloud);
             let score = placement_score(time, cost, config.score_alpha, config.score_beta);
-            sweep_ran = true;
             if best.as_ref().is_none_or(|(s, _)| score > *s) {
                 best = Some((score, placement));
             }
         }
     }
-    let _ = sweep_ran;
     if let Some((_, p)) = best {
         return Ok(p);
     }

@@ -6,10 +6,19 @@
 //! DAG: local gates cost their Table I latency; remote gates
 //! additionally pay the *expected* EPR generation latency given a fair
 //! share of communication qubits.
+//!
+//! The DAG is never built. Its only edges run from the previous gate on
+//! an operand qubit, so gate order is already a topological order, and
+//! one pass that keeps each qubit's latest finish time computes the same
+//! critical path: a gate starts at the latest finish among its operands
+//! and finishes `cost` later. The operands are folded with the same
+//! `>` comparison [`DiGraph::weighted_critical_path`] uses, so the
+//! result has the same `f64` bits, infinite costs included.
+//!
+//! [`DiGraph::weighted_critical_path`]: cloudqc_graph::DiGraph::weighted_critical_path
 
 use super::Placement;
-use cloudqc_circuit::dag::gate_dag;
-use cloudqc_circuit::{Circuit, GateKind};
+use cloudqc_circuit::{Circuit, Gate, GateKind};
 use cloudqc_cloud::Cloud;
 
 /// Estimated execution time of `circuit` under `placement`, in ticks.
@@ -27,34 +36,51 @@ pub fn estimate_execution_time(circuit: &Circuit, placement: &Placement, cloud: 
         placement.num_qubits() >= circuit.num_qubits(),
         "placement narrower than circuit"
     );
+    let mut finish = vec![0.0f64; circuit.num_qubits()];
+    let mut overall: f64 = 0.0;
+    for gate in circuit.gates() {
+        let q0 = gate.qubit0().index();
+        let q1 = gate.qubit1().map(|q| q.index());
+        let mut start = 0.0f64;
+        for q in std::iter::once(q0).chain(q1) {
+            if finish[q] > start {
+                start = finish[q];
+            }
+        }
+        let end = start + gate_cost(gate, placement, cloud);
+        overall = overall.max(end);
+        finish[q0] = end;
+        if let Some(q1) = q1 {
+            finish[q1] = end;
+        }
+    }
+    overall
+}
+
+/// Estimated latency of one gate under `placement`, in ticks.
+fn gate_cost(gate: &Gate, placement: &Placement, cloud: &Cloud) -> f64 {
     let latency = cloud.latency();
-    let dag = gate_dag(circuit);
-    let costs: Vec<f64> = circuit
-        .gates()
-        .iter()
-        .map(|gate| match gate.qubit_pair() {
-            Some((a, b)) => {
-                let (pa, pb) = (placement.qpu_of(a.index()), placement.qpu_of(b.index()));
-                if pa == pb {
-                    latency.two_qubit() as f64
-                } else {
-                    let hops = cloud.distance_or_max(pa, pb) as f64;
-                    let fair_pairs = fair_share(cloud, pa, pb);
-                    let rounds = cloud.epr().expected_rounds(fair_pairs);
-                    hops * rounds * latency.epr_attempt() as f64
-                        + latency.remote_gate_completion() as f64
-                }
+    match gate.qubit_pair() {
+        Some((a, b)) => {
+            let (pa, pb) = (placement.qpu_of(a.index()), placement.qpu_of(b.index()));
+            if pa == pb {
+                latency.two_qubit() as f64
+            } else {
+                let hops = cloud.distance_or_max(pa, pb) as f64;
+                let fair_pairs = fair_share(cloud, pa, pb);
+                let rounds = cloud.epr().expected_rounds(fair_pairs);
+                hops * rounds * latency.epr_attempt() as f64
+                    + latency.remote_gate_completion() as f64
             }
-            None => {
-                if gate.kind() == GateKind::Measure {
-                    latency.measure() as f64
-                } else {
-                    latency.single_qubit() as f64
-                }
+        }
+        None => {
+            if gate.kind() == GateKind::Measure {
+                latency.measure() as f64
+            } else {
+                latency.single_qubit() as f64
             }
-        })
-        .collect();
-    dag.weighted_critical_path(&costs)
+        }
+    }
 }
 
 /// Fair communication-qubit share assumption: half the smaller
@@ -131,5 +157,118 @@ mod tests {
         c.measure(0);
         let p = Placement::new(vec![QpuId::new(0)]);
         assert_eq!(estimate_execution_time(&c, &p, &cloud()), 50.0);
+    }
+
+    /// The single pass against the reference it replaces: the gate
+    /// DAG's weighted critical path over the same per-gate costs.
+    mod matches_gate_dag_critical_path {
+        use super::super::{estimate_execution_time, gate_cost};
+        use crate::placement::Placement;
+        use cloudqc_circuit::dag::gate_dag;
+        use cloudqc_circuit::Circuit;
+        use cloudqc_cloud::{Cloud, CloudBuilder, QpuId};
+        use proptest::prelude::*;
+
+        const MAX_QUBITS: usize = 10;
+        const QPUS: usize = 4;
+
+        /// One gate; operands are reduced modulo the qubit count.
+        #[derive(Debug, Clone)]
+        enum Op {
+            Single(u8),
+            Measure(u8),
+            Pair(u8, u8),
+            /// The previous two-qubit gate's operands again.
+            RepeatPair,
+        }
+
+        fn op_strategy() -> impl Strategy<Value = Op> {
+            prop_oneof![
+                2 => any::<u8>().prop_map(Op::Single),
+                1 => any::<u8>().prop_map(Op::Measure),
+                3 => (any::<u8>(), any::<u8>()).prop_map(|(a, b)| Op::Pair(a, b)),
+                1 => Just(Op::RepeatPair),
+            ]
+        }
+
+        fn build(num_qubits: usize, ops: &[Op]) -> Circuit {
+            let mut c = Circuit::new(num_qubits);
+            let mut last_pair = None;
+            for op in ops {
+                match *op {
+                    Op::Single(q) => {
+                        c.h(q as usize % num_qubits);
+                    }
+                    Op::Measure(q) => {
+                        c.measure(q as usize % num_qubits);
+                    }
+                    Op::Pair(a, b) => {
+                        let (a, b) = (a as usize % num_qubits, b as usize % num_qubits);
+                        if a != b {
+                            c.cx(a, b);
+                            last_pair = Some((a, b));
+                        }
+                    }
+                    Op::RepeatPair => {
+                        if let Some((a, b)) = last_pair {
+                            c.cz(a, b);
+                        }
+                    }
+                }
+            }
+            c
+        }
+
+        fn reference(circuit: &Circuit, placement: &Placement, cloud: &Cloud) -> f64 {
+            let costs: Vec<f64> = circuit
+                .gates()
+                .iter()
+                .map(|g| gate_cost(g, placement, cloud))
+                .collect();
+            gate_dag(circuit).weighted_critical_path(&costs)
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+
+            #[test]
+            fn same_bits_as_the_dag_walk(
+                num_qubits in 1..=MAX_QUBITS,
+                ops in prop::collection::vec(op_strategy(), 0..60),
+                qpus in prop::collection::vec(0..QPUS, MAX_QUBITS),
+                infinite_rounds in any::<bool>(),
+            ) {
+                let builder = CloudBuilder::new(QPUS);
+                // At p = 1e-300 a round never succeeds in f64, so every
+                // remote gate's expected rounds, and its cost, are ∞.
+                let cloud = if infinite_rounds {
+                    builder.epr_success_prob(1e-300).build()
+                } else {
+                    builder.build()
+                };
+                let circuit = build(num_qubits, &ops);
+                let placement = Placement::new(qpus.into_iter().map(QpuId::new).collect());
+                let got = estimate_execution_time(&circuit, &placement, &cloud);
+                let want = reference(&circuit, &placement, &cloud);
+                prop_assert_eq!(got.to_bits(), want.to_bits(), "{} vs {}", got, want);
+            }
+        }
+
+        #[test]
+        fn empty_circuit_and_infinite_costs_agree() {
+            let cloud = CloudBuilder::new(QPUS).epr_success_prob(1e-300).build();
+            let placement = Placement::new(vec![QpuId::new(0), QpuId::new(1)]);
+            let empty = Circuit::new(2);
+            assert_eq!(estimate_execution_time(&empty, &placement, &cloud), 0.0);
+            assert_eq!(reference(&empty, &placement, &cloud), 0.0);
+            let mut remote = Circuit::new(2);
+            remote.h(0).cx(0, 1).measure(1);
+            let t = estimate_execution_time(&remote, &placement, &cloud);
+            assert_eq!(t, f64::INFINITY);
+            assert_eq!(
+                t.to_bits(),
+                reference(&remote, &placement, &cloud).to_bits()
+            );
+        }
     }
 }

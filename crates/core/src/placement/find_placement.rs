@@ -30,11 +30,45 @@ pub enum FindPlacementMode {
     Bfs,
 }
 
+/// The part of Algorithm 2's candidate-set step that depends only on the
+/// cloud, its status and the seed, not on the partitioning being mapped.
+///
+/// Algorithm 1 maps up to `|α| · (k_max − k_min + 1)` partitionings
+/// against one status; building this once per placement call keeps the
+/// community detection out of that sweep.
+#[derive(Clone, Debug)]
+pub struct CandidateSets {
+    communities: Option<Communities>,
+}
+
+/// Louvain communities over the capacity-weighted topology.
+#[derive(Clone, Debug)]
+struct Communities {
+    /// The topology with free computing qubits embedded in edge weights.
+    weighted: Graph,
+    /// Community member lists, by free capacity ascending.
+    groups: Vec<Vec<usize>>,
+}
+
+impl CandidateSets {
+    /// Prepares candidate-set selection for `mode` on `status`.
+    /// Community mode runs Louvain here; BFS mode needs nothing ahead.
+    pub fn new(cloud: &Cloud, status: &CloudStatus, mode: FindPlacementMode, seed: u64) -> Self {
+        let communities = match mode {
+            FindPlacementMode::Community => Some(Communities::new(cloud, status, seed)),
+            FindPlacementMode::Bfs => None,
+        };
+        CandidateSets { communities }
+    }
+}
+
 /// Maps circuit partitions onto QPUs.
 ///
 /// * `part_sizes[p]` — computing qubits part `p` needs.
 /// * `part_graph` — partition interaction graph (node = part, edge
 ///   weight = two-qubit gates crossing the pair).
+/// * `candidate_sets` — built by [`CandidateSets::new`] from the same
+///   `cloud` and `status`.
 /// * Returns `part_to_qpu`, or `None` if no feasible injective mapping
 ///   was found (some part cannot fit any remaining QPU).
 ///
@@ -46,8 +80,7 @@ pub fn find_placement(
     part_graph: &Graph,
     cloud: &Cloud,
     status: &CloudStatus,
-    mode: FindPlacementMode,
-    seed: u64,
+    candidate_sets: &CandidateSets,
 ) -> Option<Vec<QpuId>> {
     let parts = part_sizes.len();
     debug_assert_eq!(part_graph.node_count(), parts);
@@ -57,11 +90,9 @@ pub fn find_placement(
     let total_demand: usize = part_sizes.iter().sum();
 
     // Step 1: candidate QPU set.
-    let candidates = match mode {
-        FindPlacementMode::Community => {
-            community_candidates(cloud, status, total_demand, parts, seed)
-        }
-        FindPlacementMode::Bfs => bfs_candidates(cloud, status, total_demand, parts),
+    let candidates = match &candidate_sets.communities {
+        Some(communities) => communities.candidates(status, total_demand, parts),
+        None => bfs_candidates(cloud, status, total_demand, parts),
     }?;
 
     // Step 2: centers.
@@ -219,72 +250,85 @@ fn best_qpu_for_part(
     best.map(|(u, _, _, _)| QpuId::new(u))
 }
 
-/// CloudQC candidate selection: Louvain communities over the topology
-/// with free computing qubits embedded in edge weights; the smallest
-/// community with enough aggregate capacity wins (leaving bigger
-/// communities free for future jobs); communities merge with their
-/// best-connected peers until capacity suffices.
-fn community_candidates(
-    cloud: &Cloud,
-    status: &CloudStatus,
-    demand: usize,
-    min_qpus: usize,
-    seed: u64,
-) -> Option<Vec<usize>> {
-    let n = cloud.qpu_count();
-    // Capacity-embedded weights: links between well-provisioned QPUs are
-    // "stronger" (paper: "embed the number of computing qubits into the
-    // edge weight").
-    let max_cap = (0..n)
-        .map(|i| status.computing_capacity(QpuId::new(i)))
-        .max()
-        .unwrap_or(1)
-        .max(1);
-    let mut weighted = Graph::new(n);
-    for (u, v, _) in cloud.topology().edges() {
-        let fu = status.free_computing(QpuId::new(u)) as f64;
-        let fv = status.free_computing(QpuId::new(v)) as f64;
-        // Link reliability (1.0 when unmodeled) also scales the weight,
-        // per the paper's remark that reliability "can be easily encoded
-        // into the edge weights".
-        let quality = cloud.bottleneck_reliability(QpuId::new(u), QpuId::new(v));
-        weighted.add_edge(u, v, quality * (1.0 + (fu + fv) / (2.0 * max_cap as f64)));
-    }
-    let communities = louvain(&weighted, seed);
-    let free = |u: usize| status.free_computing(QpuId::new(u));
-    let capacity_of = |members: &[usize]| members.iter().map(|&u| free(u)).sum::<usize>();
-
-    let mut groups = communities.members();
-    // Sort by capacity ascending: pick the tightest fit.
-    groups.sort_by_key(|g| capacity_of(g));
-    if let Some(group) = groups
-        .iter()
-        .find(|g| capacity_of(g) >= demand && g.len() >= min_qpus)
-    {
-        return Some(group.clone());
-    }
-    // No single community suffices: grow the best one by merging in the
-    // community most connected to it until capacity and count suffice.
-    let mut merged: Vec<usize> = groups.last()?.clone();
-    let mut remaining: Vec<Vec<usize>> = groups[..groups.len() - 1].to_vec();
-    while capacity_of(&merged) < demand || merged.len() < min_qpus {
-        if remaining.is_empty() {
-            return None; // cloud-wide capacity shortfall
+impl Communities {
+    /// Louvain communities over the topology with free computing qubits
+    /// embedded in edge weights, sorted by free capacity ascending.
+    fn new(cloud: &Cloud, status: &CloudStatus, seed: u64) -> Self {
+        let n = cloud.qpu_count();
+        // Capacity-embedded weights: links between well-provisioned QPUs
+        // are "stronger" (paper: "embed the number of computing qubits
+        // into the edge weight").
+        let max_cap = (0..n)
+            .map(|i| status.computing_capacity(QpuId::new(i)))
+            .max()
+            .unwrap_or(1)
+            .max(1);
+        let mut weighted = Graph::new(n);
+        for (u, v, _) in cloud.topology().edges() {
+            let fu = status.free_computing(QpuId::new(u)) as f64;
+            let fv = status.free_computing(QpuId::new(v)) as f64;
+            // Link reliability (1.0 when unmodeled) also scales the
+            // weight, per the paper's remark that reliability "can be
+            // easily encoded into the edge weights".
+            let quality = cloud.bottleneck_reliability(QpuId::new(u), QpuId::new(v));
+            weighted.add_edge(u, v, quality * (1.0 + (fu + fv) / (2.0 * max_cap as f64)));
         }
-        // The community with the strongest link weight into `merged`.
-        let idx = (0..remaining.len())
-            .max_by(|&a, &b| {
-                let ca = group_connection(&weighted, &merged, &remaining[a]);
-                let cb = group_connection(&weighted, &merged, &remaining[b]);
-                ca.partial_cmp(&cb)
-                    .expect("finite weights")
-                    .then_with(|| capacity_of(&remaining[a]).cmp(&capacity_of(&remaining[b])))
-            })
-            .expect("remaining non-empty");
-        merged.extend(remaining.swap_remove(idx));
+        let mut groups = louvain(&weighted, seed).members();
+        // Sort by capacity ascending: pick the tightest fit.
+        groups.sort_by_key(|g| capacity(status, g));
+        Communities { weighted, groups }
     }
-    merged.sort_unstable();
-    Some(merged)
+
+    /// CloudQC candidate selection: the smallest community with enough
+    /// aggregate capacity wins (leaving bigger communities free for
+    /// future jobs); communities merge with their best-connected peers
+    /// until capacity suffices.
+    fn candidates(
+        &self,
+        status: &CloudStatus,
+        demand: usize,
+        min_qpus: usize,
+    ) -> Option<Vec<usize>> {
+        let groups = &self.groups;
+        let capacity_of = |members: &[usize]| capacity(status, members);
+        if let Some(group) = groups
+            .iter()
+            .find(|g| capacity_of(g) >= demand && g.len() >= min_qpus)
+        {
+            return Some(group.clone());
+        }
+        // No single community suffices: grow the best one by merging in
+        // the community most connected to it until capacity and count
+        // suffice.
+        let mut merged: Vec<usize> = groups.last()?.clone();
+        let mut remaining: Vec<Vec<usize>> = groups[..groups.len() - 1].to_vec();
+        while capacity_of(&merged) < demand || merged.len() < min_qpus {
+            if remaining.is_empty() {
+                return None; // cloud-wide capacity shortfall
+            }
+            // The community with the strongest link weight into `merged`.
+            let idx = (0..remaining.len())
+                .max_by(|&a, &b| {
+                    let ca = group_connection(&self.weighted, &merged, &remaining[a]);
+                    let cb = group_connection(&self.weighted, &merged, &remaining[b]);
+                    ca.partial_cmp(&cb)
+                        .expect("finite weights")
+                        .then_with(|| capacity_of(&remaining[a]).cmp(&capacity_of(&remaining[b])))
+                })
+                .expect("remaining non-empty");
+            merged.extend(remaining.swap_remove(idx));
+        }
+        merged.sort_unstable();
+        Some(merged)
+    }
+}
+
+/// Free computing qubits across `members`.
+fn capacity(status: &CloudStatus, members: &[usize]) -> usize {
+    members
+        .iter()
+        .map(|&u| status.free_computing(QpuId::new(u)))
+        .sum()
 }
 
 fn group_connection(g: &Graph, a: &[usize], b: &[usize]) -> f64 {
@@ -341,6 +385,10 @@ mod tests {
         CloudBuilder::new(n).line_topology().build()
     }
 
+    fn sets(cloud: &Cloud, status: &CloudStatus, mode: FindPlacementMode) -> CandidateSets {
+        CandidateSets::new(cloud, status, mode, 0)
+    }
+
     fn star_part_graph(parts: usize) -> Graph {
         // Part 0 talks to everyone (hub).
         let mut g = Graph::new(parts);
@@ -356,8 +404,14 @@ mod tests {
         let status = cloud.status();
         for mode in [FindPlacementMode::Community, FindPlacementMode::Bfs] {
             let sizes = vec![10, 10, 10];
-            let mapping =
-                find_placement(&sizes, &star_part_graph(3), &cloud, &status, mode, 0).unwrap();
+            let mapping = find_placement(
+                &sizes,
+                &star_part_graph(3),
+                &cloud,
+                &status,
+                &sets(&cloud, &status, mode),
+            )
+            .unwrap();
             let mut qpus: Vec<_> = mapping.clone();
             qpus.dedup();
             assert_eq!(mapping.len(), 3, "{mode:?}");
@@ -378,8 +432,7 @@ mod tests {
             &star_part_graph(3),
             &cloud,
             &status,
-            FindPlacementMode::Community,
-            0,
+            &sets(&cloud, &status, FindPlacementMode::Community),
         )
         .unwrap();
         let hub = mapping[0];
@@ -403,8 +456,14 @@ mod tests {
         let sizes = vec![10, 10];
         let mut g = Graph::new(2);
         g.add_edge(0, 1, 1.0);
-        let mapping =
-            find_placement(&sizes, &g, &cloud, &status, FindPlacementMode::Community, 0).unwrap();
+        let mapping = find_placement(
+            &sizes,
+            &g,
+            &cloud,
+            &status,
+            &sets(&cloud, &status, FindPlacementMode::Community),
+        )
+        .unwrap();
         for (p, q) in mapping.iter().enumerate() {
             assert!(
                 status.free_computing(*q) >= sizes[p],
@@ -421,7 +480,8 @@ mod tests {
         let mut g = Graph::new(2);
         g.add_edge(0, 1, 1.0);
         for mode in [FindPlacementMode::Community, FindPlacementMode::Bfs] {
-            assert!(find_placement(&sizes, &g, &cloud, &status, mode, 0).is_none());
+            let sets = sets(&cloud, &status, mode);
+            assert!(find_placement(&sizes, &g, &cloud, &status, &sets).is_none());
         }
     }
 
@@ -434,8 +494,7 @@ mod tests {
             &Graph::new(1),
             &cloud,
             &status,
-            FindPlacementMode::Bfs,
-            0,
+            &sets(&cloud, &status, FindPlacementMode::Bfs),
         )
         .unwrap();
         assert_eq!(mapping.len(), 1);
@@ -457,8 +516,7 @@ mod tests {
             &g,
             &cloud,
             &status,
-            FindPlacementMode::Community,
-            0,
+            &sets(&cloud, &status, FindPlacementMode::Community),
         )
         .unwrap();
         let cost: u32 = [(0, 1), (1, 2), (2, 3)]

@@ -31,7 +31,7 @@ pub use annealing::AnnealingPlacement;
 pub use bfs::CloudQcBfsPlacement;
 pub use cache::{CacheStats, PlacementCache};
 pub use cloudqc::CloudQcPlacement;
-pub use find_placement::{find_placement, FindPlacementMode};
+pub use find_placement::{find_placement, CandidateSets, FindPlacementMode};
 pub use genetic::GeneticPlacement;
 pub use random::RandomPlacement;
 pub use repair::{repair, MoveKernel};

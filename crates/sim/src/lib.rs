@@ -12,7 +12,6 @@
 //!   radix-ladder calendar queue (O(1) amortized push/pop; see
 //!   [`queue`] for the design), proptested against the original
 //!   binary-heap [`ReferenceEventQueue`].
-//! * [`engine`] — a minimal event-loop driver.
 //! * [`SimRng`] — seeded, forkable random streams: every stochastic
 //!   component gets its own independent, reproducible stream.
 //! * [`metrics`] — summary statistics and CDFs for job-completion-time
@@ -42,7 +41,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod engine;
 pub mod metrics;
 pub mod online;
 pub mod queue;

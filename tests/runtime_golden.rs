@@ -614,3 +614,67 @@ fn batched_and_unbatched_allocation_are_byte_identical_in_executor() {
         assert_eq!(run(true), run(false), "seed {seed}");
     }
 }
+
+/// FNV-1a, folded over little-endian words.
+fn fnv1a(hash: &mut u64, word: u64) {
+    for byte in word.to_le_bytes() {
+        *hash ^= u64::from(byte);
+        *hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+}
+
+#[test]
+fn placement_layer_reproduces_pinned_digest() {
+    // Pins the placement layer on its own: one digest over the
+    // qubit → QPU vector (or the error kind) of every cold place below.
+    // The runtime goldens above check placements only through the
+    // schedules they produce.
+    use cloudqc::cloud::QpuId;
+    let cloud = CloudBuilder::paper_default(1).build();
+    let fresh = cloud.status();
+    let mut half_drained = cloud.status();
+    for i in (0..cloud.qpu_count()).step_by(2) {
+        let q = QpuId::new(i);
+        half_drained
+            .allocate_computing(q, half_drained.free_computing(q))
+            .unwrap();
+    }
+    let mut uneven = cloud.status();
+    for i in 0..cloud.qpu_count() {
+        let q = QpuId::new(i);
+        let drain = (i * 7) % (uneven.free_computing(q) + 1);
+        uneven.allocate_computing(q, drain).unwrap();
+    }
+    let algorithms: [&dyn PlacementAlgorithm; 2] = [
+        &CloudQcPlacement::default(),
+        &CloudQcBfsPlacement::default(),
+    ];
+    let circuits = batch(&["qft_n29", "ising_n34", "ghz_n40", "knn_n67", "qugan_n71"]);
+    let mut digest = 0xcbf2_9ce4_8422_2325u64;
+    for algo in algorithms {
+        for circuit in &circuits {
+            for status in [&fresh, &half_drained, &uneven] {
+                for seed in [1u64, 7, 42] {
+                    match algo.place(circuit, &cloud, status, seed) {
+                        Ok(p) => {
+                            fnv1a(&mut digest, 0);
+                            for q in p.assignment() {
+                                fnv1a(&mut digest, q.index() as u64);
+                            }
+                        }
+                        Err(e) => {
+                            fnv1a(&mut digest, 1);
+                            for byte in e.kind_name().bytes() {
+                                fnv1a(&mut digest, u64::from(byte));
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+    assert_eq!(
+        digest, 0x23ae_1d1e_7af7_da40,
+        "placement digest {digest:#018x}"
+    );
+}
