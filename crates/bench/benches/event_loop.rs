@@ -1,6 +1,6 @@
 //! Event-loop hot-path benchmarks: the radix-ladder calendar
 //! [`EventQueue`] against the retired binary-heap implementation, plus
-//! an end-to-end 10⁵-job scale case.
+//! a 10⁵-job case on the bare executor.
 //!
 //! Two kernels:
 //! * `queue/*` — steady-state churn at 10⁵ pending events: prefill,
@@ -10,11 +10,13 @@
 //!   `binary_heap_100k` the old `BinaryHeap<(Tick, seq)>` kept as
 //!   [`ReferenceEventQueue`]; the in-harness acceptance gate at the
 //!   bottom demands the ladder win by ≥2×.
-//! * `scale/*` — 10⁵ tiny remote-gate jobs admitted in contended waves
-//!   into one executor (8-QPU ring, scarce communication qubits):
-//!   every layer of this PR's hot path — calendar queue, grant-ordered
-//!   shard index, batched EPR sampling — under an event volume an
-//!   order of magnitude past the other benches. Reports events/sec.
+//! * `executor/*` — 10⁵ tiny remote-gate jobs with hand-built
+//!   placements admitted in contended waves into one bare executor
+//!   (8-QPU ring, scarce communication qubits): the calendar queue,
+//!   grant-ordered shard index and batched EPR sampling under an event
+//!   volume an order of magnitude past the other benches, with no
+//!   placement, admission or service layer in the loop. Reports
+//!   events/sec.
 //!
 //! With `BENCH_JSON=<path>` in the environment every case's minimum
 //! sample lands in `<path>` as ms/run — the input of the CI
@@ -122,14 +124,14 @@ fn bench_queue(c: &mut Criterion) {
     );
 }
 
-/// Jobs per admission wave in the scale case.
+/// Jobs per admission wave in the executor case.
 const WAVE: usize = 1_000;
-/// Admission waves — [`WAVE`] × this = 10⁵ jobs end to end.
+/// Admission waves — [`WAVE`] × this = 10⁵ jobs.
 const WAVES: usize = 100;
 
 /// Runs 10⁵ two-qubit remote-gate jobs through one executor in
 /// contended waves; returns `(now, events processed)`.
-fn run_scale(seed: u64) -> (Tick, u64) {
+fn run_executor(seed: u64) -> (Tick, u64) {
     // Scarce communication qubits + a low EPR success rate: each wave
     // holds a deep front layer over the ring's 8 shards and every
     // remote gate retries for several rounds, so allocation rounds,
@@ -159,27 +161,27 @@ fn run_scale(seed: u64) -> (Tick, u64) {
     (exec.now(), exec.batch_stats().events())
 }
 
-fn bench_scale(c: &mut Criterion) {
-    let mut group = c.benchmark_group("event_loop/scale");
+fn bench_executor(c: &mut Criterion) {
+    let mut group = c.benchmark_group("event_loop/executor");
     group.sample_size(10);
     group.bench_function("100k_jobs", |b| {
         let mut seed = 0u64;
         b.iter(|| {
             seed = seed.wrapping_add(1);
-            black_box(run_scale(seed))
+            black_box(run_executor(seed))
         });
     });
     group.finish();
 
     // Throughput report: one instrumented pass outside the timed loop.
     let start = Instant::now();
-    let (_, events) = run_scale(0);
+    let (_, events) = run_executor(0);
     let elapsed = start.elapsed();
     println!(
-        "scale throughput: {events} events in {elapsed:?} ({:.0} events/sec)",
+        "executor throughput: {events} events in {elapsed:?} ({:.0} events/sec)",
         events as f64 / elapsed.as_secs_f64().max(f64::EPSILON)
     );
 }
 
-criterion_group!(benches, bench_queue, bench_scale);
+criterion_group!(benches, bench_queue, bench_executor);
 criterion_main!(benches);

@@ -9,10 +9,7 @@
 //! any baseline case is more than `threshold` (a fraction, default
 //! 0.20 = 20%) slower in the current run, or missing from it. Cases
 //! only present in the current run are reported but do not gate (they
-//! start gating once the baseline is refreshed). `workers_<n>` cases
-//! are excluded from the comparison when the host has fewer than `n`
-//! cores — a starved run times pool overhead, not parallel work (see
-//! `results::exclude_starved`).
+//! start gating once the baseline is refreshed).
 //!
 //! Whenever at least `MIN_NORMALIZE_CASES` (3) cases are shared
 //! between baseline and current run, the gate compares *ratios*: every
@@ -20,7 +17,7 @@
 //! `current / baseline` ratio across shared cases) before gating, so a
 //! runner slower or faster than the machine that recorded the baseline
 //! does not move the verdict — only per-case relative regressions do.
-//! This is the default because CI runner hardware is unknown; the
+//! It compares ratios because CI runner hardware is unknown; the
 //! trade-off is that a *uniform* slowdown across all cases is absorbed
 //! into the factor (re-run on the baseline's own machine to catch
 //! those).
@@ -28,11 +25,9 @@
 //! With fewer than 3 shared cases the median ratio *is* (or is
 //! dominated by) whatever regressed — any slowdown would normalize
 //! itself away to 1.0 and the gate could never fire — so the gate
-//! warns and compares absolute values instead. The legacy
-//! `--normalize` flag is still accepted (ratio mode is now the
-//! default) so existing invocations keep working.
+//! warns and compares absolute values instead.
 
-use cloudqc_bench::results::{exclude_starved, gate, parse_results, MIN_NORMALIZE_CASES};
+use cloudqc_bench::results::{gate, parse_results, MIN_NORMALIZE_CASES};
 use std::process::ExitCode;
 
 fn usage() -> ExitCode {
@@ -57,9 +52,6 @@ fn main() -> ExitCode {
                     return usage();
                 }
             }
-            // Ratio normalization is the default now; the flag stays
-            // accepted so existing CI invocations keep working.
-            "--normalize" => {}
             other => paths.push(other.to_owned()),
         }
         i += 1;
@@ -81,34 +73,6 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-
-    // Multi-worker cases timed on a host with fewer cores measure the
-    // worker pool's coordination overhead, not any speedup — their
-    // numbers can neither fail honestly nor pass meaningfully, and a
-    // starved recording on either side would skew the machine-speed
-    // median for every other case. Exclude them from the comparison
-    // entirely (both sides); they resume gating on a host with enough
-    // cores. See README.md, "Re-recording baselines".
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let (baseline, starved_base) = exclude_starved(&baseline, cores);
-    let (current, starved_cur) = exclude_starved(&current, cores);
-    let mut starved = starved_base;
-    for case in starved_cur {
-        if !starved.contains(&case) {
-            starved.push(case);
-        }
-    }
-    if !starved.is_empty() {
-        eprintln!(
-            "warning: host has {cores} core(s) but these cases configured more \
-             workers: {} — their timings are pool overhead, not parallel \
-             speedup; EXCLUDED from the gate (do not re-record baselines \
-             from this host)",
-            starved.join(", ")
-        );
-    }
 
     println!(
         "bench gate: {} baseline case(s), threshold +{:.0}%",

@@ -87,71 +87,6 @@ fn snippet(s: &str) -> String {
     s.chars().take(20).collect()
 }
 
-/// The worker count a benchmark case claims to exercise, parsed from a
-/// `workers_<n>` segment in its id (the convention the parallel benches
-/// use). `None` for cases that do not sweep workers.
-///
-/// The gate uses this to call out a silent lie in the numbers: a
-/// `workers_4` case timed on a single-core host measures the worker
-/// pool's coordination overhead, not any speedup, and must not be
-/// compared against — or recorded as — a multi-core baseline.
-///
-/// # Example
-///
-/// ```
-/// use cloudqc_bench::results::worker_count;
-///
-/// assert_eq!(worker_count("parallel_executor/workers_4"), Some(4));
-/// assert_eq!(worker_count("fleet_routing/random"), None);
-/// ```
-pub fn worker_count(case: &str) -> Option<usize> {
-    let (_, tail) = case.rsplit_once("workers_")?;
-    let digits: &str = &tail[..tail
-        .find(|c: char| !c.is_ascii_digit())
-        .unwrap_or(tail.len())];
-    digits.parse().ok()
-}
-
-/// Splits `cases` into those valid on a host with `cores` cores and
-/// the *starved* ones — `workers_<n>` cases (see [`worker_count`])
-/// with `n > cores`, whose timings measure the worker pool's
-/// coordination overhead rather than any speedup.
-///
-/// The gate drops starved cases from **both** sides of the comparison
-/// (not merely warning, as earlier versions did): a single-core
-/// recording of `workers_4` encodes pool overhead, so gating against
-/// it on a multi-core runner would mask a real regression (the runner
-/// looks "fast" against an inflated baseline), and the inflated ratio
-/// would pollute the machine-speed median for every other case.
-///
-/// Returns `(kept, starved_case_names)` preserving input order.
-///
-/// # Example
-///
-/// ```
-/// use cloudqc_bench::results::exclude_starved;
-///
-/// let cases = vec![
-///     ("g/workers_1".to_owned(), 64.0),
-///     ("g/workers_4".to_owned(), 103.0),
-/// ];
-/// let (kept, starved) = exclude_starved(&cases, 1);
-/// assert_eq!(kept.len(), 1);
-/// assert_eq!(starved, vec!["g/workers_4".to_owned()]);
-/// ```
-pub fn exclude_starved(cases: &[(String, f64)], cores: usize) -> (Vec<(String, f64)>, Vec<String>) {
-    let mut kept = Vec::new();
-    let mut starved = Vec::new();
-    for (case, ms) in cases {
-        if worker_count(case).is_some_and(|w| w > cores) {
-            starved.push(case.clone());
-        } else {
-            kept.push((case.clone(), *ms));
-        }
-    }
-    (kept, starved)
-}
-
 /// Minimum shared cases for [`speed_factor`] to produce a
 /// machine-speed estimate.
 ///
@@ -485,73 +420,6 @@ mod tests {
         assert_eq!(factor, None);
         assert!(verdicts[0].failed);
         assert!(!verdicts[1].failed);
-    }
-
-    #[test]
-    fn worker_count_parses_the_sweep_convention() {
-        assert_eq!(worker_count("parallel_executor/workers_1"), Some(1));
-        assert_eq!(worker_count("parallel_executor/workers_16"), Some(16));
-        assert_eq!(worker_count("g/workers_2_hot"), Some(2));
-        assert_eq!(worker_count("fleet_routing/tenant_affinity"), None);
-        assert_eq!(worker_count("g/workers_"), None);
-    }
-
-    #[test]
-    fn exclude_starved_drops_only_over_provisioned_worker_cases() {
-        let all = cases(&[
-            ("g/workers_1", 64.0),
-            ("g/workers_2", 40.0),
-            ("g/workers_4", 103.0),
-            ("g/serial", 70.0),
-        ]);
-        // Single-core host: every multi-worker case is pool overhead.
-        let (kept, starved) = exclude_starved(&all, 1);
-        assert_eq!(kept, cases(&[("g/workers_1", 64.0), ("g/serial", 70.0)]));
-        assert_eq!(starved, vec!["g/workers_2", "g/workers_4"]);
-        // Two cores: workers_2 is honest again.
-        let (kept, starved) = exclude_starved(&all, 2);
-        assert_eq!(kept.len(), 3);
-        assert_eq!(starved, vec!["g/workers_4"]);
-        // Enough cores: nothing excluded.
-        let (kept, starved) = exclude_starved(&all, 8);
-        assert_eq!(kept, all);
-        assert!(starved.is_empty());
-    }
-
-    #[test]
-    fn starved_exclusion_keeps_pool_overhead_out_of_the_verdict() {
-        // The scenario from the checked-in single-core
-        // parallel-executor baseline: workers_4 = 103 ms is pool
-        // coordination overhead, not a measurement of parallel work.
-        // On a starved host that overhead is erratic — here it drifts
-        // +46% while every honest case is flat — and with the case
-        // *in* the comparison it fails the gate on pure noise (and,
-        // symmetrically, a faster-looking overhead reading would mask
-        // a real regression after a multi-core re-recording). Dropping
-        // it from both sides leaves only honest cases in the verdict
-        // and in the machine-speed median.
-        let baseline = cases(&[
-            ("g/workers_1", 64.0),
-            ("g/workers_4", 103.0),
-            ("g/a", 10.0),
-            ("g/b", 20.0),
-        ]);
-        let current = cases(&[
-            ("g/workers_1", 64.0),
-            ("g/workers_4", 150.0),
-            ("g/a", 10.0),
-            ("g/b", 20.0),
-        ]);
-        let (verdicts, _) = gate(&baseline, &current, 0.20);
-        assert!(
-            verdicts.iter().any(|v| v.failed),
-            "sanity: included, the overhead drift fails the gate"
-        );
-        let (kept_base, starved) = exclude_starved(&baseline, 1);
-        let (kept_cur, _) = exclude_starved(&current, 1);
-        assert_eq!(starved, vec!["g/workers_4"]);
-        let (verdicts, _) = gate(&kept_base, &kept_cur, 0.20);
-        assert!(verdicts.iter().all(|v| !v.failed));
     }
 
     #[test]

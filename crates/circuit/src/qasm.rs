@@ -35,6 +35,11 @@ use std::error::Error;
 use std::f64::consts::PI;
 use std::fmt;
 
+/// The most qubits a program may declare across all its `qreg`s —
+/// far above any circuit a distributed cloud runs, and low enough that
+/// a register broadcast (`h q;`) cannot exhaust memory.
+const MAX_QUBITS: usize = 1 << 16;
+
 /// A parse failure, with the 1-based source line.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ParseError {
@@ -81,7 +86,8 @@ impl Error for ParseError {}
 /// # Errors
 ///
 /// Returns [`ParseError`] on unknown statements/gates, malformed
-/// operands, out-of-range indices, or bad angle expressions.
+/// operands, out-of-range indices, bad angle expressions, or more than
+/// 65 536 declared qubits.
 pub fn parse(source: &str) -> Result<Circuit, ParseError> {
     let mut qregs: Vec<(String, usize, usize)> = Vec::new(); // (name, offset, size)
     let mut total_qubits = 0usize;
@@ -146,7 +152,12 @@ pub fn parse(source: &str) -> Result<Circuit, ParseError> {
                 name = reg.clone();
             }
             qregs.push((reg, total_qubits, size));
-            total_qubits += size;
+            total_qubits = total_qubits
+                .checked_add(size)
+                .filter(|&total| total <= MAX_QUBITS)
+                .ok_or_else(|| {
+                    ParseError::new(line, format!("more than {MAX_QUBITS} qubits declared"))
+                })?;
             continue;
         }
         if stmt.starts_with("creg") {
@@ -198,7 +209,8 @@ pub fn parse(source: &str) -> Result<Circuit, ParseError> {
 }
 
 /// Splits `cx q[0],q[1]` into head (`cx`, possibly with `(...)`) and the
-/// operand text, honoring parentheses in parameters.
+/// operand text, honoring parentheses in parameters. Only ASCII
+/// whitespace separates them, as in the OpenQASM 2.0 grammar.
 fn split_gate_head(stmt: &str, line: usize) -> Result<(String, String), ParseError> {
     let mut depth = 0usize;
     for (idx, ch) in stmt.char_indices() {
@@ -209,7 +221,7 @@ fn split_gate_head(stmt: &str, line: usize) -> Result<(String, String), ParseErr
                     .checked_sub(1)
                     .ok_or_else(|| ParseError::new(line, "unbalanced `)`"))?;
             }
-            c if c.is_whitespace() && depth == 0 => {
+            c if c.is_ascii_whitespace() && depth == 0 => {
                 return Ok((stmt[..idx].to_owned(), stmt[idx + 1..].to_owned()));
             }
             _ => {}
@@ -227,9 +239,10 @@ fn parse_reg_decl(rest: &str, line: usize) -> Result<(String, usize), ParseError
     let open = rest
         .find('[')
         .ok_or_else(|| ParseError::new(line, "register declaration missing `[`"))?;
-    let close = rest
-        .find(']')
-        .ok_or_else(|| ParseError::new(line, "register declaration missing `]`"))?;
+    let close = open
+        + rest[open..]
+            .find(']')
+            .ok_or_else(|| ParseError::new(line, "register declaration missing `]`"))?;
     let name = rest[..open].trim().to_owned();
     let size: usize = rest[open + 1..close]
         .trim()
@@ -250,9 +263,10 @@ fn resolve_operand(
 ) -> Result<Vec<usize>, ParseError> {
     let text = text.trim();
     if let Some(open) = text.find('[') {
-        let close = text
-            .find(']')
-            .ok_or_else(|| ParseError::new(line, "operand missing `]`"))?;
+        let close = open
+            + text[open..]
+                .find(']')
+                .ok_or_else(|| ParseError::new(line, "operand missing `]`"))?;
         let reg = text[..open].trim();
         let idx: usize = text[open + 1..close]
             .trim()
@@ -701,5 +715,40 @@ mod tests {
     fn equal_two_qubit_operands_rejected() {
         let src = "OPENQASM 2.0; qreg q[2]; cx q[0],q[0];";
         assert!(parse(src).is_err());
+    }
+
+    #[test]
+    fn qreg_with_close_before_open_rejected() {
+        assert!(parse("qreg ]q[;").is_err());
+    }
+
+    #[test]
+    fn creg_with_close_before_open_rejected() {
+        assert!(parse("creg ]c[;").is_err());
+    }
+
+    #[test]
+    fn operand_with_close_before_open_rejected() {
+        assert!(parse("qreg q[1]; h ]q[;").is_err());
+    }
+
+    #[test]
+    fn non_ascii_whitespace_after_gate_name_rejected() {
+        // U+3000 is Unicode whitespace three bytes wide, but not a
+        // separator in the OpenQASM 2.0 grammar.
+        assert!(parse("qreg q[1]; h\u{3000}q[0];").is_err());
+    }
+
+    #[test]
+    fn qubit_count_overflow_rejected() {
+        let err = parse("qreg a[18446744073709551615]; qreg b[1];").unwrap_err();
+        assert!(err.message().contains("qubits declared"), "{err}");
+    }
+
+    #[test]
+    fn oversized_register_broadcast_rejected() {
+        assert!(parse("qreg q[18446744073709551615]; h q;").is_err());
+        assert!(parse("qreg a[65536]; qreg b[1];").is_err());
+        assert_eq!(parse("qreg q[65536];").unwrap().num_qubits(), 65_536);
     }
 }

@@ -43,6 +43,59 @@ fn circuit_strategy() -> impl Strategy<Value = Circuit> {
     })
 }
 
+/// Strategy: QASM-like text. Most statements start with a keyword and
+/// continue with the tokens the parser splits on, in any order, so
+/// brackets come reversed or unbalanced and multibyte whitespace lands
+/// where ASCII is expected. The rest are well-formed declarations of
+/// one or `usize::MAX` qubits and broadcasts over them.
+fn qasm_fragments() -> impl Strategy<Value = String> {
+    let keyword = prop_oneof![
+        Just("qreg"),
+        Just("creg"),
+        Just("h"),
+        Just("cx"),
+        Just("rz"),
+        Just("measure"),
+    ];
+    let token = prop_oneof![
+        2 => Just(" "),
+        1 => Just("\u{3000}"),
+        2 => Just("q"),
+        1 => Just("c"),
+        3 => Just("["),
+        3 => Just("]"),
+        1 => Just("("),
+        1 => Just(")"),
+        1 => Just(","),
+        1 => Just("->"),
+        1 => Just(";"),
+        1 => Just("0"),
+        1 => Just("1"),
+        1 => Just("18446744073709551615"),
+    ];
+    let fragment = (keyword, proptest::collection::vec(token, 0..8))
+        .prop_map(|(keyword, tokens)| format!("{keyword}{};", tokens.concat()));
+    let declaration = (
+        prop_oneof![Just("a"), Just("b")],
+        prop_oneof![Just("1"), Just("18446744073709551615")],
+    )
+        .prop_map(|(name, size)| format!("qreg {name}[{size}];"));
+    let broadcast = prop_oneof![Just("h a;".to_owned()), Just("h b;".to_owned())];
+    let statement = prop_oneof![2 => fragment, 1 => declaration, 1 => broadcast];
+    proptest::collection::vec(statement, 1..6).prop_map(|statements| statements.concat())
+}
+
+/// Strategy: arbitrary text, mostly ASCII.
+fn arbitrary_text() -> impl Strategy<Value = String> {
+    let code = prop_oneof![3 => 0u32..128, 1 => any::<u32>()];
+    proptest::collection::vec(code, 0..48).prop_map(|codes| {
+        codes
+            .into_iter()
+            .map(|c| char::from_u32(c % 0x11_0000).unwrap_or(char::REPLACEMENT_CHARACTER))
+            .collect()
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -158,4 +211,16 @@ fn qv_catalog_instance_is_deterministic() {
     let a = catalog::by_name("qv_n30").unwrap();
     let b = catalog::by_name("qv_n30").unwrap();
     assert_eq!(a, b);
+}
+
+proptest! {
+    // A parse takes microseconds, so many cases are cheap, and most
+    // malformed statements stop the parse before the next one runs.
+    #![proptest_config(ProptestConfig::with_cases(4096))]
+
+    #[test]
+    fn qasm_parse_always_returns(text in prop_oneof![qasm_fragments(), arbitrary_text()]) {
+        // Any outcome is fine; a panic fails the case.
+        let _ = qasm::parse(&text);
+    }
 }

@@ -84,14 +84,12 @@
 
 use crate::error::ExecError;
 use crate::placement::Placement;
-use crate::schedule::{validate_allocations, Allocation, EmissionOrder, RemoteRequest, Scheduler};
+use crate::schedule::{validate_allocations, RemoteRequest, Scheduler};
 use cloudqc_circuit::dag::{gate_dag, FrontTracker};
 use cloudqc_circuit::{Circuit, GateKind};
 use cloudqc_cloud::{Cloud, QpuId};
 use cloudqc_sim::{BatchStats, EventQueue, SimRng, Tick};
 use rand::rngs::StdRng;
-use rand::SeedableRng;
-use scoped_threadpool::Pool;
 use std::collections::{HashMap, VecDeque};
 
 use crate::schedule::priority::priorities;
@@ -136,33 +134,6 @@ pub struct AllocStats {
     pub shards_visited: u64,
     /// Requests handed to the scheduler, summed over all rounds.
     pub requests_scanned: u64,
-    /// Worker threads the executor was configured with (1 = serial).
-    /// Merging takes the maximum, so lifetime totals report the widest
-    /// pool any merged-in executor ran.
-    pub workers: u64,
-    /// Sharded rounds whose shard components were evaluated on the
-    /// worker pool instead of serially. Always 0 at 1 worker. The
-    /// serial counters above are byte-identical either way — only
-    /// *where* the evaluation ran differs.
-    pub parallel_rounds: u64,
-    /// Independent (QPU-disjoint) shard components evaluated across all
-    /// parallel rounds — the fan-out the pool actually saw.
-    pub parallel_components: u64,
-    /// Work imbalance summed over parallel rounds: the requests in a
-    /// round's largest component minus the ideal even share
-    /// (`total / components`). High values mean one component dominates
-    /// and caps the parallel speedup (there is no work stealing below
-    /// component granularity).
-    pub parallel_imbalance: u64,
-    /// Admission passes whose waiting-queue placements were speculated
-    /// on the worker pool before the serial commit loop. Always 0 at 1
-    /// worker.
-    pub parallel_admission_passes: u64,
-    /// Speculative `place()` computations run on worker threads across
-    /// those passes (some are discarded — cache hits, SLA-pruned jobs,
-    /// or results invalidated by an earlier admission in the same
-    /// pass).
-    pub speculative_placements: u64,
 }
 
 impl AllocStats {
@@ -174,15 +145,6 @@ impl AllocStats {
         self.requests_scanned as f64 / self.rounds as f64
     }
 
-    /// Share of scheduler rounds evaluated on the worker pool (0 for no
-    /// rounds, and always 0 at 1 worker).
-    pub fn parallel_share(&self) -> f64 {
-        if self.rounds == 0 {
-            return 0.0;
-        }
-        self.parallel_rounds as f64 / self.rounds as f64
-    }
-
     /// Folds another counter set into this one — how a long-lived
     /// service accumulates per-epoch executor stats into lifetime
     /// totals.
@@ -190,12 +152,6 @@ impl AllocStats {
         self.rounds += other.rounds;
         self.shards_visited += other.shards_visited;
         self.requests_scanned += other.requests_scanned;
-        self.workers = self.workers.max(other.workers);
-        self.parallel_rounds += other.parallel_rounds;
-        self.parallel_components += other.parallel_components;
-        self.parallel_imbalance += other.parallel_imbalance;
-        self.parallel_admission_passes += other.parallel_admission_passes;
-        self.speculative_placements += other.speculative_placements;
     }
 }
 
@@ -206,15 +162,9 @@ impl AllocStats {
 /// the whole shard. A hot pair with 10⁴+ pending requests pays O(log
 /// buckets + bucket len) per insert/remove instead of O(shard len).
 ///
-/// The serial allocation pass streams the buckets themselves to the
-/// scheduler (each bucket is a valid shard under the sharded input
-/// contract), so it never concatenates anything. Only the *parallel*
-/// round needs one contiguous slice per shard for its component
-/// fan-out: [`Shard::refresh_flat`] catches the lazy `flat` view up
-/// with the buckets then, once per visit, however many membership
-/// changes accumulated since. Every change marks the shard dirty, and
-/// only dirty shards are ever read, so a stale `flat` is never
-/// observed.
+/// The allocation pass streams the buckets themselves to the scheduler
+/// (each bucket is a valid shard under the sharded input contract), so
+/// it never concatenates anything.
 struct Shard {
     /// The unordered communication edge (lower QPU first).
     pair: (QpuId, QpuId),
@@ -227,13 +177,6 @@ struct Shard {
     /// append at the *tail* — all O(1), where a `Vec` would memmove
     /// the whole bucket per grant/retry cycle.
     buckets: Vec<(usize, VecDeque<RemoteRequest>)>,
-    /// The flattened (priority desc, key asc) view handed to the
-    /// *parallel* round's component fan-out; valid only when
-    /// `flat_stale` is false. The serial pass streams the buckets
-    /// directly and never reads it.
-    flat: Vec<RemoteRequest>,
-    /// Whether `flat` lags the buckets.
-    flat_stale: bool,
     /// Pending requests across all buckets.
     len: usize,
     /// Whether the shard is already queued in `ShardedFront::dirty`.
@@ -244,27 +187,11 @@ struct Shard {
     /// on every membership change (`ShardedFront::insert`/`remove`;
     /// `touch_qpu` changes no membership, so it needs no upkeep), so
     /// the allocation pass can order dirty shards by grant order and
-    /// skip drained shards without touching their request lists or
-    /// paying the flat-view refresh.
+    /// skip drained shards without touching their request lists.
     head: Option<(usize, u64)>,
 }
 
 impl Shard {
-    /// Re-concatenates the buckets into `flat` if any membership
-    /// change happened since the last refresh.
-    fn refresh_flat(&mut self) {
-        if !self.flat_stale {
-            return;
-        }
-        self.flat.clear();
-        for (_, bucket) in &self.buckets {
-            let (head, tail) = bucket.as_slices();
-            self.flat.extend_from_slice(head);
-            self.flat.extend_from_slice(tail);
-        }
-        self.flat_stale = false;
-    }
-
     /// Recomputes the cached best head from the buckets: the first
     /// bucket holds the highest priority, its first request the lowest
     /// key. O(1).
@@ -340,8 +267,6 @@ impl ShardedFront {
         self.shards.push(Shard {
             pair,
             buckets: Vec::new(),
-            flat: Vec::new(),
-            flat_stale: false,
             len: 0,
             dirty: false,
             head: None,
@@ -370,7 +295,6 @@ impl ShardedFront {
             .expect_err("request keys are unique while pending");
         bucket.insert(pos, req);
         s.len += 1;
-        s.flat_stale = true;
         s.recompute_head();
         self.len += 1;
         self.mark_dirty(shard);
@@ -392,7 +316,6 @@ impl ShardedFront {
             s.buckets.remove(slot);
         }
         s.len -= 1;
-        s.flat_stale = true;
         s.recompute_head();
         self.len -= 1;
         self.mark_dirty(shard);
@@ -516,18 +439,6 @@ pub struct Executor<'a> {
     alloc_stats: AllocStats,
     /// Jobs suspended so far (see [`Executor::suspend_job`]).
     preemptions: u64,
-    /// Worker threads for the parallel sharded round (1 = serial, the
-    /// default; see [`Executor::with_worker_threads`]).
-    worker_threads: usize,
-    /// The scoped worker pool, present only at ≥ 2 worker threads.
-    pool: Option<Pool>,
-    /// Cached [`Scheduler::sharded_emission_order`] — the parallel
-    /// round needs a declared merge order to reproduce the serial
-    /// emission sequence; `None` keeps the serial path at any width.
-    emission_order: Option<EmissionOrder>,
-    /// Union-find parents over QPU indices, reused by the parallel
-    /// round's component grouping.
-    component_scratch: Vec<usize>,
 }
 
 impl<'a> Executor<'a> {
@@ -555,15 +466,8 @@ impl<'a> Executor<'a> {
             scheduler_pure: scheduler.is_pure(),
             front_settled: false,
             batch_stats: BatchStats::default(),
-            alloc_stats: AllocStats {
-                workers: 1,
-                ..AllocStats::default()
-            },
+            alloc_stats: AllocStats::default(),
             preemptions: 0,
-            worker_threads: 1,
-            pool: None,
-            emission_order: scheduler.sharded_emission_order(),
-            component_scratch: Vec::new(),
         };
         exec.rebuild_front();
         exec
@@ -646,39 +550,6 @@ impl<'a> Executor<'a> {
         self.sharded_front = enabled;
         self.rebuild_front();
         self
-    }
-
-    /// Sets the worker-thread count for the parallel sharded round
-    /// (default 1 = the serial code path, verbatim). At ≥ 2 threads,
-    /// rounds whose dirty shards split into several QPU-disjoint
-    /// components evaluate those components concurrently on a scoped
-    /// worker pool, then merge and apply the grants in the exact order
-    /// the serial pass emits — seeded schedules are byte-identical at
-    /// every thread count (pinned by goldens and proptests).
-    ///
-    /// Only effective when the sharded front layer is active *and* the
-    /// scheduler declares a [`Scheduler::sharded_emission_order`];
-    /// otherwise the serial path runs regardless. Zero is clamped to 1.
-    ///
-    /// # Panics
-    ///
-    /// Panics if jobs were already admitted (the mode must be fixed
-    /// up front).
-    pub fn with_worker_threads(mut self, threads: usize) -> Self {
-        assert!(
-            self.jobs.is_empty(),
-            "worker threads must be set before admitting jobs"
-        );
-        self.worker_threads = threads.max(1);
-        self.alloc_stats.workers = self.worker_threads as u64;
-        self.pool = (self.worker_threads >= 2 && self.emission_order.is_some())
-            .then(|| Pool::new(self.worker_threads as u32));
-        self
-    }
-
-    /// The configured worker-thread count (1 = serial).
-    pub fn worker_threads(&self) -> usize {
-        self.worker_threads
     }
 
     /// Current simulated time.
@@ -924,11 +795,15 @@ impl<'a> Executor<'a> {
     /// *communication* fabric — the contended resource — for
     /// SLA-critical arrivals.
     ///
-    /// Returns `false` (and changes nothing) when the job is already
-    /// suspended or finished. A job left suspended forever stalls
-    /// [`Executor::run_to_completion`].
+    /// Returns `false` (and changes nothing) when the job is unknown,
+    /// already suspended or finished. A job left suspended forever
+    /// stalls [`Executor::run_to_completion`].
     pub fn suspend_job(&mut self, job: usize) -> bool {
-        if self.jobs[job].suspended || self.jobs[job].finished_at.is_some() {
+        if self
+            .jobs
+            .get(job)
+            .is_none_or(|j| j.suspended || j.finished_at.is_some())
+        {
             return false;
         }
         self.jobs[job].suspended = true;
@@ -947,9 +822,9 @@ impl<'a> Executor<'a> {
 
     /// Resumes a suspended job: parked remote-gate requests re-enter
     /// the front layer (in node order) and an allocation pass runs.
-    /// Returns `false` when the job is not suspended.
+    /// Returns `false` when the job is unknown or not suspended.
     pub fn resume_job(&mut self, job: usize) -> bool {
-        if !self.jobs[job].suspended {
+        if !self.is_suspended(job) {
             return false;
         }
         self.jobs[job].suspended = false;
@@ -1126,13 +1001,13 @@ impl<'a> Executor<'a> {
         // shard with an endpoint at zero capacity cannot receive a
         // grant from any valid scheduler, and its zero-granted requests
         // would not perturb the others, so it settles clean *without*
-        // scanning its request list or paying the flat-view refresh,
-        // and is re-dirtied the moment that endpoint frees. Survivors
-        // are sorted by their cached head (priority desc, key asc):
-        // grant order, the order the grantable-heads merge pops them
-        // in. Keys are unique, so the order is total and the unstable
-        // sort deterministic; order-insensitive schedulers (every pure
-        // one) emit identical allocations either way.
+        // scanning its request list, and is re-dirtied the moment that
+        // endpoint frees. Survivors are sorted by their cached head
+        // (priority desc, key asc): grant order, the order the
+        // grantable-heads merge pops them in. Keys are unique, so the
+        // order is total and the unstable sort deterministic;
+        // order-insensitive schedulers (every pure one) emit identical
+        // allocations either way.
         debug_assert!(self.order_scratch.is_empty());
         let mut order = std::mem::take(&mut self.order_scratch);
         {
@@ -1152,31 +1027,6 @@ impl<'a> Executor<'a> {
                 py.cmp(&px).then(kx.cmp(&ky))
             });
         }
-        // Parallel round: shards that share no QPU cannot
-        // affect each other's grants (capacity is the only
-        // coupling), so QPU-disjoint shard *components*
-        // evaluate concurrently against the same capacity
-        // snapshot; the merge below restores the serial
-        // emission order exactly. Requires a pool, a declared
-        // emission order, and ≥ 2 components — otherwise the
-        // serial call runs verbatim. (Pure schedulers never
-        // draw from the RNG, so neither path advances it.)
-        let parallel = self
-            .emission_order
-            .filter(|_| self.pool.is_some() && order.len() >= 2);
-        if parallel.is_some() {
-            // Only the parallel fan-out consumes the per-shard flat
-            // view (component slices must be contiguous); catch stale
-            // ones up with the buckets, once per visit however many
-            // membership changes accumulated. The serial path streams
-            // the buckets directly and never materializes `flat`.
-            let FrontLayer::Sharded(front) = &mut self.front else {
-                unreachable!("sharded pass on a global front layer")
-            };
-            for &shard in &order {
-                front.shards[shard].refresh_flat();
-            }
-        }
         let allocations = if order.is_empty() {
             // Every visited shard drained or starved: settled.
             Vec::new()
@@ -1191,63 +1041,25 @@ impl<'a> Executor<'a> {
                 .iter()
                 .map(|&shard| front.shards[shard].len as u64)
                 .sum::<u64>();
-            let allocations = match parallel {
-                Some(emission) => {
-                    let shards: Vec<&[RemoteRequest]> = order
-                        .iter()
-                        .map(|&shard| front.shards[shard].flat.as_slice())
-                        .collect();
-                    let components = group_components(
-                        &shards,
-                        self.comm_free.len(),
-                        &mut self.component_scratch,
-                    );
-                    if components.len() >= 2 {
-                        let total: usize = components.iter().map(|c| c.requests).sum();
-                        let largest = components.iter().map(|c| c.requests).max().unwrap_or(0);
-                        self.alloc_stats.parallel_rounds += 1;
-                        self.alloc_stats.parallel_components += components.len() as u64;
-                        self.alloc_stats.parallel_imbalance +=
-                            largest.saturating_sub(total / components.len()) as u64;
-                        let pool = self.pool.as_mut().expect("pool exists at >= 2 workers");
-                        let outputs = evaluate_components(
-                            pool,
-                            self.scheduler,
-                            &shards,
-                            &components,
-                            comm_free,
-                        );
-                        merge_components(outputs, emission, &self.jobs)
-                    } else {
-                        self.scheduler
-                            .allocate_sharded(&shards, comm_free, &mut self.rng)
-                    }
-                }
-                None => {
-                    // The serial hot path streams each grant-ordered
-                    // shard's priority buckets straight out of the
-                    // index as individual merge inputs — a bucket is
-                    // itself a valid shard under the sharded contract
-                    // (one QPU pair, sorted, keys unique), so no
-                    // per-pass slice list is collected and no flat
-                    // view is ever materialized.
-                    self.scheduler.allocate_shard_iter(
-                        &mut order.iter().flat_map(|&shard| {
-                            front.shards[shard].buckets.iter().flat_map(|(_, bucket)| {
-                                // A deque exposes up to two contiguous
-                                // runs; each is a sorted single-pair
-                                // segment, i.e. a valid shard slice of
-                                // its own (empties are dropped by the
-                                // merge's cursor builder).
-                                let (head, tail) = bucket.as_slices();
-                                [head, tail].into_iter()
-                            })
-                        }),
-                        comm_free,
-                        &mut self.rng,
-                    )
-                }
-            };
+            // Each grant-ordered shard's priority buckets stream straight
+            // out of the index as individual merge inputs — a bucket is
+            // itself a valid shard under the sharded contract (one QPU
+            // pair, sorted, keys unique), so no per-pass slice list is
+            // collected.
+            let allocations = self.scheduler.allocate_shard_iter(
+                &mut order.iter().flat_map(|&shard| {
+                    front.shards[shard].buckets.iter().flat_map(|(_, bucket)| {
+                        // A deque exposes up to two contiguous runs; each
+                        // is a sorted single-pair segment, i.e. a valid
+                        // shard slice of its own (empties are dropped by
+                        // the merge's cursor builder).
+                        let (head, tail) = bucket.as_slices();
+                        [head, tail].into_iter()
+                    })
+                }),
+                comm_free,
+                &mut self.rng,
+            );
             #[cfg(debug_assertions)]
             {
                 let flat: Vec<RemoteRequest> = order
@@ -1480,137 +1292,6 @@ fn encode_key(job: usize, node: usize) -> u64 {
 
 fn decode_key(key: u64) -> (usize, usize) {
     ((key >> 32) as usize, (key & 0xffff_ffff) as usize)
-}
-
-/// A set of shards closed under QPU sharing: no shard outside the
-/// component touches any QPU inside it, so its grants are independent
-/// of every other component's.
-struct ShardComponent {
-    /// Indices into the round's filtered shard list, in first-appearance
-    /// order (which is the order the serial merge would first reach
-    /// them — irrelevant for correctness, kept for stable stats).
-    shards: Vec<usize>,
-    /// Total pending requests across the component's shards.
-    requests: usize,
-}
-
-/// Groups the round's shards into QPU-disjoint components by union-find
-/// over their endpoint QPUs. `parents` is caller-owned scratch (reset
-/// here) so the per-round cost is O(shards + qpu_count) with no
-/// allocation churn.
-fn group_components(
-    shards: &[&[RemoteRequest]],
-    qpu_count: usize,
-    parents: &mut Vec<usize>,
-) -> Vec<ShardComponent> {
-    parents.clear();
-    parents.extend(0..qpu_count);
-    fn find(parents: &mut [usize], mut x: usize) -> usize {
-        while parents[x] != x {
-            parents[x] = parents[parents[x]]; // path halving
-            x = parents[x];
-        }
-        x
-    }
-    for shard in shards {
-        // All requests in a shard share one unordered QPU pair.
-        let a = find(parents, shard[0].a.index());
-        let b = find(parents, shard[0].b.index());
-        if a != b {
-            parents[a] = b;
-        }
-    }
-    let mut component_of_root: HashMap<usize, usize> = HashMap::new();
-    let mut components: Vec<ShardComponent> = Vec::new();
-    for (i, shard) in shards.iter().enumerate() {
-        let root = find(parents, shard[0].a.index());
-        let idx = *component_of_root.entry(root).or_insert_with(|| {
-            components.push(ShardComponent {
-                shards: Vec::new(),
-                requests: 0,
-            });
-            components.len() - 1
-        });
-        components[idx].shards.push(i);
-        components[idx].requests += shard.len();
-    }
-    components
-}
-
-/// Evaluates each component's grants on the worker pool. Components are
-/// dealt to tasks in balanced contiguous chunks; every task sees the
-/// same pre-round capacity snapshot, which is exact because components
-/// share no QPU. Output slot `i` holds component `i`'s allocations in
-/// the scheduler's declared emission order.
-fn evaluate_components(
-    pool: &mut Pool,
-    scheduler: &dyn Scheduler,
-    shards: &[&[RemoteRequest]],
-    components: &[ShardComponent],
-    comm_free: &[usize],
-) -> Vec<Vec<Allocation>> {
-    let mut outputs: Vec<Vec<Allocation>> = vec![Vec::new(); components.len()];
-    let tasks = (pool.thread_count() as usize).min(components.len());
-    let chunk = components.len().div_ceil(tasks);
-    pool.scoped(|scope| {
-        for (comp_chunk, out_chunk) in components.chunks(chunk).zip(outputs.chunks_mut(chunk)) {
-            scope.execute(move || {
-                // Only pure schedulers reach the sharded layer, and
-                // pure schedulers never draw from the RNG — a fixed
-                // seed here cannot perturb anything.
-                let mut rng = StdRng::seed_from_u64(0);
-                for (comp, out) in comp_chunk.iter().zip(out_chunk.iter_mut()) {
-                    let subset: Vec<&[RemoteRequest]> =
-                        comp.shards.iter().map(|&i| shards[i]).collect();
-                    *out = scheduler.allocate_sharded(&subset, comm_free, &mut rng);
-                }
-            });
-        }
-    });
-    outputs
-}
-
-/// K-way merges per-component allocation lists back into the exact
-/// sequence the serial pass would emit. Each list is sorted by the
-/// scheduler's declared [`EmissionOrder`], and the orders are total
-/// across components (keys are globally unique; priority ties break on
-/// key), so the merge reconstructs the global sequence — grant *order*
-/// is observable downstream (RoundDone events pop FIFO within a tick,
-/// and event handlers draw from the seeded RNG in event order).
-fn merge_components(
-    outputs: Vec<Vec<Allocation>>,
-    order: EmissionOrder,
-    jobs: &[JobState],
-) -> Vec<Allocation> {
-    let priority_of = |key: u64| {
-        let (job, node) = decode_key(key);
-        jobs[job].priorities[node]
-    };
-    let ahead = |x: u64, y: u64| match order {
-        EmissionOrder::KeyAsc => x < y,
-        EmissionOrder::PriorityDescKeyAsc => {
-            priority_of(x).cmp(&priority_of(y)).then(y.cmp(&x)).is_gt()
-        }
-    };
-    let mut merged = Vec::with_capacity(outputs.iter().map(|o| o.len()).sum());
-    let mut pos = vec![0usize; outputs.len()];
-    loop {
-        let mut best: Option<usize> = None;
-        for (i, out) in outputs.iter().enumerate() {
-            if pos[i] >= out.len() {
-                continue;
-            }
-            best = match best {
-                Some(j) if !ahead(out[pos[i]].key, outputs[j][pos[j]].key) => Some(j),
-                _ => Some(i),
-            };
-        }
-        let Some(i) = best else {
-            return merged;
-        };
-        merged.push(outputs[i][pos[i]]);
-        pos[i] += 1;
-    }
 }
 
 /// Convenience wrapper: executes one job to completion and returns its
@@ -1866,59 +1547,6 @@ mod tests {
     }
 
     #[test]
-    fn worker_pool_matches_serial_byte_for_byte() {
-        // Six QPUs, jobs pinned to the disjoint pairs (0,1), (2,3),
-        // (4,5) — three independent shard components per round — plus
-        // duplicates on each pair for intra-shard contention. Every
-        // worker count must reproduce the serial schedule exactly.
-        let cloud = CloudBuilder::new(6)
-            .ring_topology()
-            .communication_qubits(2)
-            .epr_success_prob(0.5)
-            .build();
-        let mut c = Circuit::new(2);
-        c.cx(0, 1);
-        c.cx(0, 1);
-        c.measure_all();
-        let placements: Vec<Placement> = (0..3)
-            .flat_map(|i| {
-                let p = Placement::new(vec![QpuId::new(2 * i), QpuId::new(2 * i + 1)]);
-                [p.clone(), p]
-            })
-            .collect();
-        let schedulers: [&dyn Scheduler; 3] =
-            [&CloudQcScheduler, &GreedyScheduler, &AverageScheduler];
-        for scheduler in schedulers {
-            let run = |workers: usize| {
-                let mut exec = Executor::new(&cloud, scheduler, 11).with_worker_threads(workers);
-                let ids: Vec<usize> = placements.iter().map(|p| exec.add_job(&c, p)).collect();
-                exec.run_to_completion();
-                let results: Vec<JobResult> =
-                    ids.iter().map(|&id| exec.job_result(id).unwrap()).collect();
-                (results, exec.comm_free().to_vec(), exec.alloc_stats())
-            };
-            let (serial, serial_free, serial_stats) = run(1);
-            assert_eq!(serial_stats.parallel_rounds, 0);
-            for workers in [2, 4, 8] {
-                let (par, par_free, par_stats) = run(workers);
-                let name = scheduler.name();
-                assert_eq!(par, serial, "{name} @ {workers} workers");
-                assert_eq!(par_free, serial_free, "{name} @ {workers} workers");
-                // The serial counters are worker-invariant; only the
-                // parallel ones may differ.
-                assert_eq!(par_stats.rounds, serial_stats.rounds, "{name}");
-                assert_eq!(par_stats.shards_visited, serial_stats.shards_visited);
-                assert_eq!(par_stats.requests_scanned, serial_stats.requests_scanned);
-                assert_eq!(par_stats.workers, workers as u64);
-                assert!(
-                    par_stats.parallel_rounds > 0,
-                    "{name} @ {workers}: the parallel path never ran"
-                );
-            }
-        }
-    }
-
-    #[test]
     fn path_reservation_charges_swapping_stations() {
         // Line 0-1-2 with QPU1 owning a single comm qubit. Job A's gate
         // (QPU0, QPU2) routes through station QPU1; job B's gate
@@ -2114,6 +1742,22 @@ mod tests {
         exec.run_to_completion();
         assert!(exec.job_result(id).is_some());
         assert_eq!(exec.comm_free(), &[1, 1]);
+    }
+
+    #[test]
+    fn suspend_and_resume_reject_unknown_jobs() {
+        let cloud = cloud2();
+        let mut c = Circuit::new(2);
+        c.cx(0, 1);
+        let mut exec = Executor::new(&cloud, &CloudQcScheduler, 0);
+        let id = exec.add_job(&c, &Placement::new(vec![QpuId::new(0), QpuId::new(1)]));
+        assert!(!exec.suspend_job(id + 1));
+        assert!(!exec.resume_job(id + 1));
+        assert!(!exec.suspend_job(usize::MAX));
+        assert!(!exec.resume_job(usize::MAX));
+        assert_eq!(exec.preemptions(), 0);
+        exec.run_to_completion();
+        assert!(exec.job_result(id).is_some());
     }
 
     #[test]

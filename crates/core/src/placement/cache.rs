@@ -469,13 +469,7 @@ impl PlacementCache {
     ///
     /// `compute` **must** return exactly what
     /// `algorithm.place(circuit, cloud, status, seed)` would — the
-    /// cache memoizes its value under that signature. Since `place` is
-    /// a pure function of its arguments, any supplier that replays a
-    /// result computed from the same arguments qualifies: the engine's
-    /// parallel admission pass uses this to feed placements computed
-    /// speculatively on worker threads through the cache, keeping
-    /// hit/miss counters and stored entries byte-identical to the
-    /// serial pass.
+    /// cache memoizes its value under that signature.
     ///
     /// `algorithm_name` and `qpu_count` feed the same one-algorithm,
     /// one-cloud debug binding as the direct entry points.

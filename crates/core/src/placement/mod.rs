@@ -135,12 +135,7 @@ impl Placement {
 /// provided status; `seed` controls all internal randomness — so
 /// [`PlacementAlgorithm::place`] is a pure function of its arguments
 /// (the placement cache already depends on this).
-///
-/// `Sync` is a supertrait: the engine's parallel admission pass runs
-/// `place()` for independent waiting jobs on worker threads against a
-/// shared snapshot. Every implementation here is a parameter-only
-/// struct, so the bound is free.
-pub trait PlacementAlgorithm: Sync {
+pub trait PlacementAlgorithm {
     /// Short human-readable name (used in experiment tables).
     fn name(&self) -> &'static str;
 

@@ -41,7 +41,7 @@ use cloudqc_cloud::Cloud;
 /// [`Orchestrator::new`] (priority-aware backfill admission, placement
 /// cache on with the exact signature, batched allocation, sharded
 /// front layer, fingerprint seeding; preemption, aging, and load
-/// shedding off; worker threads from `CLOUDQC_THREADS`).
+/// shedding off).
 ///
 /// Terminal calls: [`ServiceBuilder::build`] for a resident
 /// [`Service`], [`ServiceBuilder::build_orchestrator`] for the one-shot
@@ -78,7 +78,6 @@ impl<'a> ServiceBuilder<'a> {
                 preemption: false,
                 aging_rate: 0.0,
                 load_shed: None,
-                worker_threads: crate::runtime::env_worker_threads(),
                 seed,
             },
         }
@@ -240,20 +239,9 @@ impl<'a> ServiceBuilder<'a> {
         self
     }
 
-    /// Sets the worker-thread count for the deterministic parallel hot
-    /// path (clamped to ≥ 1; 1 = fully serial). The default is read
-    /// from the `CLOUDQC_THREADS` environment variable (see
-    /// [`crate::runtime::env_worker_threads`]), falling back to 1.
-    ///
-    /// At ≥ 2 threads the executor evaluates QPU-disjoint shard
-    /// components on a scoped worker pool
-    /// ([`crate::exec::Executor::with_worker_threads`]) and the engine
-    /// speculates admission placements for the waiting queue in
-    /// parallel — both k-way-merged back into the exact serial order,
-    /// so seeded schedules are byte-identical at every worker count
-    /// (pinned in `tests/runtime_golden.rs`).
-    pub fn worker_threads(mut self, threads: usize) -> Self {
-        self.cfg.worker_threads = threads.max(1);
+    /// Inert (the runtime is serial); kept because `e2ebench` calls it.
+    #[doc(hidden)]
+    pub fn worker_threads(self, _threads: usize) -> Self {
         self
     }
 
@@ -314,9 +302,7 @@ mod tests {
     fn built_service_runs_epochs() {
         let cloud = CloudBuilder::paper_default(3).build();
         let placement = CloudQcPlacement::default();
-        let mut svc = ServiceBuilder::new(&cloud, &placement, &CloudQcScheduler, 9)
-            .worker_threads(1)
-            .build();
+        let mut svc = ServiceBuilder::new(&cloud, &placement, &CloudQcScheduler, 9).build();
         svc.submit(catalog::by_name("vqe_n4").unwrap(), cloudqc_sim::Tick::ZERO);
         let report = svc.drain().unwrap();
         assert_eq!(report.completed, 1);

@@ -48,7 +48,7 @@
 
 use crate::error::{ExecError, PlacementError};
 use crate::exec::{AllocStats, Executor};
-use crate::placement::{Placement, PlacementCache};
+use crate::placement::PlacementCache;
 use crate::runtime::admission::QueueContext;
 use crate::runtime::orchestrator::JobRecord;
 use crate::runtime::service::RuntimeConfig;
@@ -58,8 +58,6 @@ use cloudqc_cloud::CloudStatus;
 use cloudqc_sim::online::OnlineReport;
 use cloudqc_sim::series::{BatchStats, LatencyBreakdown};
 use cloudqc_sim::Tick;
-use scoped_threadpool::Pool;
-use std::collections::HashMap;
 
 /// One injected job, in the engine's era-local frame.
 struct EngineJob {
@@ -122,16 +120,10 @@ pub(crate) struct Engine<'a> {
     outcomes: Vec<JobRecord>,
     /// Rejections recorded since the last [`Engine::take_window`].
     rejections: Vec<(usize, ExecError)>,
-    /// Work counters of executors retired by past re-anchors — also
-    /// where the engine's own speculative-admission counters accrue
-    /// (they survive re-anchors by construction).
+    /// Work counters of executors retired by past re-anchors.
     retired_allocation: AllocStats,
     retired_batches: BatchStats,
     retired_preemptions: u64,
-    /// Worker pool for speculative admission placements (`None` at 1
-    /// worker). The executor owns a separate pool for its sharded
-    /// rounds; both exist only when `cfg.worker_threads >= 2`.
-    pool: Option<Pool>,
     /// Reused buffer threaded through the executor's `run_*_into`
     /// advances, so draining finished jobs allocates nothing per call.
     finished_scratch: Vec<usize>,
@@ -155,7 +147,6 @@ impl<'a> Engine<'a> {
             retired_allocation: AllocStats::default(),
             retired_batches: BatchStats::default(),
             retired_preemptions: 0,
-            pool: (cfg.worker_threads >= 2).then(|| Pool::new(cfg.worker_threads as u32)),
             finished_scratch: Vec::new(),
             cfg,
             continuous,
@@ -168,7 +159,6 @@ impl<'a> Engine<'a> {
             .with_path_reservation(cfg.path_reservation)
             .with_batched_allocation(cfg.batched_allocation)
             .with_sharded_front_layer(cfg.sharded_front_layer)
-            .with_worker_threads(cfg.worker_threads)
     }
 
     /// The engine's clock on the service lifetime frame.
@@ -495,10 +485,6 @@ impl<'a> Engine<'a> {
         }
         self.admission_dirty = false;
         self.age_queue();
-        // Speculative results stay valid until the first successful
-        // admission mutates the ledger (SLA pruning and rejections
-        // leave it untouched); after that the loop recomputes serially.
-        let mut speculative = self.speculate_placements();
         let mut i = 0;
         while i < self.waiting.len() {
             let job_idx = self.waiting[i];
@@ -522,23 +508,8 @@ impl<'a> Engine<'a> {
                 continue;
             }
             let job_seed = self.job_seed(job_idx);
-            // A speculative result is what `place()` would return
-            // against the current ledger (purity + untouched status),
-            // so feeding it through the cache's supplier entry point
-            // keeps hit/miss counters and stored entries exact.
-            let speculated = speculative.as_mut().and_then(|s| s.remove(&job_idx));
-            let placed = match (cache.as_mut(), speculated) {
-                (Some(cache), Some(spec)) => cache.place_with(
-                    self.jobs[job_idx]
-                        .fingerprint
-                        .expect("fingerprints are computed when the cache is on"),
-                    self.cfg.placement.name(),
-                    self.cfg.cloud.qpu_count(),
-                    &self.status,
-                    job_seed,
-                    || spec,
-                ),
-                (Some(cache), None) => cache.place_fingerprinted(
+            let placed = match cache.as_mut() {
+                Some(cache) => cache.place_fingerprinted(
                     self.jobs[job_idx]
                         .fingerprint
                         .expect("fingerprints are computed when the cache is on"),
@@ -548,8 +519,7 @@ impl<'a> Engine<'a> {
                     &self.status,
                     job_seed,
                 ),
-                (None, Some(spec)) => spec,
-                (None, None) => self.cfg.placement.place(
+                None => self.cfg.placement.place(
                     &self.jobs[job_idx].circuit,
                     self.cfg.cloud,
                     &self.status,
@@ -564,10 +534,6 @@ impl<'a> Engine<'a> {
                             self.status
                                 .allocate_all_computing(&demand)
                                 .expect("placement.fits was checked by the algorithm");
-                            // The ledger changed: placements computed
-                            // against the pass-entry snapshot no longer
-                            // match what a serial pass would compute.
-                            speculative = None;
                             debug_assert_eq!(exec_id, self.admitted.len());
                             let critical = self.jobs[job_idx].critical;
                             self.admitted.push(Admitted {
@@ -634,61 +600,6 @@ impl<'a> Engine<'a> {
         } else {
             self.cfg.seed ^ (job_idx as u64) << 17
         }
-    }
-
-    /// Runs `place()` for every waiting job on the worker pool, against
-    /// a snapshot of the current free-capacity ledger. `None` at 1
-    /// worker or under 2 waiters.
-    ///
-    /// [`PlacementAlgorithm::place`] is a pure function of
-    /// (circuit, cloud, status, seed) and the waiting jobs share the
-    /// snapshot read-only, so each speculative result equals what the
-    /// serial admission loop would compute — *until* an admission
-    /// mutates the ledger, at which point the caller discards the rest.
-    /// The pass pays off exactly when it speculates correctly most
-    /// often: a contended cloud where most waiters fail placement (and
-    /// thus never mutate the ledger) evaluates the whole queue in
-    /// parallel instead of one failing `place()` at a time.
-    ///
-    /// [`PlacementAlgorithm::place`]: crate::placement::PlacementAlgorithm::place
-    fn speculate_placements(
-        &mut self,
-    ) -> Option<HashMap<usize, Result<Placement, PlacementError>>> {
-        if self.pool.is_none() || self.waiting.len() < 2 {
-            return None;
-        }
-        let targets: Vec<(usize, u64)> = self
-            .waiting
-            .iter()
-            .map(|&job_idx| (job_idx, self.job_seed(job_idx)))
-            .collect();
-        let snapshot = self.status.clone();
-        let snapshot = &snapshot;
-        let placement = self.cfg.placement;
-        let cloud = self.cfg.cloud;
-        let jobs = &self.jobs;
-        let mut results: Vec<Option<Result<Placement, PlacementError>>> = vec![None; targets.len()];
-        let pool = self.pool.as_mut().expect("checked above");
-        let tasks = (pool.thread_count() as usize).min(targets.len());
-        let chunk = targets.len().div_ceil(tasks);
-        pool.scoped(|scope| {
-            for (in_chunk, out_chunk) in targets.chunks(chunk).zip(results.chunks_mut(chunk)) {
-                scope.execute(move || {
-                    for (&(job_idx, seed), out) in in_chunk.iter().zip(out_chunk.iter_mut()) {
-                        *out = Some(placement.place(&jobs[job_idx].circuit, cloud, snapshot, seed));
-                    }
-                });
-            }
-        });
-        self.retired_allocation.parallel_admission_passes += 1;
-        self.retired_allocation.speculative_placements += targets.len() as u64;
-        Some(
-            targets
-                .into_iter()
-                .map(|(job_idx, _)| job_idx)
-                .zip(results.into_iter().map(|r| r.expect("every slot filled")))
-                .collect(),
-        )
     }
 
     /// Re-sorts the waiting queue by metric + `aging_rate` × queueing

@@ -54,19 +54,3 @@ pub use routing::{
     UtilizationBalanced,
 };
 pub use service::{Service, ServiceReport, WindowReport};
-
-/// The default worker-thread count, read from the `CLOUDQC_THREADS`
-/// environment variable (clamped to ≥ 1; unset, empty, or unparsable
-/// values fall back to 1 = fully serial).
-///
-/// [`Orchestrator::new`] seeds its configuration from this, so bins and
-/// benches pick up the override without plumbing a flag — and because
-/// the parallel hot path is deterministic, changing it never changes a
-/// seeded schedule, only wall-clock time. Call sites that want an
-/// explicit count use [`Orchestrator::with_worker_threads`].
-pub fn env_worker_threads() -> usize {
-    std::env::var("CLOUDQC_THREADS")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .map_or(1, |n| n.max(1))
-}

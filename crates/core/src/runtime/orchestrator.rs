@@ -253,12 +253,6 @@ impl<'a> Orchestrator<'a> {
         self.rebuild(|b| b.sharded_front_layer(enabled))
     }
 
-    /// Legacy wrapper for [`ServiceBuilder::worker_threads`].
-    #[doc(hidden)]
-    pub fn with_worker_threads(self, threads: usize) -> Self {
-        self.rebuild(|b| b.worker_threads(threads))
-    }
-
     /// Legacy wrapper for [`ServiceBuilder::fingerprint_seeding`].
     #[doc(hidden)]
     pub fn with_fingerprint_seeding(self, enabled: bool) -> Self {

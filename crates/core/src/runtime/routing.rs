@@ -27,18 +27,13 @@
 //! probes go through the per-backend caches, so steady-state probing is
 //! mostly cache hits.
 
-use crate::error::PlacementError;
 use crate::placement::cost::communication_cost;
-use crate::placement::Placement;
-use crate::runtime::service::ProbeSnapshot;
 use crate::runtime::Service;
 use crate::workload::WorkloadJob;
 use cloudqc_sim::{SimRng, Tick};
 use rand::rngs::StdRng;
 use rand::RngExt;
-use scoped_threadpool::Pool;
 use std::collections::HashMap;
-use std::fmt;
 
 /// What a routing decision gets to look at: the healthy backends still
 /// eligible for this job (a re-route excludes backends that already
@@ -159,55 +154,6 @@ impl<'f, 'a> RouteContext<'f, 'a> {
         let placement = svc.probe_place(job).ok()?;
         Some(communication_cost(&job.circuit, &placement, svc.cloud()))
     }
-
-    /// All candidates' [`RouteContext::placement_cost`]s at once, with
-    /// the pure placement runs fanned out on `pool` — the engine's
-    /// speculative-admission pattern applied to routing probes.
-    ///
-    /// Three phases keep it byte-identical to probing each candidate
-    /// serially, in id order, at any worker count: a serial snapshot of
-    /// every candidate's probe inputs (`Service::probe_snapshot` — pure
-    /// reads, and candidates are distinct services, so snapshotting
-    /// first changes nothing), a parallel fan-out of the placement runs
-    /// (pure functions of the snapshots), and a serial commit in
-    /// candidate order through each backend's cache
-    /// (`Service::probe_commit` — the same lookup pipeline a serial
-    /// probe runs, with the precomputed result as the miss supplier, so
-    /// cache stats and entries come out identical).
-    pub(crate) fn placement_costs_parallel(
-        &mut self,
-        job: &WorkloadJob,
-        pool: &mut Pool,
-    ) -> Vec<Option<f64>> {
-        let snapshots: Vec<ProbeSnapshot> = self
-            .candidates
-            .iter()
-            .map(|(_, svc)| svc.probe_snapshot(job))
-            .collect();
-        let mut computed: Vec<Option<Result<Placement, PlacementError>>> =
-            (0..snapshots.len()).map(|_| None).collect();
-        pool.scoped(|scope| {
-            for ((slot, snap), (_, svc)) in
-                computed.iter_mut().zip(&snapshots).zip(&self.candidates)
-            {
-                let algorithm = svc.placement_algorithm();
-                let cloud = svc.cloud();
-                scope.execute(move || {
-                    *slot = Some(algorithm.place(&job.circuit, cloud, &snap.status, snap.seed));
-                });
-            }
-        });
-        computed
-            .into_iter()
-            .zip(snapshots)
-            .zip(self.candidates.iter_mut())
-            .map(|((result, snap), (_, svc))| {
-                let computed = result.expect("the pool joins every probe");
-                let placement = svc.probe_commit(&snap, computed).ok()?;
-                Some(communication_cost(&job.circuit, &placement, svc.cloud()))
-            })
-            .collect()
-    }
 }
 
 /// A pluggable fleet routing decision.
@@ -237,41 +183,26 @@ pub trait RoutingPolicy {
 /// signature patches instead of recomputing (see
 /// [`RouteContext::placement_cost`]).
 ///
-/// Two knobs bound what a decision costs:
-///
-/// * [`CheapestPlacement::with_worker_threads`] (default: the
-///   `CLOUDQC_THREADS` environment variable, like every other runtime
-///   pool) fans the per-candidate placement runs out on a scoped
-///   worker pool. Routes are byte-identical at every worker count.
-/// * [`CheapestPlacement::with_probe_budget`] (default: unbounded)
-///   skips probing entirely while the candidates' summed backlog
-///   ([`RouteContext::total_backlog`]) exceeds the budget, falling
-///   back to [`UtilizationBalanced`]'s least-loaded choice — under
-///   that much queueing the placement signal is stale by the time the
-///   job admits, so the router stops paying for it.
+/// [`CheapestPlacement::with_probe_budget`] (default: unbounded) bounds
+/// what a decision costs: it skips probing entirely while the
+/// candidates' summed backlog ([`RouteContext::total_backlog`]) exceeds
+/// the budget, falling back to [`UtilizationBalanced`]'s least-loaded
+/// choice — under that much queueing the placement signal is stale by
+/// the time the job admits, so the router stops paying for it.
+#[derive(Clone, Debug, Default)]
 pub struct CheapestPlacement {
-    workers: usize,
     probe_budget: Option<usize>,
-    /// Lazily built on the first parallel decision; never cloned.
-    pool: Option<Pool>,
 }
 
 impl CheapestPlacement {
-    /// A probe-everything router with worker threads from
-    /// `CLOUDQC_THREADS` (see [`crate::runtime::env_worker_threads`]).
+    /// A probe-everything router.
     pub fn new() -> Self {
-        CheapestPlacement {
-            workers: crate::runtime::env_worker_threads(),
-            probe_budget: None,
-            pool: None,
-        }
+        Self::default()
     }
 
-    /// Sets the worker-thread count for the per-candidate probe fan-out
-    /// (clamped to ≥ 1; 1 = fully serial, and no pool is ever built).
-    pub fn with_worker_threads(mut self, threads: usize) -> Self {
-        self.workers = threads.max(1);
-        self.pool = None;
+    /// Inert (probes run serially); kept because `e2ebench` calls it.
+    #[doc(hidden)]
+    pub fn with_worker_threads(self, _threads: usize) -> Self {
         self
     }
 
@@ -282,31 +213,6 @@ impl CheapestPlacement {
     pub fn with_probe_budget(mut self, backlog: usize) -> Self {
         self.probe_budget = Some(backlog);
         self
-    }
-}
-
-impl Default for CheapestPlacement {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Clone for CheapestPlacement {
-    fn clone(&self) -> Self {
-        CheapestPlacement {
-            workers: self.workers,
-            probe_budget: self.probe_budget,
-            pool: None,
-        }
-    }
-}
-
-impl fmt::Debug for CheapestPlacement {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("CheapestPlacement")
-            .field("workers", &self.workers)
-            .field("probe_budget", &self.probe_budget)
-            .finish()
     }
 }
 
@@ -321,19 +227,10 @@ impl RoutingPolicy for CheapestPlacement {
                 return ctx.least_loaded();
             }
         }
-        let ids = ctx.candidate_ids();
-        let costs: Vec<Option<f64>> = if self.workers >= 2 && ids.len() >= 2 {
-            let pool = self
-                .pool
-                .get_or_insert_with(|| Pool::new(self.workers as u32));
-            ctx.placement_costs_parallel(job, pool)
-        } else {
-            ids.iter().map(|&id| ctx.placement_cost(id, job)).collect()
-        };
-        let best = ids
-            .iter()
-            .zip(&costs)
-            .filter_map(|(&id, cost)| cost.map(|c| (c, id)))
+        let best = ctx
+            .candidate_ids()
+            .into_iter()
+            .filter_map(|id| ctx.placement_cost(id, job).map(|c| (c, id)))
             .min_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
         match best {
             Some((_, id)) => id,
@@ -554,40 +451,26 @@ mod tests {
     }
 
     #[test]
-    fn parallel_probes_match_serial_routes_and_cache_stats() {
-        // The same decision sequence at 1 and 4 probe workers must pick
-        // the same backends and leave byte-identical cache stats on
-        // every backend (the parallel fan-out commits through the same
-        // cache pipeline in the same order).
+    fn repeated_shapes_warm_the_probe_caches() {
+        // Probes go through each backend's placement cache, so routing
+        // the same shape twice must hit a cache the first probe warmed.
         let clouds = clouds();
         let placement = CloudQcPlacement::default();
-        let jobs: Vec<WorkloadJob> = ["qft_n29", "ghz_n40", "qft_n29", "ising_n34"]
+        let mut services: Vec<Service> = clouds
             .iter()
-            .map(|n| WorkloadJob::new(catalog::by_name(n).unwrap(), Tick::ZERO))
+            .map(|c| ServiceBuilder::new(c, &placement, &CloudQcScheduler, 3).build())
             .collect();
-        let run = |workers: usize| {
-            let mut services: Vec<Service> = clouds
-                .iter()
-                .map(|c| ServiceBuilder::new(c, &placement, &CloudQcScheduler, 3).build())
-                .collect();
-            let mut policy = CheapestPlacement::new().with_worker_threads(workers);
-            let routes: Vec<usize> = jobs
-                .iter()
-                .map(|j| {
-                    let mut ctx = RouteContext::new(services.iter_mut().enumerate().collect());
-                    policy.route(j, &mut ctx)
-                })
-                .collect();
-            let stats: Vec<_> = services.iter().map(|s| s.cache_stats()).collect();
-            (routes, stats)
-        };
-        let (serial_routes, serial_stats) = run(1);
-        let (parallel_routes, parallel_stats) = run(4);
-        assert_eq!(serial_routes, parallel_routes);
-        assert_eq!(serial_stats, parallel_stats);
+        let mut policy = CheapestPlacement::new();
+        for name in ["qft_n29", "ghz_n40", "qft_n29", "ising_n34"] {
+            let j = WorkloadJob::new(catalog::by_name(name).unwrap(), Tick::ZERO);
+            let mut ctx = RouteContext::new(services.iter_mut().enumerate().collect());
+            let chosen = policy.route(&j, &mut ctx);
+            assert!(chosen < clouds.len());
+        }
+        let stats: Vec<_> = services.iter().map(|s| s.cache_stats()).collect();
         assert!(
-            serial_stats.iter().any(|s| s.hits > 0),
-            "the repeated shape should warm a probe cache: {serial_stats:?}"
+            stats.iter().any(|s| s.hits > 0),
+            "the repeated shape should warm a probe cache: {stats:?}"
         );
     }
 

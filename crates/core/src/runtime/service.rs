@@ -66,8 +66,7 @@ use crate::runtime::orchestrator::{JobRecord, RunReport};
 use crate::runtime::{AdmissionPolicy, LoadShedPolicy};
 use crate::schedule::Scheduler;
 use crate::workload::{Workload, WorkloadJob};
-use cloudqc_circuit::Fingerprint;
-use cloudqc_cloud::{Cloud, CloudStatus};
+use cloudqc_cloud::Cloud;
 use cloudqc_sim::online::OnlineReport;
 use cloudqc_sim::series::BatchStats;
 use cloudqc_sim::Tick;
@@ -96,21 +95,7 @@ pub(crate) struct RuntimeConfig<'a> {
     pub(crate) preemption: bool,
     pub(crate) aging_rate: f64,
     pub(crate) load_shed: Option<LoadShedPolicy>,
-    /// Worker threads for the executor's sharded rounds and the
-    /// engine's speculative admission placements (1 = fully serial;
-    /// every count produces byte-identical schedules).
-    pub(crate) worker_threads: usize,
     pub(crate) seed: u64,
-}
-
-/// The read-only inputs of one placement probe against one service:
-/// what [`Service::probe_snapshot`] captures serially so the placement
-/// itself can run on a worker thread and be committed back through
-/// [`Service::probe_commit`].
-pub(crate) struct ProbeSnapshot {
-    pub(crate) fingerprint: Fingerprint,
-    pub(crate) seed: u64,
-    pub(crate) status: CloudStatus,
 }
 
 /// Lifetime summary of a [`Service`]: everything it aggregated across
@@ -357,75 +342,34 @@ impl<'a> Service<'a> {
     /// the raw run seed as an approximation (fine for *scoring*; the
     /// actual admission recomputes).
     pub(crate) fn probe_place(&mut self, job: &WorkloadJob) -> Result<Placement, PlacementError> {
-        let probe = self.probe_snapshot(job);
-        match self.cache.as_mut() {
-            Some(cache) => cache.place_fingerprinted(
-                probe.fingerprint,
-                self.cfg.placement,
-                &job.circuit,
-                self.cfg.cloud,
-                &probe.status,
-                probe.seed,
-            ),
-            None => {
-                self.cfg
-                    .placement
-                    .place(&job.circuit, self.cfg.cloud, &probe.status, probe.seed)
-            }
-        }
-    }
-
-    /// The immutable half of [`Service::probe_place`]: everything a
-    /// worker thread needs to run the raw placement off-thread —
-    /// fingerprint, probe seed, and a snapshot of the current ledger.
-    /// Pure reads, so a fleet router can snapshot every candidate
-    /// before fanning the placements out.
-    pub(crate) fn probe_snapshot(&self, job: &WorkloadJob) -> ProbeSnapshot {
         let fingerprint = job.circuit.fingerprint();
         let seed = if self.cfg.fingerprint_seeding {
             self.cfg.seed ^ fingerprint.as_u64()
         } else {
             self.cfg.seed
         };
+        let idle;
         let status = match &self.live {
-            Some(engine) => engine.status().clone(),
-            None => self.cfg.cloud.status(),
+            Some(engine) => engine.status(),
+            None => {
+                idle = self.cfg.cloud.status();
+                &idle
+            }
         };
-        ProbeSnapshot {
-            fingerprint,
-            seed,
-            status,
-        }
-    }
-
-    /// The mutable half of [`Service::probe_place`]: folds a placement
-    /// computed off-thread (from this service's [`ProbeSnapshot`]) into
-    /// the persistent cache through the same lookup pipeline the serial
-    /// probe uses — exact hit, then repair tier, then the precomputed
-    /// result as the miss supplier — so cache stats and cached entries
-    /// are byte-identical to a serial probe at any worker count.
-    pub(crate) fn probe_commit(
-        &mut self,
-        probe: &ProbeSnapshot,
-        computed: Result<Placement, PlacementError>,
-    ) -> Result<Placement, PlacementError> {
         match self.cache.as_mut() {
-            Some(cache) => cache.place_with(
-                probe.fingerprint,
-                self.cfg.placement.name(),
-                self.cfg.cloud.qpu_count(),
-                &probe.status,
-                probe.seed,
-                || computed,
+            Some(cache) => cache.place_fingerprinted(
+                fingerprint,
+                self.cfg.placement,
+                &job.circuit,
+                self.cfg.cloud,
+                status,
+                seed,
             ),
-            None => computed,
+            None => self
+                .cfg
+                .placement
+                .place(&job.circuit, self.cfg.cloud, status, seed),
         }
-    }
-
-    /// The placement algorithm this service admits with (`Sync`, so
-    /// routers may run it on worker threads against a snapshot).
-    pub(crate) fn placement_algorithm(&self) -> &'a dyn PlacementAlgorithm {
-        self.cfg.placement
     }
 
     /// Drains the service for a backend failure: every unfinished job —

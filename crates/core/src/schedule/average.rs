@@ -3,7 +3,7 @@
 //! "It distributes communication resources evenly among all remote
 //! operations" — priorities are ignored.
 
-use super::{grant_one_each, Allocation, EmissionOrder, RemoteRequest, Scheduler};
+use super::{grant_one_each, Allocation, RemoteRequest, Scheduler};
 use rand::rngs::StdRng;
 
 /// Even split: repeatedly grant one pair to each front-layer gate in
@@ -53,13 +53,6 @@ impl Scheduler for AverageScheduler {
 
     fn is_pure(&self) -> bool {
         true
-    }
-
-    /// Allocation entries are created only by the key-ordered floor
-    /// cycle (`grant_one_each`); every later round-robin cycle tops up
-    /// those entries in place, so the emitted sequence is key-sorted.
-    fn sharded_emission_order(&self) -> Option<EmissionOrder> {
-        Some(EmissionOrder::KeyAsc)
     }
 }
 

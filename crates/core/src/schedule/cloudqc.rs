@@ -7,7 +7,7 @@
 
 use super::{
     allocate_prioritized, allocate_sharded_prioritized, allocate_sharded_prioritized_iter,
-    Allocation, EmissionOrder, PriorityPolicy, RemoteRequest, Scheduler,
+    Allocation, PriorityPolicy, RemoteRequest, Scheduler,
 };
 use rand::rngs::StdRng;
 
@@ -74,14 +74,6 @@ impl Scheduler for CloudQcScheduler {
 
     fn is_pure(&self) -> bool {
         true
-    }
-
-    /// The grantable-heads merge pops the globally best live head each
-    /// time, so the emitted sequence is (priority desc, key asc)-sorted
-    /// — and the redundancy phase only tops up already-emitted
-    /// allocations in place.
-    fn sharded_emission_order(&self) -> Option<EmissionOrder> {
-        Some(EmissionOrder::PriorityDescKeyAsc)
     }
 }
 

@@ -7,7 +7,7 @@
 
 use super::{
     allocate_prioritized, allocate_sharded_prioritized, allocate_sharded_prioritized_iter,
-    Allocation, EmissionOrder, PriorityPolicy, RemoteRequest, Scheduler,
+    Allocation, PriorityPolicy, RemoteRequest, Scheduler,
 };
 use rand::rngs::StdRng;
 
@@ -66,12 +66,6 @@ impl Scheduler for GreedyScheduler {
 
     fn is_pure(&self) -> bool {
         true
-    }
-
-    /// Same grantable-heads merge as CloudQC: emitted in (priority
-    /// desc, key asc) order.
-    fn sharded_emission_order(&self) -> Option<EmissionOrder> {
-        Some(EmissionOrder::PriorityDescKeyAsc)
     }
 }
 

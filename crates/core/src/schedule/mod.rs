@@ -57,28 +57,10 @@ pub struct Allocation {
     pub pairs: usize,
 }
 
-/// The total order in which a scheduler's sharded entry point emits
-/// its allocations, declared via [`Scheduler::sharded_emission_order`].
-///
-/// The executor's parallel sharded round evaluates independent
-/// shard *components* on worker threads and then k-way merges the
-/// per-component allocation lists back into the exact sequence the
-/// serial pass would have produced — grant order is observable (the
-/// round's events and RNG draws follow it), so byte-identical
-/// schedules require knowing the emission order, not just the grant
-/// set.
+/// Inert (the executor is serial); kept because `e2ebench` names it.
+#[doc(hidden)]
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub enum EmissionOrder {
-    /// Allocations come out sorted by (priority descending, key
-    /// ascending) — the grantable-heads merge order of
-    /// [`CloudQcScheduler`] and [`GreedyScheduler`].
-    PriorityDescKeyAsc,
-    /// Allocations come out sorted by key ascending —
-    /// [`AverageScheduler`]'s round-robin order (later round-robin
-    /// cycles only top up allocations granted in the first, key-ordered
-    /// cycle, so the emitted sequence itself stays key-sorted).
-    KeyAsc,
-}
+pub enum EmissionOrder {}
 
 /// A communication-qubit allocation policy.
 ///
@@ -87,12 +69,7 @@ pub enum EmissionOrder {
 /// `available[qpu]`; every allocation is ≥ 1 pair and references a
 /// request from `requests`. [`validate_allocations`] checks this and
 /// the executor enforces it in debug builds.
-///
-/// `Sync` is a supertrait: the executor's parallel sharded round hands
-/// the same `&dyn Scheduler` to several worker threads at once. Every
-/// scheduler here is a stateless (or parameter-only) struct, so the
-/// bound is free.
-pub trait Scheduler: Sync {
+pub trait Scheduler {
     /// Short human-readable name (used in experiment tables).
     fn name(&self) -> &'static str;
 
@@ -151,7 +128,7 @@ pub trait Scheduler: Sync {
     /// [`Scheduler::allocate_sharded`] fed by a shard *iterator*
     /// instead of a pre-collected slice list.
     ///
-    /// This is the executor's serial sharded hot path: it streams the
+    /// This is the executor's sharded hot path: it streams the
     /// grant-ordered dirty shards straight out of its persistent index
     /// scratch, so no per-pass `Vec<&[RemoteRequest]>` is built — and
     /// it may split one QPU pair's requests across *several*
@@ -175,21 +152,8 @@ pub trait Scheduler: Sync {
         self.allocate_sharded(&collected, available, rng)
     }
 
-    /// The order [`Scheduler::allocate_sharded`] emits allocations in,
-    /// or `None` (the default) when no total order is declared.
-    ///
-    /// Declaring an order unlocks the executor's *parallel* sharded
-    /// round: shard components that share no QPU cannot affect each
-    /// other's grants, so workers evaluate them concurrently against
-    /// the same capacity snapshot and the executor merges the
-    /// per-component outputs back into this order — reproducing the
-    /// serial emission sequence exactly. Requirements for declaring:
-    /// the scheduler is pure ([`Scheduler::is_pure`]), its sharded
-    /// allocations over any input come out sorted by the declared
-    /// order, and its grants to a set of requests depend only on the
-    /// requests and capacities of the QPUs that set touches.
-    /// Schedulers that return `None` simply keep the serial path at
-    /// any worker count.
+    /// Inert (the executor never reads it); kept because `e2ebench` overrides it.
+    #[doc(hidden)]
     fn sharded_emission_order(&self) -> Option<EmissionOrder> {
         None
     }

@@ -106,10 +106,6 @@ fn main() {
     }
     t.print();
     println!("\nShorter inter-arrival = heavier load: queueing delay should dominate JCT\nas the cloud saturates (EPR wait stays roughly constant per job).\n\"cache hit%\" is the placement cache's hit rate over all admission\nattempts; \"batch mean/max\" is the executor's same-tick event batch\nsize (events drained per allocation round); \"scan/round\" is the mean\nfront-layer requests the sharded scheduler actually scanned per\nallocation round (dirty shards only).");
-    println!(
-        "\nWorker pool: {} worker(s) (set CLOUDQC_THREADS to change). The schedules\nabove are byte-identical at every worker count; the pool only moves\nwhere shard components are evaluated.",
-        cloudqc_core::runtime::env_worker_threads()
-    );
 
     service_mode(&pool, jobs_n, args.seed);
     continuous_mode(&pool, jobs_n, args.seed);
@@ -144,9 +140,6 @@ fn service_mode(pool: &[cloudqc_circuit::Circuit], jobs_n: usize, seed: u64) {
         "fallbacks".to_string(),
         "evictions".to_string(),
         "scan/round".to_string(),
-        "workers".to_string(),
-        "par rounds%".to_string(),
-        "spec place".to_string(),
     ]);
     let mut first_jct = None;
     for epoch in 1..=EPOCHS {
@@ -169,15 +162,12 @@ fn service_mode(pool: &[cloudqc_circuit::Circuit], jobs_n: usize, seed: u64) {
             cache.repair_fallbacks.to_string(),
             cache.evictions.to_string(),
             format!("{:.2}", report.allocation.mean_scan()),
-            report.allocation.workers.to_string(),
-            format!("{:.0}%", 100.0 * report.allocation.parallel_share()),
-            report.allocation.speculative_placements.to_string(),
         ]);
     }
     t.print();
     let total = svc.report();
     println!(
-        "\nLifetime: {} epochs, {} jobs completed, {} rejected; cache {} hits / {} repaired near-misses / {} misses ({} repair fallbacks) / {} evictions ({} entries resident); allocation {} rounds, {} shards visited, {} requests scanned; {} worker(s): {} parallel rounds over {} components, {} admission passes speculated {} placements; online mean JCT {}, p95 {}, throughput {:.5} jobs/tick.",
+        "\nLifetime: {} epochs, {} jobs completed, {} rejected; cache {} hits / {} repaired near-misses / {} misses ({} repair fallbacks) / {} evictions ({} entries resident); allocation {} rounds, {} shards visited, {} requests scanned; online mean JCT {}, p95 {}, throughput {:.5} jobs/tick.",
         total.epochs,
         total.completed,
         total.rejected,
@@ -190,11 +180,6 @@ fn service_mode(pool: &[cloudqc_circuit::Circuit], jobs_n: usize, seed: u64) {
         total.allocation.rounds,
         total.allocation.shards_visited,
         total.allocation.requests_scanned,
-        total.allocation.workers,
-        total.allocation.parallel_rounds,
-        total.allocation.parallel_components,
-        total.allocation.parallel_admission_passes,
-        total.allocation.speculative_placements,
         fmt_num(total.online.mean_completion_time()),
         fmt_num(total.online.quantile(0.95).unwrap_or(0.0)),
         total.online.throughput_per_tick(),
@@ -339,14 +324,10 @@ fn continuous_mode(pool: &[cloudqc_circuit::Circuit], jobs_n: usize, seed: u64) 
         "in-flight".to_string(),
         "p50 JCT".to_string(),
         "p99 JCT".to_string(),
-        "workers".to_string(),
-        "par rounds".to_string(),
     ]);
-    let mut seen_alloc = cloudqc_core::AllocStats::default();
     for window in 1.. {
         let w = svc.drive_for(WINDOW).expect("window completes");
         let online = svc.online();
-        let alloc = svc.report().allocation;
         t.row(vec![
             window.to_string(),
             svc.now().as_ticks().to_string(),
@@ -355,10 +336,7 @@ fn continuous_mode(pool: &[cloudqc_circuit::Circuit], jobs_n: usize, seed: u64) 
             svc.in_flight().to_string(),
             fmt_num(online.quantile(0.5).unwrap_or(0.0)),
             fmt_num(online.quantile(0.99).unwrap_or(0.0)),
-            alloc.workers.to_string(),
-            (alloc.parallel_rounds - seen_alloc.parallel_rounds).to_string(),
         ]);
-        seen_alloc = alloc;
         if w.quiescent {
             break;
         }
@@ -366,11 +344,8 @@ fn continuous_mode(pool: &[cloudqc_circuit::Circuit], jobs_n: usize, seed: u64) 
     t.print();
     let total = svc.report();
     println!(
-        "\nContinuous lifetime: {} completed on one uninterrupted clock; {} worker(s), {} parallel rounds, {} speculative placements; online mean JCT {}, p99 {}.",
+        "\nContinuous lifetime: {} completed on one uninterrupted clock; online mean JCT {}, p99 {}.",
         total.completed,
-        total.allocation.workers,
-        total.allocation.parallel_rounds,
-        total.allocation.speculative_placements,
         fmt_num(total.online.mean_completion_time()),
         fmt_num(total.online.quantile(0.99).unwrap_or(0.0)),
     );

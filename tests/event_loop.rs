@@ -16,7 +16,7 @@
 //! Run directly with:
 //!
 //! ```text
-//! CLOUDQC_THREADS=1 cargo test --release -q --test event_loop
+//! cargo test --release -q --test event_loop
 //! ```
 
 use cloudqc::sim::{EventQueue, ReferenceEventQueue, Tick};

@@ -124,6 +124,31 @@ fn starved_jobs_spill_over_to_a_capable_backend() {
 }
 
 #[test]
+fn every_healthy_backend_rejecting_is_a_final_rejection() {
+    // Both backends have zero communication qubits: any job that must
+    // split across QPUs is rejected on both. A job every eligible
+    // backend has turned away is finally rejected with the last error.
+    let starved = |_| {
+        CloudBuilder::new(2)
+            .computing_qubits(20)
+            .communication_qubits(0)
+            .line_topology()
+            .build()
+    };
+    let a = starved(0);
+    let b = starved(1);
+    let placement = CloudQcPlacement::default();
+    let mut fleet = FleetBuilder::new()
+        .backend(ServiceBuilder::new(&a, &placement, &CloudQcScheduler, 5))
+        .backend(ServiceBuilder::new(&b, &placement, &CloudQcScheduler, 5))
+        .build();
+    fleet.submit(catalog::by_name("ghz_n30").unwrap(), Tick::ZERO);
+    let window = fleet.drive_to_quiescence().unwrap();
+    assert_eq!(window.rejected.len(), 1, "the job is rejected once");
+    assert!(window.quiescent);
+}
+
+#[test]
 fn load_shed_is_a_backpressure_signal_that_reroutes() {
     // Backend 0 serializes ghz_n25 jobs (one 28-qubit QPU) and sheds
     // beyond one waiter; backend 1 is shed-free. Round-robin forces

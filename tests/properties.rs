@@ -192,56 +192,6 @@ proptest! {
         }
     }
 
-    /// Parallel shard-component evaluation is exact for arbitrary
-    /// circuits, clouds, and worker counts: the executor's worker pool
-    /// must reproduce the serial schedule byte for byte for every pure
-    /// scheduler.
-    #[test]
-    fn parallel_and_serial_executors_agree(
-        qubits in 4usize..20,
-        gates in 1usize..40,
-        shape in 0u8..3,
-        seed in any::<u64>(),
-        jobs in 1usize..4,
-        workers in 2usize..9,
-    ) {
-        let cloud = small_cloud(seed);
-        let placed: Vec<(Circuit, _)> = (0..jobs)
-            .map(|j| {
-                let circuit = random_circuit(qubits, gates, shape, seed ^ (j as u64) << 7);
-                let p = RandomPlacement
-                    .place(&circuit, &cloud, &cloud.status(), seed ^ (j as u64))
-                    .unwrap();
-                (circuit, p)
-            })
-            .collect();
-        let scheds: Vec<Box<dyn Scheduler>> = vec![
-            Box::new(GreedyScheduler),
-            Box::new(AverageScheduler),
-            Box::new(CloudQcScheduler),
-        ];
-        for sched in &scheds {
-            let run = |threads: usize| {
-                let mut exec = Executor::new(&cloud, sched.as_ref(), seed)
-                    .with_worker_threads(threads);
-                let ids: Vec<usize> = placed.iter().map(|(c, p)| exec.add_job(c, p)).collect();
-                exec.run_to_completion();
-                let results: Vec<_> = ids
-                    .into_iter()
-                    .map(|id| exec.job_result(id).expect("job finished"))
-                    .collect();
-                (results, exec.now(), exec.comm_free().to_vec())
-            };
-            prop_assert_eq!(
-                run(workers),
-                run(1),
-                "{} diverged at {} workers",
-                sched.name(),
-                workers
-            );
-        }
-    }
-
     /// A placement-cache hit and a cold run of the algorithm return
     /// identical placements for the same (fingerprint, free-vector,
     /// seed) signature — the exactness the runtime's byte-identical

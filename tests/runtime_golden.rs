@@ -369,105 +369,6 @@ fn sharded_and_global_front_layers_are_byte_identical_in_executor() {
 }
 
 #[test]
-fn worker_threads_are_byte_identical_in_runtime() {
-    // The deterministic-parallel golden: the scoped worker pool only
-    // changes *where* shard components and speculative admission
-    // placements are evaluated, never what is granted or admitted.
-    // Every worker count must reproduce the serial run byte for byte —
-    // including the placement cache's hit/miss counters, since the
-    // speculative results are fed through the cache's supplier entry
-    // point.
-    let (cloud, workload) = contended_setup();
-    let placement = CloudQcPlacement::default();
-    let schedulers: [&dyn Scheduler; 3] = [&CloudQcScheduler, &GreedyScheduler, &AverageScheduler];
-    for scheduler in schedulers {
-        for seed in [5u64, 11] {
-            let run = |threads: usize| {
-                Orchestrator::new(&cloud, &placement, scheduler, seed)
-                    .with_worker_threads(threads)
-                    .run(&workload)
-                    .expect("contended run completes")
-            };
-            let serial = run(1);
-            assert_eq!(serial.allocation.workers, 1);
-            assert_eq!(serial.allocation.parallel_rounds, 0);
-            assert_eq!(serial.allocation.parallel_admission_passes, 0);
-            for threads in [2usize, 4, 8] {
-                let parallel = run(threads);
-                let name = scheduler.name();
-                assert_eq!(
-                    observable(&parallel),
-                    observable(&serial),
-                    "{name} @ {threads} workers, seed {seed}"
-                );
-                assert_eq!(parallel.event_batches, serial.event_batches);
-                assert_eq!(parallel.placement_cache, serial.placement_cache);
-                // The serial work counters are worker-invariant; only
-                // the parallel ones may (and must) move.
-                assert_eq!(parallel.allocation.rounds, serial.allocation.rounds);
-                assert_eq!(
-                    parallel.allocation.requests_scanned,
-                    serial.allocation.requests_scanned
-                );
-                assert_eq!(parallel.allocation.workers, threads as u64);
-                assert!(
-                    parallel.allocation.parallel_rounds
-                        + parallel.allocation.parallel_admission_passes
-                        > 0,
-                    "{name} @ {threads} workers, seed {seed}: the pool never ran: {:?}",
-                    parallel.allocation
-                );
-            }
-        }
-    }
-}
-
-#[test]
-fn worker_threads_with_preemption_are_byte_identical() {
-    // Parked requests (PR 6 preemption) live outside the front layer,
-    // so they must stay out of the parallel shard scan too: a
-    // preemption-heavy run — deadline-free elephants suspended by
-    // SLA-critical mice landing mid-flight — must not move a tick at
-    // any worker count.
-    let cloud = CloudBuilder::new(4)
-        .computing_qubits(30)
-        .communication_qubits(3)
-        .ring_topology()
-        .build();
-    let placement = CloudQcPlacement::default();
-    let elephants = Workload::batch(batch(&["ghz_n25", "qugan_n39"]));
-    let pool = batch(&["qft_n13", "ghz_n16", "qft_n13"]);
-    for seed in [3u64, 17] {
-        let mice = Workload::poisson(&pool, 8, 400.0, seed).with_uniform_sla(6_000);
-        let run = |threads: usize| {
-            let mut svc = Orchestrator::new(&cloud, &placement, &CloudQcScheduler, seed)
-                .with_preemption(true)
-                .with_worker_threads(threads)
-                .into_service();
-            svc.submit_workload(&elephants);
-            svc.submit_workload(&mice);
-            let report = svc.drive().expect("preemptive run completes");
-            (report, svc.report().preemptions)
-        };
-        let (serial, serial_preemptions) = run(1);
-        assert!(
-            serial_preemptions > 0,
-            "seed {seed}: the scenario never preempted, the golden proves nothing"
-        );
-        for threads in [2usize, 4, 8] {
-            let (parallel, preemptions) = run(threads);
-            assert_eq!(
-                observable(&parallel),
-                observable(&serial),
-                "{threads} workers, seed {seed}"
-            );
-            assert_eq!(preemptions, serial_preemptions);
-            assert_eq!(parallel.placement_cache, serial.placement_cache);
-        }
-    }
-}
-
-#[test]
 fn two_epoch_service_with_shared_cache_matches_independent_runs() {
     // The service-layer golden: driving the same workload through two
     // epochs of one resident Service (whose placement cache persists
