@@ -40,6 +40,11 @@ use std::fmt;
 /// a register broadcast (`h q;`) cannot exhaust memory.
 const MAX_QUBITS: usize = 1 << 16;
 
+/// The deepest an angle expression may nest parentheses and unary
+/// signs. The evaluator recurses once per level, so the cap bounds its
+/// stack; real programs nest a handful of levels.
+const MAX_NESTING: usize = 256;
+
 /// A parse failure, with the 1-based source line.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ParseError {
@@ -86,8 +91,9 @@ impl Error for ParseError {}
 /// # Errors
 ///
 /// Returns [`ParseError`] on unknown statements/gates, malformed
-/// operands, out-of-range indices, bad angle expressions, or more than
-/// 65 536 declared qubits.
+/// operands, out-of-range indices, bad angle expressions (including
+/// ones nesting parentheses and unary signs more than 256 deep), or
+/// more than 65 536 declared qubits.
 pub fn parse(source: &str) -> Result<Circuit, ParseError> {
     let mut qregs: Vec<(String, usize, usize)> = Vec::new(); // (name, offset, size)
     let mut total_qubits = 0usize;
@@ -384,7 +390,7 @@ fn emit_gate(
 fn eval_expr(text: &str, line: usize) -> Result<f64, ParseError> {
     let tokens = tokenize(text, line)?;
     let mut pos = 0;
-    let value = parse_sum(&tokens, &mut pos, line)?;
+    let value = parse_sum(&tokens, &mut pos, line, 0)?;
     if pos != tokens.len() {
         return Err(ParseError::new(
             line,
@@ -475,17 +481,24 @@ fn tokenize(text: &str, line: usize) -> Result<Vec<Token>, ParseError> {
     Ok(tokens)
 }
 
-fn parse_sum(tokens: &[Token], pos: &mut usize, line: usize) -> Result<f64, ParseError> {
-    let mut value = parse_product(tokens, pos, line)?;
+/// `depth` counts the parentheses and unary signs enclosing the
+/// expression; see [`MAX_NESTING`].
+fn parse_sum(
+    tokens: &[Token],
+    pos: &mut usize,
+    line: usize,
+    depth: usize,
+) -> Result<f64, ParseError> {
+    let mut value = parse_product(tokens, pos, line, depth)?;
     while let Some(tok) = tokens.get(*pos) {
         match tok {
             Token::Plus => {
                 *pos += 1;
-                value += parse_product(tokens, pos, line)?;
+                value += parse_product(tokens, pos, line, depth)?;
             }
             Token::Minus => {
                 *pos += 1;
-                value -= parse_product(tokens, pos, line)?;
+                value -= parse_product(tokens, pos, line, depth)?;
             }
             _ => break,
         }
@@ -493,17 +506,22 @@ fn parse_sum(tokens: &[Token], pos: &mut usize, line: usize) -> Result<f64, Pars
     Ok(value)
 }
 
-fn parse_product(tokens: &[Token], pos: &mut usize, line: usize) -> Result<f64, ParseError> {
-    let mut value = parse_atom(tokens, pos, line)?;
+fn parse_product(
+    tokens: &[Token],
+    pos: &mut usize,
+    line: usize,
+    depth: usize,
+) -> Result<f64, ParseError> {
+    let mut value = parse_atom(tokens, pos, line, depth)?;
     while let Some(tok) = tokens.get(*pos) {
         match tok {
             Token::Star => {
                 *pos += 1;
-                value *= parse_atom(tokens, pos, line)?;
+                value *= parse_atom(tokens, pos, line, depth)?;
             }
             Token::Slash => {
                 *pos += 1;
-                let rhs = parse_atom(tokens, pos, line)?;
+                let rhs = parse_atom(tokens, pos, line, depth)?;
                 if rhs == 0.0 {
                     return Err(ParseError::new(line, "division by zero in angle"));
                 }
@@ -515,7 +533,18 @@ fn parse_product(tokens: &[Token], pos: &mut usize, line: usize) -> Result<f64, 
     Ok(value)
 }
 
-fn parse_atom(tokens: &[Token], pos: &mut usize, line: usize) -> Result<f64, ParseError> {
+fn parse_atom(
+    tokens: &[Token],
+    pos: &mut usize,
+    line: usize,
+    depth: usize,
+) -> Result<f64, ParseError> {
+    if depth > MAX_NESTING {
+        return Err(ParseError::new(
+            line,
+            format!("angle expression nests deeper than {MAX_NESTING}"),
+        ));
+    }
     match tokens.get(*pos) {
         Some(Token::Num(v)) => {
             *pos += 1;
@@ -523,15 +552,15 @@ fn parse_atom(tokens: &[Token], pos: &mut usize, line: usize) -> Result<f64, Par
         }
         Some(Token::Minus) => {
             *pos += 1;
-            Ok(-parse_atom(tokens, pos, line)?)
+            Ok(-parse_atom(tokens, pos, line, depth + 1)?)
         }
         Some(Token::Plus) => {
             *pos += 1;
-            parse_atom(tokens, pos, line)
+            parse_atom(tokens, pos, line, depth + 1)
         }
         Some(Token::Open) => {
             *pos += 1;
-            let value = parse_sum(tokens, pos, line)?;
+            let value = parse_sum(tokens, pos, line, depth + 1)?;
             if tokens.get(*pos) != Some(&Token::Close) {
                 return Err(ParseError::new(line, "missing `)` in angle expression"));
             }
@@ -750,5 +779,40 @@ mod tests {
         assert!(parse("qreg q[18446744073709551615]; h q;").is_err());
         assert!(parse("qreg a[65536]; qreg b[1];").is_err());
         assert_eq!(parse("qreg q[65536];").unwrap().num_qubits(), 65_536);
+    }
+
+    /// A program applying `rz(expr)` to one qubit.
+    fn rz_program(expr: &str) -> String {
+        format!("qreg q[1]; rz({expr}) q[0];")
+    }
+
+    #[test]
+    fn deeply_nested_parentheses_rejected() {
+        let nested = |n: usize| format!("{}1{}", "(".repeat(n), ")".repeat(n));
+        assert_eq!(eval_angle(&nested(MAX_NESTING)).unwrap(), 1.0);
+        assert!(parse(&rz_program(&nested(MAX_NESTING))).is_ok());
+        for n in [MAX_NESTING + 1, 100_000] {
+            let err = eval_angle(&nested(n)).unwrap_err();
+            assert!(err.message().contains("nests deeper"), "{err}");
+            assert!(parse(&rz_program(&nested(n))).is_err());
+        }
+        assert!(eval_angle(&"(".repeat(100_000)).is_err());
+        assert!(parse(&format!("qreg q[1]; rz({} q[0];", "(".repeat(100_000))).is_err());
+    }
+
+    #[test]
+    fn long_unary_sign_runs_rejected() {
+        let signs = |n: usize| format!("{}1", "-".repeat(n));
+        assert_eq!(eval_angle(&signs(MAX_NESTING)).unwrap(), 1.0);
+        assert_eq!(
+            eval_angle(&format!("+{}", signs(MAX_NESTING - 1))).unwrap(),
+            -1.0
+        );
+        assert!(parse(&rz_program(&signs(MAX_NESTING))).is_ok());
+        for n in [MAX_NESTING + 1, 1_000_000] {
+            let err = eval_angle(&signs(n)).unwrap_err();
+            assert!(err.message().contains("nests deeper"), "{err}");
+            assert!(parse(&rz_program(&signs(n))).is_err());
+        }
     }
 }

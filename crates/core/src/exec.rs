@@ -17,6 +17,27 @@
 //! Determinism: one seeded RNG drives EPR outcomes; events tie-break in
 //! FIFO order; scheduler inputs are sorted.
 //!
+//! # Job state
+//!
+//! Admission builds each job's *plan* in one forward and one reverse
+//! pass over its gates, without a gate DAG. Per gate, the plan holds
+//! its at most two successors (the next gate on each operand, in
+//! ascending order), a pending-predecessor count and its remote-node
+//! index. Per remote gate, it holds the endpoints, the hop count and
+//! the priority: the longest chain of remote gates below the gate,
+//! which is the paper's longest path to a leaf of the remote DAG
+//! (§V.C). Dispatching and completing a gate are O(1). A differential
+//! proptest checks the plan against the public reference model:
+//! [`gate_dag`](cloudqc_circuit::dag::gate_dag),
+//! [`FrontTracker`](cloudqc_circuit::dag::FrontTracker),
+//! [`RemoteDag`](crate::schedule::RemoteDag) and
+//! [`priorities`](crate::schedule::priority::priorities).
+//!
+//! When a job finishes, its plan and every per-gate and per-node vector
+//! are freed. Only the scalars [`Executor::job_result`] reads stay
+//! resident, so a finished job keeps a fixed-size record whatever its
+//! circuit's size.
+//!
 //! # Hot path
 //!
 //! The allocation front layer is maintained *incrementally*: the
@@ -85,15 +106,11 @@
 use crate::error::ExecError;
 use crate::placement::Placement;
 use crate::schedule::{validate_allocations, RemoteRequest, Scheduler};
-use cloudqc_circuit::dag::{gate_dag, FrontTracker};
 use cloudqc_circuit::{Circuit, GateKind};
 use cloudqc_cloud::{Cloud, QpuId};
 use cloudqc_sim::{BatchStats, EventQueue, SimRng, Tick};
 use rand::rngs::StdRng;
 use std::collections::{HashMap, VecDeque};
-
-use crate::schedule::priority::priorities;
-use crate::schedule::RemoteDag;
 
 /// Outcome of one job's execution.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -353,10 +370,178 @@ enum Event {
     },
 }
 
+/// Pads [`PlanGate::succ`] and marks a local gate's [`PlanGate::node`].
+const NONE: u32 = u32::MAX;
+
+/// [`PlanGate::pending`] of a completed gate.
+const DONE: u32 = u32::MAX;
+
+/// One gate of a [`JobPlan`].
+#[derive(Clone, Copy)]
+struct PlanGate {
+    /// The gate-DAG successors: the next gate on each operand,
+    /// deduplicated, ascending and padded with [`NONE`]. A gate acts on
+    /// at most two qubits, so it has at most two.
+    succ: [u32; 2],
+    /// Predecessors not yet completed, or [`DONE`].
+    pending: u32,
+    /// The gate's remote-node index, or [`NONE`] for a local gate.
+    node: u32,
+    /// Table I latency of the gate run locally.
+    latency: u64,
+}
+
+/// One remote gate of a [`JobPlan`]: a node of the remote DAG.
+#[derive(Clone, Copy)]
+struct PlanNode {
+    gate: u32,
+    a: QpuId,
+    b: QpuId,
+    hops: u32,
+    /// The most remote gates on any gate-DAG path below this one.
+    priority: u32,
+}
+
+/// A job's gate DAG, remote DAG and remote-gate priorities in flat
+/// form, plus its progress through them (see the module docs).
+#[derive(Default)]
+struct JobPlan {
+    gates: Vec<PlanGate>,
+    /// Remote gates in gate order, so node indices match
+    /// [`RemoteDag`](crate::schedule::RemoteDag)'s.
+    nodes: Vec<PlanNode>,
+    /// Gates not yet completed.
+    remaining: usize,
+}
+
+impl JobPlan {
+    /// Builds the plan of `circuit` under `placement`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the placement is narrower than the circuit, or the
+    /// circuit has `u32::MAX` gates or more.
+    fn new(circuit: &Circuit, placement: &Placement, cloud: &Cloud) -> Self {
+        assert!(
+            placement.num_qubits() >= circuit.num_qubits(),
+            "placement narrower than circuit"
+        );
+        let latency = cloud.latency();
+        let mut gates: Vec<PlanGate> = Vec::with_capacity(circuit.gate_count());
+        let mut nodes = Vec::new();
+        // Forward pass: link each gate after the last gate on each of
+        // its operands. Gate indices only grow, so every successor list
+        // stays ascending; a repeated pair reaches the same predecessor
+        // through both operands, and counts once.
+        let mut last = vec![NONE; circuit.num_qubits()];
+        for (i, gate) in circuit.gates().iter().enumerate() {
+            let id = u32::try_from(i)
+                .ok()
+                .filter(|&id| id != NONE)
+                .expect("fewer than u32::MAX gates");
+            let mut pending = 0;
+            for q in [Some(gate.qubit0()), gate.qubit1()].into_iter().flatten() {
+                let prev = std::mem::replace(&mut last[q.index()], id);
+                if prev == NONE {
+                    continue;
+                }
+                let succ = &mut gates[prev as usize].succ;
+                if !succ.contains(&id) {
+                    let free = if succ[0] == NONE { 0 } else { 1 };
+                    succ[free] = id;
+                    pending += 1;
+                }
+            }
+            let mut node = NONE;
+            if let Some((qa, qb)) = gate.qubit_pair() {
+                let (a, b) = (placement.qpu_of(qa.index()), placement.qpu_of(qb.index()));
+                if a != b {
+                    node = u32::try_from(nodes.len()).expect("remote gate count fits in u32");
+                    nodes.push(PlanNode {
+                        gate: id,
+                        a,
+                        b,
+                        hops: cloud.distance_or_max(a, b),
+                        priority: 0,
+                    });
+                }
+            }
+            gates.push(PlanGate {
+                succ: [NONE; 2],
+                pending,
+                node,
+                latency: match gate.kind() {
+                    GateKind::Measure => latency.measure(),
+                    k if k.is_two_qubit() => latency.two_qubit(),
+                    _ => latency.single_qubit(),
+                },
+            });
+        }
+        // Reverse pass: `depth[g]` is the most remote gates on any path
+        // below `g`. A path through k remote gates below a remote node
+        // is a k-edge path of the projected remote DAG and back, so a
+        // node's depth is its longest path to a leaf there.
+        let mut depth = vec![0u32; gates.len()];
+        for g in (0..gates.len()).rev() {
+            let gate = gates[g];
+            for s in gate.succ.into_iter().filter(|&s| s != NONE) {
+                let s = s as usize;
+                let below = depth[s] + u32::from(gates[s].node != NONE);
+                depth[g] = depth[g].max(below);
+            }
+            if gate.node != NONE {
+                nodes[gate.node as usize].priority = depth[g];
+            }
+        }
+        JobPlan {
+            remaining: gates.len(),
+            gates,
+            nodes,
+        }
+    }
+
+    /// Gates with no predecessors, ascending: the initial front layer.
+    fn sources(&self) -> impl Iterator<Item = usize> + '_ {
+        (0..self.gates.len()).filter(|&g| self.gates[g].pending == 0)
+    }
+
+    /// The remote-node index of `gate`, or `None` for a local gate.
+    fn node_of_gate(&self, gate: usize) -> Option<usize> {
+        let node = self.gates[gate].node;
+        (node != NONE).then_some(node as usize)
+    }
+
+    /// Marks ready gate `gate` complete and returns the successors that
+    /// became ready, in ascending order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `gate` has pending predecessors or already completed.
+    fn complete(&mut self, gate: usize) -> [Option<usize>; 2] {
+        let entry = &mut self.gates[gate];
+        assert!(entry.pending == 0, "gate {gate} is not ready");
+        entry.pending = DONE;
+        let succ = entry.succ;
+        self.remaining -= 1;
+        succ.map(|s| {
+            if s == NONE {
+                return None;
+            }
+            let next = &mut self.gates[s as usize];
+            next.pending -= 1;
+            (next.pending == 0).then_some(s as usize)
+        })
+    }
+
+    /// Whether every gate has completed.
+    fn is_done(&self) -> bool {
+        self.remaining == 0
+    }
+}
+
 struct JobState {
-    tracker: FrontTracker,
-    remote: RemoteDag,
-    priorities: Vec<usize>,
+    /// Emptied when the job finishes, like every vector below.
+    plan: JobPlan,
     remaining_hops: Vec<u32>,
     /// Swapping-station QPU indices per remote node (the intermediates
     /// of the Fig. 4 "Selected paths"); resolved once at admission and
@@ -383,7 +568,8 @@ struct JobState {
     active_rounds: u32,
     epr_busy_since: Tick,
     epr_wait: u64,
-    gate_latency: Vec<u64>,
+    /// Remote gates the placement induced, kept past the plan.
+    remote_gates: usize,
 }
 
 /// A multi-job discrete-event executor over one cloud and one
@@ -597,10 +783,8 @@ impl<'a> Executor<'a> {
         circuit: &Circuit,
         placement: &Placement,
     ) -> Result<usize, ExecError> {
-        let dag = gate_dag(circuit);
-        let remote = RemoteDag::from_gate_dag(circuit, &dag, placement, self.cloud);
-        for n in 0..remote.node_count() {
-            let (a, b) = remote.endpoints(n);
+        let plan = JobPlan::new(circuit, placement, self.cloud);
+        for &PlanNode { a, b, .. } in &plan.nodes {
             if self.cloud.qpu(a).communication_qubits() == 0
                 || self.cloud.qpu(b).communication_qubits() == 0
             {
@@ -608,9 +792,8 @@ impl<'a> Executor<'a> {
             }
         }
         let stations: Vec<Vec<usize>> = if self.path_reservation {
-            let mut all = Vec::with_capacity(remote.node_count());
-            for n in 0..remote.node_count() {
-                let (a, b) = remote.endpoints(n);
+            let mut all = Vec::with_capacity(plan.nodes.len());
+            for &PlanNode { a, b, .. } in &plan.nodes {
                 let path = crate::schedule::routing::select_path(self.cloud, a, b)
                     .ok_or(ExecError::NoRoute { a, b })?;
                 let mids = crate::schedule::routing::intermediates(&path);
@@ -626,38 +809,22 @@ impl<'a> Executor<'a> {
             Vec::new()
         };
 
-        let prio = priorities(&remote);
-        let latency = self.cloud.latency();
-        let gate_latency: Vec<u64> = circuit
-            .gates()
-            .iter()
-            .map(|g| match g.kind() {
-                GateKind::Measure => latency.measure(),
-                k if k.is_two_qubit() => latency.two_qubit(),
-                _ => latency.single_qubit(),
-            })
-            .collect();
-        let remaining_hops: Vec<u32> = (0..remote.node_count())
-            .map(|n| remote.hops(n).max(1))
-            .collect();
-        let tracker = FrontTracker::new(&dag);
+        let remaining_hops: Vec<u32> = plan.nodes.iter().map(|n| n.hops.max(1)).collect();
         let id = self.jobs.len();
-        let initially_ready: Vec<usize> = tracker.ready().to_vec();
+        let sources: Vec<usize> = plan.sources().collect();
         // Resolve each remote gate's shard once, so the hot-path
         // insert/remove skip the pair→shard map.
         let shard_ids: Vec<usize> = match &mut self.front {
-            FrontLayer::Sharded(front) => (0..remote.node_count())
-                .map(|n| {
-                    let (a, b) = remote.endpoints(n);
-                    front.shard_for(a, b)
-                })
+            FrontLayer::Sharded(front) => plan
+                .nodes
+                .iter()
+                .map(|n| front.shard_for(n.a, n.b))
                 .collect(),
             FrontLayer::Global(_) => Vec::new(),
         };
         self.jobs.push(JobState {
-            tracker,
-            remote,
-            priorities: prio,
+            remote_gates: plan.nodes.len(),
+            plan,
             remaining_hops,
             stations,
             shard_ids,
@@ -670,14 +837,13 @@ impl<'a> Executor<'a> {
             active_rounds: 0,
             epr_busy_since: self.now,
             epr_wait: 0,
-            gate_latency,
         });
         self.unfinished += 1;
-        if initially_ready.is_empty() {
+        if sources.is_empty() {
             // Empty circuit: finishes instantly.
             self.finish_job(id);
         } else {
-            for gate in initially_ready {
+            for gate in sources {
                 self.dispatch(id, gate);
             }
             self.try_allocate();
@@ -701,9 +867,17 @@ impl<'a> Executor<'a> {
             .unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Marks a job finished at the current time.
+    /// Marks a job finished at the current time and frees its per-gate
+    /// and per-node state: [`Executor::job_result`] reads only scalars.
     fn finish_job(&mut self, job: usize) {
-        self.jobs[job].finished_at = Some(self.now);
+        let state = &mut self.jobs[job];
+        state.finished_at = Some(self.now);
+        state.plan = JobPlan::default();
+        state.remaining_hops = Vec::new();
+        state.stations = Vec::new();
+        state.shard_ids = Vec::new();
+        state.pending_nodes = Vec::new();
+        state.parked = Vec::new();
         self.unfinished -= 1;
         self.newly_finished.push(job);
     }
@@ -711,10 +885,10 @@ impl<'a> Executor<'a> {
     /// Routes a ready gate: local gates get a completion event, remote
     /// gates join the allocation front layer.
     fn dispatch(&mut self, job: usize, gate: usize) {
-        match self.jobs[job].remote.node_of_gate(gate) {
+        match self.jobs[job].plan.node_of_gate(gate) {
             Some(node) => self.insert_request(job, node),
             None => {
-                let lat = self.jobs[job].gate_latency[gate];
+                let lat = self.jobs[job].plan.gates[gate].latency;
                 self.queue
                     .push(self.now + lat, Event::GateDone { job, gate });
             }
@@ -732,12 +906,12 @@ impl<'a> Executor<'a> {
             return;
         }
         let state = &self.jobs[job];
-        let (a, b) = state.remote.endpoints(node);
+        let PlanNode { a, b, priority, .. } = state.plan.nodes[node];
         let req = RemoteRequest {
             key: encode_key(job, node),
             a,
             b,
-            priority: state.priorities[node],
+            priority: priority as usize,
         };
         match &mut self.front {
             FrontLayer::Global(requests) => {
@@ -757,7 +931,7 @@ impl<'a> Executor<'a> {
     /// and suspension).
     fn retract(&mut self, job: usize, node: usize) {
         let key = encode_key(job, node);
-        let priority = self.jobs[job].priorities[node];
+        let priority = self.jobs[job].plan.nodes[node].priority as usize;
         match &mut self.front {
             FrontLayer::Global(requests) => {
                 let pos = requests
@@ -931,7 +1105,7 @@ impl<'a> Executor<'a> {
         let mut granted = false;
         for alloc in allocations {
             let (job, node) = decode_key(alloc.key);
-            let (a, b) = self.jobs[job].remote.endpoints(node);
+            let PlanNode { a, b, .. } = self.jobs[job].plan.nodes[node];
             let mut pairs = alloc.pairs;
             // Path reservation: re-check stations and endpoints — an
             // earlier allocation's station holds (applied after the
@@ -1079,7 +1253,7 @@ impl<'a> Executor<'a> {
         let epr_latency = self.cloud.latency().epr_attempt();
         for alloc in allocations {
             let (job, node) = decode_key(alloc.key);
-            let (a, b) = self.jobs[job].remote.endpoints(node);
+            let PlanNode { a, b, .. } = self.jobs[job].plan.nodes[node];
             self.comm_free[a.index()] -= alloc.pairs;
             self.comm_free[b.index()] -= alloc.pairs;
             self.remove_request(alloc.key);
@@ -1112,16 +1286,16 @@ impl<'a> Executor<'a> {
     fn handle(&mut self, event: Event) {
         match event {
             Event::GateDone { job, gate } => {
-                let newly = self.jobs[job].tracker.complete(gate);
-                for g in newly {
+                let newly = self.jobs[job].plan.complete(gate);
+                for g in newly.into_iter().flatten() {
                     self.dispatch(job, g);
                 }
-                if self.jobs[job].tracker.is_done() {
+                if self.jobs[job].plan.is_done() {
                     self.finish_job(job);
                 }
             }
             Event::RoundDone { job, node, pairs } => {
-                let (a, b) = self.jobs[job].remote.endpoints(node);
+                let PlanNode { a, b, .. } = self.jobs[job].plan.nodes[node];
                 self.comm_free[a.index()] += pairs;
                 self.comm_free[b.index()] += pairs;
                 if self.path_reservation {
@@ -1160,7 +1334,7 @@ impl<'a> Executor<'a> {
                 let remaining = attempts - successes;
                 self.jobs[job].remaining_hops[node] = remaining;
                 if remaining == 0 {
-                    let gate = self.jobs[job].remote.gate_index(node);
+                    let gate = self.jobs[job].plan.nodes[node].gate as usize;
                     let done_at = self.now + self.cloud.latency().remote_gate_completion();
                     self.queue.push(done_at, Event::GateDone { job, gate });
                 } else {
@@ -1273,7 +1447,7 @@ impl<'a> Executor<'a> {
             started_at: job.started_at,
             finished_at,
             completion_time: Tick::new(finished_at - job.started_at),
-            remote_gates: job.remote.node_count(),
+            remote_gates: job.remote_gates,
             epr_rounds: job.epr_rounds,
             epr_wait: job.epr_wait,
         })
@@ -1777,6 +1951,167 @@ mod tests {
         let r = simulate_job(&c, &p, &cloud, &CloudQcScheduler, 17);
         assert!(r.epr_wait > 0, "remote gates must wait on EPR");
         assert!(r.epr_wait <= r.completion_time.as_ticks());
+    }
+
+    #[test]
+    fn finished_jobs_keep_their_result_and_free_their_plan() {
+        let cloud = cloud2();
+        let mut c = Circuit::new(3);
+        c.h(0).cx(0, 1).cx(1, 2).cx(0, 1).measure_all();
+        let p = Placement::new(vec![QpuId::new(0), QpuId::new(1), QpuId::new(1)]);
+        let mut exec = Executor::new(&cloud, &CloudQcScheduler, 7);
+        let id = exec.add_job(&c, &p);
+        exec.run_to_completion();
+        let state = &exec.jobs[id];
+        assert!(state.plan.gates.is_empty() && state.plan.nodes.is_empty());
+        assert_eq!(state.remaining_hops.capacity(), 0);
+        assert_eq!(state.shard_ids.capacity(), 0);
+        assert_eq!(state.pending_nodes.capacity(), 0);
+        // The same job run alone reports the same result from the
+        // scalars that outlive the plan.
+        let alone = simulate_job(&c, &p, &cloud, &CloudQcScheduler, 7);
+        assert_eq!(exec.job_result(id), Some(alone.clone()));
+        assert_eq!(alone.remote_gates, 2);
+        assert!(!exec.suspend_job(id));
+        assert!(!exec.resume_job(id));
+        assert_eq!(exec.preemptions(), 0);
+        assert_eq!(exec.job_result(id), Some(alone));
+    }
+
+    #[test]
+    #[should_panic(expected = "gate 1 is not ready")]
+    fn completing_a_blocked_gate_panics() {
+        let mut c = Circuit::new(1);
+        c.h(0).x(0);
+        let cloud = cloud2();
+        JobPlan::new(&c, &local_placement(1), &cloud).complete(1);
+    }
+
+    #[test]
+    #[should_panic(expected = "gate 0 is not ready")]
+    fn completing_a_gate_twice_panics() {
+        let mut c = Circuit::new(2);
+        c.h(0).h(1);
+        let cloud = cloud2();
+        let mut plan = JobPlan::new(&c, &local_placement(2), &cloud);
+        plan.complete(0);
+        plan.complete(0);
+    }
+
+    /// Differential coverage for the job plan: its remote nodes,
+    /// priorities, sources and completion order must agree with the
+    /// public reference model (`gate_dag`, `FrontTracker`, `RemoteDag`,
+    /// `priorities`) on random circuits, placements and clouds. Run
+    /// directly with `cargo test -p cloudqc-core job_plan`.
+    mod job_plan {
+        use super::super::JobPlan;
+        use crate::placement::Placement;
+        use crate::schedule::priority::priorities;
+        use crate::schedule::RemoteDag;
+        use cloudqc_circuit::dag::{gate_dag, FrontTracker};
+        use cloudqc_circuit::generators::catalog;
+        use cloudqc_circuit::Circuit;
+        use cloudqc_cloud::{CloudBuilder, QpuId};
+        use proptest::prelude::*;
+
+        /// Small instances of every catalog family.
+        const CATALOG: [&str; 13] = [
+            "ghz_n12",
+            "cat_n9",
+            "bv_n10",
+            "ising_n10",
+            "swap_test_n9",
+            "knn_n9",
+            "qugan_n11",
+            "cc_n10",
+            "adder_n10",
+            "multiplier_n9",
+            "qft_n12",
+            "qv_n8",
+            "vqe_n4",
+        ];
+
+        /// Random circuits of 1-qubit gates, measures and CXs over at
+        /// most 7 qubits, so pairs repeat and some qubits stay idle
+        /// (the empty circuit included), or a catalog instance.
+        fn circuit_strategy() -> impl Strategy<Value = Circuit> {
+            let random = (
+                1usize..8,
+                prop::collection::vec((0u8..4, any::<u8>(), any::<u8>()), 0..48),
+            )
+                .prop_map(|(width, gates)| {
+                    let mut c = Circuit::new(width);
+                    for (kind, x, y) in gates {
+                        let (q0, q1) = (x as usize % width, y as usize % width);
+                        match kind {
+                            0 => c.h(q0),
+                            1 => c.measure(q0),
+                            _ if q0 != q1 => c.cx(q0, q1),
+                            _ => c.rz(q0, 0.25),
+                        };
+                    }
+                    c
+                });
+            let named = (0..CATALOG.len())
+                .prop_map(|i| catalog::by_name(CATALOG[i]).expect("catalog name"));
+            prop_oneof![3 => random, 1 => named]
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(192))]
+
+            #[test]
+            fn plan_matches_the_reference_model(
+                circuit in circuit_strategy(),
+                line in any::<bool>(),
+                cloud_seed in 0u64..4,
+                spread in 1usize..6,
+                qpus in prop::collection::vec(any::<u8>(), 16),
+                picks in prop::collection::vec(any::<u16>(), 1..32),
+            ) {
+                // A line cloud gives multi-hop remote gates.
+                let cloud = if line {
+                    CloudBuilder::new(5).line_topology().build()
+                } else {
+                    CloudBuilder::paper_default(cloud_seed).build()
+                };
+                let spread = spread.min(cloud.qpu_count());
+                let placement = Placement::new(
+                    (0..circuit.num_qubits())
+                        .map(|q| QpuId::new(qpus[q % qpus.len()] as usize % spread))
+                        .collect(),
+                );
+                let mut plan = JobPlan::new(&circuit, &placement, &cloud);
+                let remote = RemoteDag::new(&circuit, &placement, &cloud);
+                let priority = priorities(&remote);
+                prop_assert_eq!(plan.nodes.len(), remote.node_count());
+                for (n, node) in plan.nodes.iter().enumerate() {
+                    prop_assert_eq!(node.gate as usize, remote.gate_index(n));
+                    prop_assert_eq!((node.a, node.b), remote.endpoints(n));
+                    prop_assert_eq!(node.hops, remote.hops(n));
+                    prop_assert_eq!(node.priority as usize, priority[n], "node {}", n);
+                }
+                for gate in 0..circuit.gate_count() {
+                    prop_assert_eq!(plan.node_of_gate(gate), remote.node_of_gate(gate));
+                }
+
+                // Drain in a random ready order: each completion must
+                // make the same gates ready, in the same order.
+                let mut tracker = FrontTracker::new(&gate_dag(&circuit));
+                prop_assert_eq!(plan.sources().collect::<Vec<_>>(), tracker.ready().to_vec());
+                let mut step = 0;
+                while !tracker.is_done() {
+                    prop_assert!(!plan.is_done());
+                    let ready = tracker.ready();
+                    let gate = ready[picks[step % picks.len()] as usize % ready.len()];
+                    step += 1;
+                    let expected = tracker.complete(gate);
+                    let got: Vec<usize> = plan.complete(gate).into_iter().flatten().collect();
+                    prop_assert_eq!(got, expected, "completing gate {}", gate);
+                }
+                prop_assert!(plan.is_done());
+            }
+        }
     }
 
     /// Property coverage for the cached best-head shard index: after

@@ -45,21 +45,6 @@ impl RemoteDag {
     /// assert_eq!(rd.dag().successors(0), &[1]); // 0 -> 1 via the local gate
     /// ```
     pub fn new(circuit: &Circuit, placement: &Placement, cloud: &Cloud) -> Self {
-        Self::from_gate_dag(circuit, &gate_dag(circuit), placement, cloud)
-    }
-
-    /// [`RemoteDag::new`] for a caller that already holds
-    /// `gate_dag(circuit)`, so the full DAG is built once per job.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the placement is narrower than the circuit.
-    pub(crate) fn from_gate_dag(
-        circuit: &Circuit,
-        full: &DiGraph,
-        placement: &Placement,
-        cloud: &Cloud,
-    ) -> Self {
         assert!(
             placement.num_qubits() >= circuit.num_qubits(),
             "placement narrower than circuit"
@@ -69,7 +54,7 @@ impl RemoteDag {
             .filter(|&(_, a, b)| placement.qpu_of(a.index()) != placement.qpu_of(b.index()))
             .map(|(i, _, _)| i)
             .collect();
-        let dag = full.project_onto(&remote_gates);
+        let dag = gate_dag(circuit).project_onto(&remote_gates);
         let endpoints: Vec<(QpuId, QpuId)> = remote_gates
             .iter()
             .map(|&gi| {
