@@ -26,7 +26,7 @@
 use cloudqc_bench::bench_circuit;
 use cloudqc_cloud::CloudBuilder;
 use cloudqc_core::placement::CloudQcPlacement;
-use cloudqc_core::runtime::{LoadShedPolicy, Orchestrator, WindowReport};
+use cloudqc_core::runtime::{LoadShedPolicy, ServiceBuilder, WindowReport};
 use cloudqc_core::schedule::CloudQcScheduler;
 use cloudqc_core::workload::Workload;
 use cloudqc_sim::Tick;
@@ -54,9 +54,9 @@ fn run_continuous(preempt: bool, seed: u64) -> WindowReport {
         .line_topology()
         .build();
     let placement = CloudQcPlacement::default();
-    let mut svc = Orchestrator::new(&cloud, &placement, &CloudQcScheduler, seed)
-        .with_preemption(preempt)
-        .into_service();
+    let mut svc = ServiceBuilder::new(&cloud, &placement, &CloudQcScheduler, seed)
+        .preemption(preempt)
+        .build();
     svc.submit_workload(&elephants());
     svc.submit_workload(&mice());
     svc.drive_to_quiescence().expect("traffic drains")
@@ -115,8 +115,7 @@ fn bench_continuous_service(c: &mut Criterion) {
         let mut seed = 0u64;
         b.iter(|| {
             seed = seed.wrapping_add(1);
-            let mut svc =
-                Orchestrator::new(&cloud, &placement, &CloudQcScheduler, seed).into_service();
+            let mut svc = ServiceBuilder::new(&cloud, &placement, &CloudQcScheduler, seed).build();
             svc.submit_workload(black_box(&elephants));
             svc.submit_workload(black_box(&mice));
             svc.drive().expect("epoch completes").outcomes.len()
@@ -141,9 +140,9 @@ fn bench_continuous_service(c: &mut Criterion) {
         let mut seed = 0u64;
         b.iter(|| {
             seed = seed.wrapping_add(1);
-            let mut svc = Orchestrator::new(&cloud, &placement, &CloudQcScheduler, seed)
-                .with_load_shedding(LoadShedPolicy::queue_depth(4))
-                .into_service();
+            let mut svc = ServiceBuilder::new(&cloud, &placement, &CloudQcScheduler, seed)
+                .load_shedding(LoadShedPolicy::queue_depth(4))
+                .build();
             svc.submit_workload(black_box(&surge));
             let window = svc.drive_to_quiescence().expect("surge drains");
             window.outcomes.len() + window.rejected.len()

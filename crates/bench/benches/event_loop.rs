@@ -154,7 +154,7 @@ fn run_executor(seed: u64) -> (Tick, u64) {
             // unit of job-admission overhead.
             let a = (wave + i) % 8;
             let p = Placement::new(vec![QpuId::new(a), QpuId::new((a + 2) % 8)]);
-            exec.add_job(&ping, &p);
+            exec.try_add_job(&ping, &p).expect("job admitted");
         }
         exec.run_to_completion();
     }

@@ -8,9 +8,7 @@
 //! * `executor/*` — pre-placed jobs admitted together into the bare
 //!   executor with scarce communication qubits and low EPR success
 //!   probability, so allocation rounds dominate: this isolates the
-//!   front-layer maintenance cost. The `_unbatched` variant disables
-//!   change-driven allocation elision (the pre-batching behaviour) to
-//!   price the optimization.
+//!   front-layer maintenance cost.
 //! * `placement_cache/*` — steady-state traffic of repeated circuit
 //!   shapes under fingerprint seeding, cached vs uncached: the
 //!   admission loop's placement-memoization win.
@@ -23,7 +21,7 @@ use cloudqc_bench::bench_circuit;
 use cloudqc_circuit::Circuit;
 use cloudqc_cloud::CloudBuilder;
 use cloudqc_core::placement::{CloudQcPlacement, PlacementAlgorithm, RandomPlacement};
-use cloudqc_core::runtime::{AdmissionPolicy, Orchestrator};
+use cloudqc_core::runtime::{AdmissionPolicy, ServiceBuilder};
 use cloudqc_core::schedule::CloudQcScheduler;
 use cloudqc_core::workload::Workload;
 use cloudqc_core::Executor;
@@ -59,8 +57,8 @@ fn bench_runtime_contention(c: &mut Criterion) {
             let mut seed = 0u64;
             b.iter(|| {
                 seed = seed.wrapping_add(1);
-                Orchestrator::new(&cloud, &placement, &CloudQcScheduler, seed)
-                    .with_admission(*policy)
+                ServiceBuilder::new(&cloud, &placement, &CloudQcScheduler, seed)
+                    .admission(*policy)
                     .run(black_box(&workload))
                     .expect("contended run completes")
             });
@@ -102,20 +100,7 @@ fn bench_executor_contention(c: &mut Criterion) {
             seed = seed.wrapping_add(1);
             let mut exec = Executor::new(&cloud, &CloudQcScheduler, seed);
             for (circuit, p) in black_box(&placed) {
-                exec.add_job(circuit, p);
-            }
-            exec.run_to_completion();
-            exec.now()
-        });
-    });
-    group.bench_function("32_jobs_unbatched", |b| {
-        let mut seed = 0u64;
-        b.iter(|| {
-            seed = seed.wrapping_add(1);
-            let mut exec =
-                Executor::new(&cloud, &CloudQcScheduler, seed).with_batched_allocation(false);
-            for (circuit, p) in black_box(&placed) {
-                exec.add_job(circuit, p);
+                exec.try_add_job(circuit, p).expect("job admitted");
             }
             exec.run_to_completion();
             exec.now()
@@ -150,10 +135,10 @@ fn bench_placement_cache(c: &mut Criterion) {
             let mut seed = 0u64;
             b.iter(|| {
                 seed = seed.wrapping_add(1);
-                Orchestrator::new(&cloud, &placement, &CloudQcScheduler, seed)
-                    .with_admission(AdmissionPolicy::Backfill)
-                    .with_fingerprint_seeding(true)
-                    .with_placement_cache(cached)
+                ServiceBuilder::new(&cloud, &placement, &CloudQcScheduler, seed)
+                    .admission(AdmissionPolicy::Backfill)
+                    .fingerprint_seeding(true)
+                    .placement_cache(cached)
                     .run(black_box(&workload))
                     .expect("steady run completes")
             });

@@ -9,9 +9,9 @@
 //! * `service_warm_quantum4` — the same, with the coarser (quantum 4)
 //!   free-vector signature: more hits, at the cost of within-bucket
 //!   drift being allowed to reuse stale placements.
-//! * `orchestrator_cold_epochs` — one `Orchestrator::run` per epoch:
-//!   the pre-service behaviour, rebuilding the cache from cold every
-//!   epoch.
+//! * `orchestrator_cold_epochs` — one `ServiceBuilder::run` per
+//!   epoch: the pre-service behaviour, rebuilding the cache from cold
+//!   every epoch.
 //! * `service_uncached_epochs` — the cache disabled outright: every
 //!   admission pays the full placement pipeline.
 //!
@@ -23,7 +23,7 @@ use cloudqc_bench::bench_circuit;
 use cloudqc_circuit::Circuit;
 use cloudqc_cloud::CloudBuilder;
 use cloudqc_core::placement::{CloudQcPlacement, PlacementAlgorithm, PlacementCache};
-use cloudqc_core::runtime::{AdmissionPolicy, Orchestrator};
+use cloudqc_core::runtime::{AdmissionPolicy, ServiceBuilder};
 use cloudqc_core::schedule::CloudQcScheduler;
 use cloudqc_core::workload::Workload;
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -48,9 +48,9 @@ fn bench_cross_epoch_cache(c: &mut Criterion) {
         .collect();
     let workload = Workload::poisson(&pool, 32, 1_500.0, 7);
     let placement = CloudQcPlacement::default();
-    let orchestrator = |seed: u64| {
-        Orchestrator::new(&cloud, &placement, &CloudQcScheduler, seed)
-            .with_admission(AdmissionPolicy::Backfill)
+    let builder = |seed: u64| {
+        ServiceBuilder::new(&cloud, &placement, &CloudQcScheduler, seed)
+            .admission(AdmissionPolicy::Backfill)
     };
     let mut group = c.benchmark_group("placement_cache");
     group.sample_size(10);
@@ -58,7 +58,7 @@ fn bench_cross_epoch_cache(c: &mut Criterion) {
         let mut seed = 0u64;
         b.iter(|| {
             seed = seed.wrapping_add(1);
-            let mut svc = orchestrator(seed).into_service();
+            let mut svc = builder(seed).build();
             for _ in 0..EPOCHS {
                 svc.submit_workload(black_box(&workload));
                 svc.drive().expect("epoch completes");
@@ -70,7 +70,7 @@ fn bench_cross_epoch_cache(c: &mut Criterion) {
         let mut seed = 0u64;
         b.iter(|| {
             seed = seed.wrapping_add(1);
-            let mut svc = orchestrator(seed).with_cache_quantum(4).into_service();
+            let mut svc = builder(seed).cache_quantum(4).build();
             for _ in 0..EPOCHS {
                 svc.submit_workload(black_box(&workload));
                 svc.drive().expect("epoch completes");
@@ -82,10 +82,10 @@ fn bench_cross_epoch_cache(c: &mut Criterion) {
         let mut seed = 0u64;
         b.iter(|| {
             seed = seed.wrapping_add(1);
-            let orch = orchestrator(seed);
+            let once = builder(seed);
             let mut completed = 0usize;
             for _ in 0..EPOCHS {
-                completed += orch
+                completed += once
                     .run(black_box(&workload))
                     .expect("epoch completes")
                     .outcomes
@@ -98,9 +98,7 @@ fn bench_cross_epoch_cache(c: &mut Criterion) {
         let mut seed = 0u64;
         b.iter(|| {
             seed = seed.wrapping_add(1);
-            let mut svc = orchestrator(seed)
-                .with_placement_cache(false)
-                .into_service();
+            let mut svc = builder(seed).placement_cache(false).build();
             for _ in 0..EPOCHS {
                 svc.submit_workload(black_box(&workload));
                 svc.drive().expect("epoch completes");

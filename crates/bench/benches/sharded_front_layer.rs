@@ -1,5 +1,5 @@
-//! The per-QPU-pair sharded front layer A/B — the anchor benchmark for
-//! the executor's dirty-shard allocation rounds.
+//! The per-QPU-pair sharded front layer — the anchor benchmark for the
+//! executor's dirty-shard allocation rounds.
 //!
 //! A 12-QPU ring spreads 96 randomly placed jobs over many distinct
 //! communication edges, so any one completion or grant touches only a
@@ -9,19 +9,16 @@
 //! low EPR success probability keep thousands of allocation rounds in
 //! flight.
 //!
-//! Cases:
-//! * `cloudqc_sharded` / `cloudqc_global` — the A/B under the paper's
-//!   scheduler: identical schedules (pinned in
-//!   `tests/runtime_golden.rs`), different front-layer scan work.
-//! * `greedy_sharded` / `average_sharded` — the other pure schedulers
-//!   on the sharded path (and the merge-based
-//!   `Scheduler::allocate_sharded` overrides).
+//! Cases: `cloudqc_sharded`, `greedy_sharded` and `average_sharded` —
+//! the three pure schedulers on the sharded path (and the merge-based
+//! `Scheduler::allocate_sharded` overrides). Their schedules equal the
+//! global layer's (pinned in `tests/runtime_golden.rs`).
 //!
 //! With `BENCH_JSON=<path>` in the environment every case's minimum
 //! sample lands in `<path>` as ms/run — the input of the CI
-//! bench-regression gate (see `bench_gate`). Four cases also exercise
-//! the gate's multi-case `--normalize` path (normalization refuses to
-//! run below 3 shared cases).
+//! bench-regression gate (see `bench_gate`). The three cases also
+//! exercise the gate's multi-case `--normalize` path (normalization
+//! refuses to run below 3 shared cases).
 
 use cloudqc_bench::bench_circuit;
 use cloudqc_circuit::Circuit;
@@ -59,23 +56,21 @@ fn bench_sharded_front_layer(c: &mut Criterion) {
         .ring_topology()
         .build();
     let placed = contended_jobs(&cloud);
-    let cases: Vec<(&str, &dyn Scheduler, bool)> = vec![
-        ("cloudqc_sharded", &CloudQcScheduler, true),
-        ("cloudqc_global", &CloudQcScheduler, false),
-        ("greedy_sharded", &GreedyScheduler, true),
-        ("average_sharded", &AverageScheduler, true),
+    let cases: Vec<(&str, &dyn Scheduler)> = vec![
+        ("cloudqc_sharded", &CloudQcScheduler),
+        ("greedy_sharded", &GreedyScheduler),
+        ("average_sharded", &AverageScheduler),
     ];
     let mut group = c.benchmark_group("sharded_front_layer");
     group.sample_size(10);
-    for (name, scheduler, sharded) in cases {
+    for (name, scheduler) in cases {
         group.bench_function(name, |b| {
             let mut seed = 0u64;
             b.iter(|| {
                 seed = seed.wrapping_add(1);
-                let mut exec =
-                    Executor::new(&cloud, scheduler, seed).with_sharded_front_layer(sharded);
+                let mut exec = Executor::new(&cloud, scheduler, seed);
                 for (circuit, p) in black_box(&placed) {
-                    exec.add_job(circuit, p);
+                    exec.try_add_job(circuit, p).expect("job admitted");
                 }
                 exec.run_to_completion();
                 exec.now()

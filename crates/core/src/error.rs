@@ -79,9 +79,9 @@ impl From<ResourceError> for PlacementError {
 /// Reasons a job is rejected at admission instead of executed: its
 /// placement induces remote gates the cloud's communication fabric can
 /// never serve, or (under deadline-aware admission) its SLA deadline
-/// can no longer be met. The orchestrator rejects such jobs instead of
-/// aborting the whole run; [`crate::exec::Executor::add_job`] stays as
-/// a panicking convenience wrapper for tests.
+/// can no longer be met. The runtime rejects such jobs instead of
+/// aborting the whole run; [`crate::exec::Executor::try_add_job`]
+/// returns the reason.
 #[derive(Clone, Debug, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum ExecError {

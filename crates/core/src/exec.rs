@@ -66,10 +66,8 @@
 //! on identical inputs would provably grant nothing again. Ticks whose
 //! batch contains only local-gate completions therefore skip the
 //! scheduler entirely. Both layers leave seeded schedules byte
-//! identical (see `tests/runtime_golden.rs`);
-//! [`Executor::with_batched_allocation`] turns the elision off for
-//! A/B comparison. The per-tick batch-size distribution is tracked in
-//! [`Executor::batch_stats`].
+//! identical (see `tests/runtime_golden.rs`). The per-tick batch-size
+//! distribution is tracked in [`Executor::batch_stats`].
 //!
 //! ## The sharded front layer
 //!
@@ -94,13 +92,18 @@
 //! scheduler cannot allocate the shard anything, and its zero-granted
 //! requests do not perturb the grants of the other shards. Sharded and
 //! global front layers therefore produce byte-identical seeded
-//! schedules (pinned in `tests/runtime_golden.rs`, property-tested in
-//! `tests/properties.rs`); [`Executor::with_sharded_front_layer`]
-//! disables sharding for A/B comparison. Non-pure schedulers, the
-//! unbatched mode, and path reservation (whose swapping-station holds
-//! couple shards through *intermediate* QPUs) keep the global layer.
-//! Per-run pass/shard/request counters are reported in
-//! [`Executor::alloc_stats`] and surfaced in
+//! schedules. `tests/runtime_golden.rs` pins this and
+//! `tests/properties.rs` property-tests it, both against a scheduler
+//! wrapper that reports itself impure and so forces the global,
+//! never-elided layer.
+//!
+//! The executor picks the layer from what it observes: it shards when
+//! the scheduler is pure and path reservation is off. Non-pure
+//! schedulers ([`crate::schedule::RandomScheduler`], whose elided calls
+//! would shift its RNG stream) and path reservation (whose
+//! swapping-station holds couple shards through *intermediate* QPUs)
+//! keep the global layer. Per-run pass/shard/request counters are
+//! reported in [`Executor::alloc_stats`] and surfaced in
 //! [`crate::runtime::RunReport`].
 
 use crate::error::ExecError;
@@ -137,10 +140,9 @@ pub struct JobResult {
 ///
 /// With the sharded front layer, `shards_visited` and
 /// `requests_scanned` count only the *dirty* shards each pass handed
-/// to the scheduler; with the global layer every pass counts as one
-/// shard covering the whole front layer. Comparing
-/// `requests_scanned / rounds` between the two modes prices the
-/// sharding win.
+/// to the scheduler; with the global layer (impure schedulers, path
+/// reservation) every pass counts as one shard covering the whole
+/// front layer.
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub struct AllocStats {
     /// Allocation passes that actually invoked the scheduler (elided
@@ -339,9 +341,8 @@ impl ShardedFront {
     }
 }
 
-/// The allocation front layer: global (one sorted request vector — the
-/// pre-sharding representation, still used for non-pure schedulers,
-/// the unbatched A/B mode, and path reservation) or sharded per QPU
+/// The allocation front layer: global (one sorted request vector, used
+/// for non-pure schedulers and path reservation) or sharded per QPU
 /// pair.
 enum FrontLayer {
     Global(Vec<RemoteRequest>),
@@ -575,9 +576,9 @@ struct JobState {
 /// A multi-job discrete-event executor over one cloud and one
 /// scheduling policy.
 ///
-/// Jobs can be admitted at any simulated time (the multi-tenant
-/// orchestrator admits queued jobs as capacity frees). All active jobs
-/// compete for the same per-QPU communication qubits.
+/// Jobs can be admitted at any simulated time (the runtime admits
+/// queued jobs as capacity frees). All active jobs compete for the
+/// same per-QPU communication qubits.
 pub struct Executor<'a> {
     cloud: &'a Cloud,
     scheduler: &'a dyn Scheduler,
@@ -592,11 +593,6 @@ pub struct Executor<'a> {
     /// kept in (priority desc, key asc) order — globally, or within
     /// per-QPU-pair shards (see the module docs).
     front: FrontLayer,
-    /// Per-QPU-pair sharding enabled (see
-    /// [`Executor::with_sharded_front_layer`]); only effective when the
-    /// scheduler is pure, allocation is batched, and path reservation
-    /// is off.
-    sharded_front: bool,
     /// Reused buffer for the path-reservation round filter.
     round_scratch: Vec<RemoteRequest>,
     /// Reused buffer the sharded pass swaps with the dirty list, so
@@ -608,11 +604,8 @@ pub struct Executor<'a> {
     order_scratch: Vec<usize>,
     /// Jobs finished since the last drain, in completion-event order.
     newly_finished: Vec<usize>,
-    /// Change-driven allocation elision enabled (see
-    /// [`Executor::with_batched_allocation`]).
-    batched_allocation: bool,
-    /// Cached [`Scheduler::is_pure`] — elision is only sound for pure
-    /// schedulers.
+    /// Cached [`Scheduler::is_pure`] — elision and sharding are only
+    /// sound for pure schedulers.
     scheduler_pure: bool,
     /// True when the last allocation pass ran on the current front
     /// layer and capacities and granted nothing: until something
@@ -643,12 +636,10 @@ impl<'a> Executor<'a> {
             unfinished: 0,
             path_reservation: false,
             front: FrontLayer::Global(Vec::new()),
-            sharded_front: true,
             round_scratch: Vec::new(),
             visited_scratch: Vec::new(),
             order_scratch: Vec::new(),
             newly_finished: Vec::new(),
-            batched_allocation: true,
             scheduler_pure: scheduler.is_pure(),
             front_settled: false,
             batch_stats: BatchStats::default(),
@@ -659,16 +650,13 @@ impl<'a> Executor<'a> {
         exec
     }
 
-    /// (Re)chooses the front-layer representation from the current mode
-    /// flags. Only legal before jobs are admitted (the builders assert
-    /// that), when the layer is empty either way.
+    /// (Re)chooses the front-layer representation: sharded when the
+    /// scheduler is pure and path reservation is off, global otherwise.
+    /// Only legal before jobs are admitted (the builders assert that),
+    /// when the layer is empty either way.
     fn rebuild_front(&mut self) {
         debug_assert!(self.jobs.is_empty(), "front layer is fixed at admission");
-        let sharded = self.sharded_front
-            && self.scheduler_pure
-            && self.batched_allocation
-            && !self.path_reservation;
-        self.front = if sharded {
+        self.front = if self.scheduler_pure && !self.path_reservation {
             FrontLayer::Sharded(ShardedFront::new(self.cloud.qpu_count()))
         } else {
             FrontLayer::Global(Vec::new())
@@ -691,49 +679,6 @@ impl<'a> Executor<'a> {
             "path reservation must be set before admitting jobs"
         );
         self.path_reservation = enabled;
-        self.rebuild_front();
-        self
-    }
-
-    /// Enables or disables change-driven allocation elision (on by
-    /// default): with a pure scheduler, allocation rounds whose inputs
-    /// are unchanged since a round that granted nothing are skipped.
-    /// Disabling re-runs the scheduler on every event tick — the
-    /// pre-batching behaviour, kept for A/B equivalence tests. Elided
-    /// and non-elided runs produce byte-identical seeded schedules.
-    ///
-    /// # Panics
-    ///
-    /// Panics if jobs were already admitted (the mode must be fixed
-    /// up front).
-    pub fn with_batched_allocation(mut self, enabled: bool) -> Self {
-        assert!(
-            self.jobs.is_empty(),
-            "batched allocation must be set before admitting jobs"
-        );
-        self.batched_allocation = enabled;
-        self.rebuild_front();
-        self
-    }
-
-    /// Enables or disables the per-QPU-pair sharded front layer (on by
-    /// default; see the module docs). Sharding only takes effect when
-    /// the scheduler is pure, allocation is batched, and path
-    /// reservation is off — otherwise the global layer is used
-    /// regardless. Sharded and global runs produce byte-identical
-    /// seeded schedules; disabling is for A/B comparison (and the
-    /// `sharded_front_layer` bench).
-    ///
-    /// # Panics
-    ///
-    /// Panics if jobs were already admitted (the mode must be fixed
-    /// up front).
-    pub fn with_sharded_front_layer(mut self, enabled: bool) -> Self {
-        assert!(
-            self.jobs.is_empty(),
-            "front-layer sharding must be set before admitting jobs"
-        );
-        self.sharded_front = enabled;
         self.rebuild_front();
         self
     }
@@ -849,22 +794,6 @@ impl<'a> Executor<'a> {
             self.try_allocate();
         }
         Ok(id)
-    }
-
-    /// Admits a job at the current simulated time. Returns its id.
-    ///
-    /// Panicking convenience wrapper over [`Executor::try_add_job`]
-    /// (the orchestrator uses the fallible form to reject jobs instead
-    /// of aborting).
-    ///
-    /// # Panics
-    ///
-    /// Panics if a remote gate's endpoint QPU has zero communication
-    /// qubits (the job could never complete), or, in path-reservation
-    /// mode, if a route is missing or crosses a zero-capacity station.
-    pub fn add_job(&mut self, circuit: &Circuit, placement: &Placement) -> usize {
-        self.try_add_job(circuit, placement)
-            .unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Marks a job finished at the current time and frees its per-gate
@@ -1053,7 +982,7 @@ impl<'a> Executor<'a> {
         if requests.is_empty() {
             return;
         }
-        if self.batched_allocation && self.scheduler_pure && self.front_settled {
+        if self.scheduler_pure && self.front_settled {
             return;
         }
         let scheduler = self.scheduler;
@@ -1471,6 +1400,12 @@ fn decode_key(key: u64) -> (usize, usize) {
 /// Convenience wrapper: executes one job to completion and returns its
 /// result.
 ///
+/// # Panics
+///
+/// Panics if [`Executor::try_add_job`] rejects the placement: a remote
+/// gate's endpoint QPU has zero communication qubits, so the job could
+/// never complete.
+///
 /// # Example
 ///
 /// ```
@@ -1496,7 +1431,9 @@ pub fn simulate_job(
     seed: u64,
 ) -> JobResult {
     let mut exec = Executor::new(cloud, scheduler, seed);
-    let id = exec.add_job(circuit, placement);
+    let id = exec
+        .try_add_job(circuit, placement)
+        .unwrap_or_else(|e| panic!("{e}"));
     exec.run_to_completion();
     exec.job_result(id).expect("job completed")
 }
@@ -1640,8 +1577,8 @@ mod tests {
         c.cx(0, 1);
         let p = Placement::new(vec![QpuId::new(0), QpuId::new(1)]);
         let mut exec = Executor::new(&cloud, &CloudQcScheduler, 0);
-        let j1 = exec.add_job(&c, &p);
-        let j2 = exec.add_job(&c, &p);
+        let j1 = exec.try_add_job(&c, &p).expect("job admitted");
+        let j2 = exec.try_add_job(&c, &p).expect("job admitted");
         exec.run_to_completion();
         let r1 = exec.job_result(j1).unwrap();
         let r2 = exec.job_result(j2).unwrap();
@@ -1665,8 +1602,12 @@ mod tests {
             long.h(0);
         }
         let mut exec = Executor::new(&cloud, &CloudQcScheduler, 0);
-        let a = exec.add_job(&short, &local_placement(1));
-        let b = exec.add_job(&long, &local_placement(1));
+        let a = exec
+            .try_add_job(&short, &local_placement(1))
+            .expect("job admitted");
+        let b = exec
+            .try_add_job(&long, &local_placement(1))
+            .expect("job admitted");
         let first = exec.run_until_next_completion();
         assert_eq!(first, vec![a]);
         let second = exec.run_until_next_completion();
@@ -1679,11 +1620,13 @@ mod tests {
         let cloud = cloud2();
         let c = Circuit::new(3);
         let mut exec = Executor::new(&cloud, &CloudQcScheduler, 0);
-        let id = exec.add_job(&c, &local_placement(3));
+        let id = exec
+            .try_add_job(&c, &local_placement(3))
+            .expect("job admitted");
         let r = exec.job_result(id).unwrap();
         assert_eq!(r.completion_time, Tick::ZERO);
         // The instant completion is still reported by the next drain,
-        // so orchestrators record it.
+        // so the runtime records it.
         assert_eq!(exec.run_until_next_completion(), vec![id]);
     }
 
@@ -1745,8 +1688,12 @@ mod tests {
         let run = |reservation: bool| -> (Tick, Tick) {
             let mut exec =
                 Executor::new(&cloud, &CloudQcScheduler, 0).with_path_reservation(reservation);
-            let a = exec.add_job(&far, &far_placement);
-            let b = exec.add_job(&near, &near_placement);
+            let a = exec
+                .try_add_job(&far, &far_placement)
+                .expect("job admitted");
+            let b = exec
+                .try_add_job(&near, &near_placement)
+                .expect("job admitted");
             exec.run_to_completion();
             (
                 exec.job_result(a).unwrap().completion_time,
@@ -1774,7 +1721,7 @@ mod tests {
         let p = Placement::new(vec![QpuId::new(0), QpuId::new(1)]);
         let plain = simulate_job(&c, &p, &cloud, &CloudQcScheduler, 1);
         let mut exec = Executor::new(&cloud, &CloudQcScheduler, 1).with_path_reservation(true);
-        let id = exec.add_job(&c, &p);
+        let id = exec.try_add_job(&c, &p).expect("job admitted");
         exec.run_to_completion();
         assert_eq!(exec.job_result(id).unwrap(), plain);
     }
@@ -1801,11 +1748,11 @@ mod tests {
             QpuId::new(2),
         ]);
         let mut exec = Executor::new(&cloud, &CloudQcScheduler, 5).with_path_reservation(true);
-        let first = exec.add_job(&c, &p);
+        let first = exec.try_add_job(&c, &p).expect("job admitted");
         exec.run_to_completion();
         assert!(exec.job_result(first).is_some());
         assert_eq!(exec.comm_free(), &[2, 2, 2, 2, 2]);
-        let second = exec.add_job(&c, &p);
+        let second = exec.try_add_job(&c, &p).expect("job admitted");
         exec.run_to_completion();
         assert!(exec.job_result(second).is_some());
         assert_eq!(exec.comm_free(), &[2, 2, 2, 2, 2]);
@@ -1821,8 +1768,7 @@ mod tests {
         let mut c = Circuit::new(2);
         c.cx(0, 1);
         let p = Placement::new(vec![QpuId::new(0), QpuId::new(1)]);
-        let mut exec = Executor::new(&cloud, &CloudQcScheduler, 0);
-        exec.add_job(&c, &p);
+        simulate_job(&c, &p, &cloud, &CloudQcScheduler, 0);
     }
 
     #[test]
@@ -1879,8 +1825,8 @@ mod tests {
             QpuId::new(0),
         ]);
         let mut exec = Executor::new(&cloud, &CloudQcScheduler, 9);
-        exec.add_job(&c, &p);
-        exec.add_job(&c, &p);
+        exec.try_add_job(&c, &p).expect("job admitted");
+        exec.try_add_job(&c, &p).expect("job admitted");
         exec.run_to_completion();
         assert_eq!(exec.comm_free(), &[2, 2, 2]);
     }
@@ -1898,7 +1844,7 @@ mod tests {
         }
         let p = Placement::new(vec![QpuId::new(0), QpuId::new(1)]);
         let mut exec = Executor::new(&cloud, &CloudQcScheduler, 3);
-        let id = exec.add_job(&c, &p);
+        let id = exec.try_add_job(&c, &p).expect("job admitted");
         assert!(exec.suspend_job(id));
         assert!(exec.is_suspended(id));
         assert!(!exec.suspend_job(id), "double suspend is a no-op");
@@ -1924,7 +1870,9 @@ mod tests {
         let mut c = Circuit::new(2);
         c.cx(0, 1);
         let mut exec = Executor::new(&cloud, &CloudQcScheduler, 0);
-        let id = exec.add_job(&c, &Placement::new(vec![QpuId::new(0), QpuId::new(1)]));
+        let id = exec
+            .try_add_job(&c, &Placement::new(vec![QpuId::new(0), QpuId::new(1)]))
+            .expect("job admitted");
         assert!(!exec.suspend_job(id + 1));
         assert!(!exec.resume_job(id + 1));
         assert!(!exec.suspend_job(usize::MAX));
@@ -1960,7 +1908,7 @@ mod tests {
         c.h(0).cx(0, 1).cx(1, 2).cx(0, 1).measure_all();
         let p = Placement::new(vec![QpuId::new(0), QpuId::new(1), QpuId::new(1)]);
         let mut exec = Executor::new(&cloud, &CloudQcScheduler, 7);
-        let id = exec.add_job(&c, &p);
+        let id = exec.try_add_job(&c, &p).expect("job admitted");
         exec.run_to_completion();
         let state = &exec.jobs[id];
         assert!(state.plan.gates.is_empty() && state.plan.nodes.is_empty());

@@ -23,10 +23,11 @@
 //!   fair-share, deadline-aware) into the shared executor. The
 //!   resident [`runtime::Service`] serves an unbounded stream in
 //!   epochs over a persistent placement cache with streaming metrics;
-//!   [`runtime::Orchestrator::run`] is the one-epoch wrapper for
-//!   finite traces, reporting per-job latency breakdowns.
-//! * [`batch`] / [`tenant`] — the batch manager (Eq. 11) and the
-//!   multi-tenant entry points of §VI.D, thin wrappers over [`runtime`].
+//!   [`runtime::ServiceBuilder`] configures it, and
+//!   [`runtime::ServiceBuilder::run`] runs one finite trace, reporting
+//!   per-job latency breakdowns.
+//! * [`batch`] — the batch manager's job metric and ordering (Eq. 11);
+//!   the runtime applies it as [`runtime::AdmissionPolicy::PriorityBackfill`].
 //!
 //! # Placing and executing one circuit
 //!
@@ -59,10 +60,9 @@ pub mod exec;
 pub mod placement;
 pub mod runtime;
 pub mod schedule;
-pub mod tenant;
 pub mod workload;
 
 pub use error::{ExecError, PlacementError};
 pub use exec::{simulate_job, AllocStats, Executor, JobResult};
-pub use runtime::{JobRecord, Orchestrator, RunReport, Service, ServiceReport};
+pub use runtime::{JobRecord, RunReport, Service, ServiceBuilder, ServiceReport};
 pub use workload::Workload;

@@ -1,6 +1,6 @@
 //! Placement memoization for the runtime's admission hot path.
 //!
-//! Profiling the orchestrator under admission churn shows placement as
+//! Profiling the runtime under admission churn shows placement as
 //! the dominant cost: every pass over the waiting queue re-runs the
 //! full Algorithm 1 pipeline (partition sweep × QPU-set search ×
 //! scoring) per job, even when nothing about the problem changed since
@@ -9,8 +9,8 @@
 //!
 //! [`PlacementCache`] memoizes [`PlacementAlgorithm::place`] outcomes —
 //! successes *and* failures (the failure entries are what break the
-//! retry loop) — for one fixed (algorithm instance, cloud) pair (the
-//! orchestrator builds one cache per run; debug builds enforce the
+//! retry loop) — for one fixed (algorithm instance, cloud) pair (each
+//! [`crate::runtime::Service`] owns one; debug builds enforce the
 //! binding), keyed by a signature of everything else the algorithm
 //! can observe:
 //!
@@ -404,7 +404,7 @@ impl PlacementCache {
     /// Memoized [`PlacementAlgorithm::place`], computing the circuit's
     /// fingerprint on the fly. Prefer
     /// [`PlacementCache::place_fingerprinted`] when the fingerprint is
-    /// already known (the orchestrator computes each job's once).
+    /// already known (the runtime computes each job's once).
     ///
     /// # Errors
     ///
@@ -436,7 +436,7 @@ impl PlacementCache {
     ///
     /// The algorithm and cloud are *not* part of the key: one cache
     /// serves one (algorithm instance, cloud) pair for its whole life —
-    /// the orchestrator creates one per run. Mixing algorithms, tuned
+    /// each service owns one. Mixing algorithms, tuned
     /// configurations of one algorithm, or clouds through a single
     /// cache is a logic error (hits would replay the wrong pipeline's
     /// result); debug builds panic on an algorithm-name or QPU-count

@@ -1,17 +1,9 @@
-//! The builder-first construction path for the runtime.
+//! The one way to configure and start the runtime.
 //!
-//! Configuration knobs accreted on [`Orchestrator`] one `with_*` method
-//! at a time over several PRs; with federation the sprawl became an API
-//! problem — a [`crate::runtime::Fleet`] needs a *per-backend*
+//! [`ServiceBuilder`] is one typed, documented home for every runtime
+//! knob. A [`crate::runtime::Fleet`] needs a *per-backend*
 //! configuration value it can hold, pass around, and build services
-//! from, not a fluent surface glued to one struct. [`ServiceBuilder`]
-//! is that value: one typed, documented home for every knob, producing
-//! either a resident [`Service`] ([`ServiceBuilder::build`]) or a
-//! one-shot [`Orchestrator`] ([`ServiceBuilder::build_orchestrator`]).
-//!
-//! The old `Orchestrator::with_*` methods survive as thin delegating
-//! wrappers (hidden from the docs) so existing code and goldens compile
-//! unchanged; new code should spell configuration through this builder:
+//! from, and this builder is that value.
 //!
 //! ```
 //! use cloudqc_cloud::CloudBuilder;
@@ -29,25 +21,49 @@
 //! assert_eq!(service.pending(), 0);
 //! ```
 
+use crate::error::PlacementError;
 use crate::placement::{PlacementAlgorithm, PlacementCache};
-use crate::runtime::orchestrator::Orchestrator;
 use crate::runtime::service::{RuntimeConfig, Service};
-use crate::runtime::{AdmissionPolicy, LoadShedPolicy};
+use crate::runtime::{AdmissionPolicy, LoadShedPolicy, RunReport};
 use crate::schedule::Scheduler;
+use crate::workload::Workload;
 use cloudqc_cloud::Cloud;
+use cloudqc_sim::online::OnlineReport;
 
 /// Typed construction of one runtime configuration: every knob the
-/// epoch, continuous, and fleet faces share, with the same defaults as
-/// [`Orchestrator::new`] (priority-aware backfill admission, placement
-/// cache on with the exact signature, batched allocation, sharded
-/// front layer, fingerprint seeding; preemption, aging, and load
-/// shedding off).
+/// epoch, continuous, and fleet faces share. The defaults are
+/// priority-aware backfill admission, the placement cache on with the
+/// exact signature, fingerprint seeding, and the default streaming
+/// reservoir; preemption, aging, and load shedding are off.
 ///
 /// Terminal calls: [`ServiceBuilder::build`] for a resident
-/// [`Service`], [`ServiceBuilder::build_orchestrator`] for the one-shot
-/// wrapper, or hand the builder to
-/// [`crate::runtime::FleetBuilder::backend`] to make it one backend of
-/// a federated fleet.
+/// [`Service`], [`ServiceBuilder::run`] for one finite workload, or
+/// hand the builder to [`crate::runtime::FleetBuilder::backend`] to
+/// make it one backend of a federated fleet.
+///
+/// # Example
+///
+/// ```
+/// use cloudqc_circuit::generators::catalog;
+/// use cloudqc_cloud::CloudBuilder;
+/// use cloudqc_core::placement::CloudQcPlacement;
+/// use cloudqc_core::runtime::{AdmissionPolicy, ServiceBuilder};
+/// use cloudqc_core::schedule::CloudQcScheduler;
+/// use cloudqc_core::workload::Workload;
+///
+/// let cloud = CloudBuilder::paper_default(1).build();
+/// let placement = CloudQcPlacement::default();
+/// let pool = vec![
+///     catalog::by_name("vqe_n4").unwrap(),
+///     catalog::by_name("qft_n29").unwrap(),
+/// ];
+/// let workload = Workload::poisson(&pool, 4, 10_000.0, 7);
+/// let report = ServiceBuilder::new(&cloud, &placement, &CloudQcScheduler, 7)
+///     .admission(AdmissionPolicy::Backfill)
+///     .run(&workload)
+///     .unwrap();
+/// assert_eq!(report.outcomes.len(), 4);
+/// ```
 pub struct ServiceBuilder<'a> {
     cfg: RuntimeConfig<'a>,
 }
@@ -72,19 +88,14 @@ impl<'a> ServiceBuilder<'a> {
                 cache_quantum: 1,
                 cache_capacity: PlacementCache::DEFAULT_CAPACITY,
                 placement_repair: false,
-                batched_allocation: true,
-                sharded_front_layer: true,
                 fingerprint_seeding: true,
                 preemption: false,
                 aging_rate: 0.0,
                 load_shed: None,
+                reservoir_capacity: OnlineReport::DEFAULT_RESERVOIR,
                 seed,
             },
         }
-    }
-
-    pub(crate) fn from_config(cfg: RuntimeConfig<'a>) -> Self {
-        ServiceBuilder { cfg }
     }
 
     /// Selects the admission policy (default: priority-aware backfill).
@@ -162,24 +173,6 @@ impl<'a> ServiceBuilder<'a> {
         self
     }
 
-    /// Enables or disables the executor's change-driven allocation
-    /// elision (on by default; see
-    /// [`crate::exec::Executor::with_batched_allocation`]).
-    pub fn batched_allocation(mut self, enabled: bool) -> Self {
-        self.cfg.batched_allocation = enabled;
-        self
-    }
-
-    /// Enables or disables the executor's per-QPU-pair sharded front
-    /// layer (on by default; see
-    /// [`crate::exec::Executor::with_sharded_front_layer`]). Sharded
-    /// and global runs produce byte-identical seeded schedules;
-    /// disabling is for A/B comparison.
-    pub fn sharded_front_layer(mut self, enabled: bool) -> Self {
-        self.cfg.sharded_front_layer = enabled;
-        self
-    }
-
     /// Derives each job's placement seed from its circuit's structural
     /// fingerprint instead of its workload index (on by default).
     ///
@@ -239,6 +232,20 @@ impl<'a> ServiceBuilder<'a> {
         self
     }
 
+    /// Sets the streaming report's completion-time reservoir capacity
+    /// (default [`OnlineReport::DEFAULT_RESERVOIR`]): percentiles are
+    /// exact up to this many completions and bounded-memory estimates
+    /// beyond.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `capacity == 0`.
+    pub fn reservoir_capacity(mut self, capacity: usize) -> Self {
+        assert!(capacity > 0, "reservoir capacity must be positive");
+        self.cfg.reservoir_capacity = capacity;
+        self
+    }
+
     /// Inert (the runtime is serial); kept because `e2ebench` calls it.
     #[doc(hidden)]
     pub fn worker_threads(self, _threads: usize) -> Self {
@@ -250,10 +257,20 @@ impl<'a> ServiceBuilder<'a> {
         Service::from_config(self.cfg)
     }
 
-    /// Builds the one-shot [`Orchestrator`] wrapper instead — the entry
-    /// point finite-trace experiments keep using.
-    pub fn build_orchestrator(self) -> Orchestrator<'a> {
-        Orchestrator::from_config(self.cfg)
+    /// Runs the workload to completion — a thin wrapper that drives one
+    /// epoch of a fresh [`Service`], so a finite trace and a service
+    /// epoch are by construction the same computation.
+    ///
+    /// # Errors
+    ///
+    /// [`PlacementError`] if some job can never be placed even on an
+    /// idle cloud (it would otherwise wait forever). Jobs whose
+    /// *placement* succeeds but can never *execute* (communication
+    /// starvation) are rejected, not errors.
+    pub fn run(&self, workload: &Workload) -> Result<RunReport, PlacementError> {
+        let mut service = Service::from_config(self.cfg);
+        service.submit_workload(workload);
+        service.drive()
     }
 }
 
@@ -262,41 +279,8 @@ mod tests {
     use super::*;
     use crate::placement::CloudQcPlacement;
     use crate::schedule::CloudQcScheduler;
-    use crate::workload::Workload;
     use cloudqc_circuit::generators::catalog;
     use cloudqc_cloud::CloudBuilder;
-
-    #[test]
-    fn builder_and_legacy_with_methods_agree() {
-        // The delegating wrappers and the builder must describe the
-        // same configuration — same workload, byte-identical outcomes.
-        let cloud = CloudBuilder::paper_default(5).build();
-        let placement = CloudQcPlacement::default();
-        let w = Workload::poisson(
-            &[
-                catalog::by_name("qft_n29").unwrap(),
-                catalog::by_name("ghz_n40").unwrap(),
-            ],
-            5,
-            2_000.0,
-            5,
-        );
-        let legacy = Orchestrator::new(&cloud, &placement, &CloudQcScheduler, 5)
-            .with_admission(AdmissionPolicy::ShortestJobFirst)
-            .with_cache_quantum(2)
-            .with_aging_rate(0.5)
-            .run(&w)
-            .unwrap();
-        let built = ServiceBuilder::new(&cloud, &placement, &CloudQcScheduler, 5)
-            .admission(AdmissionPolicy::ShortestJobFirst)
-            .cache_quantum(2)
-            .aging_rate(0.5)
-            .build_orchestrator()
-            .run(&w)
-            .unwrap();
-        assert_eq!(legacy.outcomes, built.outcomes);
-        assert_eq!(legacy.rejected, built.rejected);
-    }
 
     #[test]
     fn built_service_runs_epochs() {
@@ -314,5 +298,13 @@ mod tests {
         let cloud = CloudBuilder::paper_default(3).build();
         let placement = CloudQcPlacement::default();
         let _ = ServiceBuilder::new(&cloud, &placement, &CloudQcScheduler, 1).cache_quantum(0);
+    }
+
+    #[test]
+    #[should_panic(expected = "reservoir capacity must be positive")]
+    fn zero_reservoir_capacity_is_rejected() {
+        let cloud = CloudBuilder::paper_default(3).build();
+        let placement = CloudQcPlacement::default();
+        let _ = ServiceBuilder::new(&cloud, &placement, &CloudQcScheduler, 1).reservoir_capacity(0);
     }
 }

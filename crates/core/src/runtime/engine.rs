@@ -50,7 +50,7 @@ use crate::error::{ExecError, PlacementError};
 use crate::exec::{AllocStats, Executor};
 use crate::placement::PlacementCache;
 use crate::runtime::admission::QueueContext;
-use crate::runtime::orchestrator::JobRecord;
+use crate::runtime::report::JobRecord;
 use crate::runtime::service::RuntimeConfig;
 use crate::workload::WorkloadJob;
 use cloudqc_circuit::{Circuit, Fingerprint};
@@ -157,8 +157,6 @@ impl<'a> Engine<'a> {
     fn fresh_exec(cfg: &RuntimeConfig<'a>) -> Executor<'a> {
         Executor::new(cfg.cloud, cfg.scheduler, cfg.seed)
             .with_path_reservation(cfg.path_reservation)
-            .with_batched_allocation(cfg.batched_allocation)
-            .with_sharded_front_layer(cfg.sharded_front_layer)
     }
 
     /// The engine's clock on the service lifetime frame.

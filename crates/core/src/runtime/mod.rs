@@ -31,24 +31,26 @@
 //! `drive` / `drain`, each drive a fresh clock-0 era) and the
 //! continuous clock (`drive_until` / `drive_for` /
 //! `drive_to_quiescence`, submissions landing on the live executor
-//! mid-flight). The one-shot [`Orchestrator::run`] drives exactly one
-//! epoch of a fresh service, so finite-trace experiments and service
-//! epochs are the same computation by construction — and epoch mode is
-//! itself the degenerate case of the continuous clock (see the golden
-//! test in `tests/runtime_golden.rs`).
+//! mid-flight). [`ServiceBuilder`] is the one way in: it configures
+//! the runtime and either builds a resident [`Service`] or, through
+//! [`ServiceBuilder::run`], drives exactly one epoch of a fresh one, so
+//! finite-trace experiments and service epochs are the same
+//! computation by construction — and epoch mode is itself the
+//! degenerate case of the continuous clock (see the golden test in
+//! `tests/runtime_golden.rs`).
 
 mod admission;
 mod builder;
 mod engine;
 pub mod fleet;
-mod orchestrator;
+mod report;
 pub mod routing;
 pub mod service;
 
 pub use admission::{AdmissionPolicy, LoadShedPolicy};
 pub use builder::ServiceBuilder;
 pub use fleet::{Fleet, FleetBuilder, FleetReport};
-pub use orchestrator::{JobRecord, Orchestrator, RunReport};
+pub use report::{JobRecord, RunReport};
 pub use routing::{
     CheapestPlacement, RandomRouting, RoundRobin, RouteContext, RoutingPolicy, TenantAffinity,
     UtilizationBalanced,

@@ -1,32 +1,22 @@
-//! The one-shot runtime entry point: one finite workload through the
-//! unified orchestration loop.
+//! The per-run report of the unified runtime: one [`RunReport`] of
+//! [`JobRecord`]s per finite workload or service epoch.
 //!
-//! The [`Orchestrator`] holds the runtime *configuration* — admission
-//! policy, cache knobs, executor options, seed — and [`Orchestrator::run`]
-//! executes one workload to completion as a single epoch of the
-//! resident [`crate::runtime::Service`] (which owns the actual event
-//! loop; the orchestrator is the thin wrapper kept for finite-trace
-//! experiments). Batch mode (§VI.D) and the incoming-job mode (§V.B)
-//! are the same loop with different workloads; `run_multi_tenant` /
-//! `run_incoming` in [`crate::tenant`] are thin wrappers kept for the
-//! experiment binaries. Long-lived processes should hold a
-//! [`crate::runtime::Service`] instead ([`Orchestrator::into_service`])
-//! to keep the placement cache warm across epochs and stream metrics
-//! instead of retaining every outcome.
+//! [`crate::runtime::ServiceBuilder::run`] executes one workload to
+//! completion as a single epoch of a fresh [`crate::runtime::Service`],
+//! and [`crate::runtime::Service::drive`] reports each epoch of a
+//! resident one; both return a [`RunReport`]. Batch mode (§VI.D) and
+//! the incoming-job mode (§V.B) are the same loop with different
+//! workloads. Job completion time (the metric of Figs. 14–17) is
+//! measured from each job's arrival, so it includes queueing delay.
 //!
 //! Jobs whose placement can never execute (a remote gate over a QPU
 //! with no communication qubits), or whose SLA expired under
 //! deadline-aware admission, are *rejected* — reported in
 //! [`RunReport::rejected`] — instead of aborting the run.
 
-use crate::error::{ExecError, PlacementError};
+use crate::error::ExecError;
 use crate::exec::AllocStats;
-use crate::placement::{CacheStats, PlacementAlgorithm};
-use crate::runtime::service::{RuntimeConfig, Service};
-use crate::runtime::{AdmissionPolicy, LoadShedPolicy, ServiceBuilder};
-use crate::schedule::Scheduler;
-use crate::workload::Workload;
-use cloudqc_cloud::Cloud;
+use crate::placement::CacheStats;
 use cloudqc_sim::series::{BatchStats, LatencyBreakdown, MeanBreakdown, TimeSeries};
 use cloudqc_sim::Tick;
 
@@ -154,165 +144,13 @@ impl RunReport {
     }
 }
 
-/// The unified cloud runtime: admission + placement + shared execution
-/// over one workload.
-///
-/// # Example
-///
-/// ```
-/// use cloudqc_circuit::generators::catalog;
-/// use cloudqc_cloud::CloudBuilder;
-/// use cloudqc_core::placement::CloudQcPlacement;
-/// use cloudqc_core::runtime::{AdmissionPolicy, Orchestrator};
-/// use cloudqc_core::schedule::CloudQcScheduler;
-/// use cloudqc_core::workload::Workload;
-///
-/// let cloud = CloudBuilder::paper_default(1).build();
-/// let placement = CloudQcPlacement::default();
-/// let pool = vec![
-///     catalog::by_name("vqe_n4").unwrap(),
-///     catalog::by_name("qft_n29").unwrap(),
-/// ];
-/// let workload = Workload::poisson(&pool, 4, 10_000.0, 7);
-/// let report = Orchestrator::new(&cloud, &placement, &CloudQcScheduler, 7)
-///     .with_admission(AdmissionPolicy::Backfill)
-///     .run(&workload)
-///     .unwrap();
-/// assert_eq!(report.outcomes.len(), 4);
-/// ```
-pub struct Orchestrator<'a> {
-    cfg: RuntimeConfig<'a>,
-}
-
-impl<'a> Orchestrator<'a> {
-    /// A runtime over one cloud, placement algorithm and network
-    /// scheduler, with the default (priority-aware backfill) admission.
-    ///
-    /// New code should prefer the builder directly:
-    /// [`ServiceBuilder::new`] carries the same defaults and reaches
-    /// both faces ([`ServiceBuilder::build`] for a resident service,
-    /// [`ServiceBuilder::build_orchestrator`] for this one-shot
-    /// wrapper). The `with_*` methods below survive as thin delegating
-    /// wrappers for existing call sites.
-    pub fn new(
-        cloud: &'a Cloud,
-        placement: &'a dyn PlacementAlgorithm,
-        scheduler: &'a dyn Scheduler,
-        seed: u64,
-    ) -> Self {
-        ServiceBuilder::new(cloud, placement, scheduler, seed).build_orchestrator()
-    }
-
-    pub(crate) fn from_config(cfg: RuntimeConfig<'a>) -> Self {
-        Orchestrator { cfg }
-    }
-
-    fn rebuild(self, f: impl FnOnce(ServiceBuilder<'a>) -> ServiceBuilder<'a>) -> Self {
-        f(ServiceBuilder::from_config(self.cfg)).build_orchestrator()
-    }
-
-    /// Legacy wrapper for [`ServiceBuilder::admission`].
-    #[doc(hidden)]
-    pub fn with_admission(self, admission: AdmissionPolicy) -> Self {
-        self.rebuild(|b| b.admission(admission))
-    }
-
-    /// Legacy wrapper for [`ServiceBuilder::path_reservation`].
-    #[doc(hidden)]
-    pub fn with_path_reservation(self, enabled: bool) -> Self {
-        self.rebuild(|b| b.path_reservation(enabled))
-    }
-
-    /// Legacy wrapper for [`ServiceBuilder::placement_cache`].
-    #[doc(hidden)]
-    pub fn with_placement_cache(self, enabled: bool) -> Self {
-        self.rebuild(|b| b.placement_cache(enabled))
-    }
-
-    /// Legacy wrapper for [`ServiceBuilder::cache_quantum`].
-    #[doc(hidden)]
-    pub fn with_cache_quantum(self, quantum: usize) -> Self {
-        self.rebuild(|b| b.cache_quantum(quantum))
-    }
-
-    /// Legacy wrapper for [`ServiceBuilder::cache_capacity`].
-    #[doc(hidden)]
-    pub fn with_cache_capacity(self, capacity: usize) -> Self {
-        self.rebuild(|b| b.cache_capacity(capacity))
-    }
-
-    /// Legacy wrapper for [`ServiceBuilder::batched_allocation`].
-    #[doc(hidden)]
-    pub fn with_batched_allocation(self, enabled: bool) -> Self {
-        self.rebuild(|b| b.batched_allocation(enabled))
-    }
-
-    /// Legacy wrapper for [`ServiceBuilder::sharded_front_layer`].
-    #[doc(hidden)]
-    pub fn with_sharded_front_layer(self, enabled: bool) -> Self {
-        self.rebuild(|b| b.sharded_front_layer(enabled))
-    }
-
-    /// Legacy wrapper for [`ServiceBuilder::fingerprint_seeding`].
-    #[doc(hidden)]
-    pub fn with_fingerprint_seeding(self, enabled: bool) -> Self {
-        self.rebuild(|b| b.fingerprint_seeding(enabled))
-    }
-
-    /// Legacy wrapper for [`ServiceBuilder::preemption`].
-    #[doc(hidden)]
-    pub fn with_preemption(self, enabled: bool) -> Self {
-        self.rebuild(|b| b.preemption(enabled))
-    }
-
-    /// Legacy wrapper for [`ServiceBuilder::aging_rate`].
-    #[doc(hidden)]
-    pub fn with_aging_rate(self, rate: f64) -> Self {
-        self.rebuild(|b| b.aging_rate(rate))
-    }
-
-    /// Legacy wrapper for [`ServiceBuilder::load_shedding`].
-    #[doc(hidden)]
-    pub fn with_load_shedding(self, policy: LoadShedPolicy) -> Self {
-        self.rebuild(|b| b.load_shedding(policy))
-    }
-
-    /// Legacy wrapper for [`ServiceBuilder::placement_repair`].
-    #[doc(hidden)]
-    pub fn with_placement_repair(self, enabled: bool) -> Self {
-        self.rebuild(|b| b.placement_repair(enabled))
-    }
-
-    /// Turns this configuration into a resident [`Service`]: the same
-    /// event loop, but with a placement cache that stays warm across
-    /// epochs and streaming metrics instead of retained outcomes. Every
-    /// knob set on the orchestrator carries over.
-    pub fn into_service(self) -> Service<'a> {
-        Service::from_config(self.cfg)
-    }
-
-    /// Runs the workload to completion — a thin wrapper that drives one
-    /// epoch of a fresh [`Service`], so a finite trace and a service
-    /// epoch are by construction the same computation.
-    ///
-    /// # Errors
-    ///
-    /// [`PlacementError`] if some job can never be placed even on an
-    /// idle cloud (it would otherwise wait forever). Jobs whose
-    /// *placement* succeeds but can never *execute* (communication
-    /// starvation) are rejected, not errors.
-    pub fn run(&self, workload: &Workload) -> Result<RunReport, PlacementError> {
-        let mut service = Service::from_config(self.cfg);
-        service.submit_workload(workload);
-        service.drive()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::placement::CloudQcPlacement;
+    use crate::runtime::{AdmissionPolicy, ServiceBuilder};
     use crate::schedule::CloudQcScheduler;
+    use crate::workload::Workload;
     use cloudqc_circuit::generators::catalog;
     use cloudqc_cloud::CloudBuilder;
 
@@ -328,16 +166,21 @@ mod tests {
     fn batch_and_open_arrival_share_the_loop() {
         let cloud = CloudBuilder::paper_default(2).build();
         let placement = CloudQcPlacement::default();
-        let orch = Orchestrator::new(&cloud, &placement, &CloudQcScheduler, 3);
-        let batch = orch.run(&Workload::batch(pool())).unwrap();
+        let builder = ServiceBuilder::new(&cloud, &placement, &CloudQcScheduler, 3);
+        let batch = builder.run(&Workload::batch(pool())).unwrap();
         assert_eq!(batch.outcomes.len(), 3);
         assert!(batch.rejected.is_empty());
-        let open = orch
-            .run(&Workload::poisson(&pool(), 3, 5_000.0, 3))
-            .unwrap();
+        let workload = Workload::poisson(&pool(), 3, 5_000.0, 3);
+        let open = builder.run(&workload).unwrap();
         assert_eq!(open.outcomes.len(), 3);
         for o in &open.outcomes {
+            assert_eq!(o.arrived_at, workload.jobs()[o.job].arrival);
             assert!(o.admitted_at >= o.arrived_at);
+            assert_eq!(
+                o.completion_time.as_ticks(),
+                o.finished_at - o.arrived_at,
+                "completion time runs from the job's own arrival"
+            );
             assert_eq!(
                 o.breakdown.total(),
                 o.completion_time.as_ticks(),
@@ -350,7 +193,7 @@ mod tests {
     fn resources_are_conserved() {
         let cloud = CloudBuilder::paper_default(5).build();
         let placement = CloudQcPlacement::default();
-        let report = Orchestrator::new(&cloud, &placement, &CloudQcScheduler, 9)
+        let report = ServiceBuilder::new(&cloud, &placement, &CloudQcScheduler, 9)
             .run(&Workload::batch(pool()))
             .unwrap();
         for i in 0..cloud.qpu_count() {
@@ -376,18 +219,22 @@ mod tests {
             catalog::by_name("vqe_n4").unwrap(),  // could backfill
         ];
         let placement = CloudQcPlacement::default();
-        let fcfs = Orchestrator::new(&cloud, &placement, &CloudQcScheduler, 1)
-            .with_admission(AdmissionPolicy::Fcfs)
+        let fcfs = ServiceBuilder::new(&cloud, &placement, &CloudQcScheduler, 1)
+            .admission(AdmissionPolicy::Fcfs)
             .run(&Workload::batch(jobs.clone()))
             .unwrap();
-        let backfill = Orchestrator::new(&cloud, &placement, &CloudQcScheduler, 1)
-            .with_admission(AdmissionPolicy::Backfill)
+        let backfill = ServiceBuilder::new(&cloud, &placement, &CloudQcScheduler, 1)
+            .admission(AdmissionPolicy::Backfill)
             .run(&Workload::batch(jobs))
             .unwrap();
         // Under FCFS the tiny job waits behind the second big one.
         assert!(fcfs.outcomes[2].admitted_at >= fcfs.outcomes[1].admitted_at);
         // With backfill it starts immediately.
         assert_eq!(backfill.outcomes[2].admitted_at, Tick::ZERO);
+        // The two big jobs never fit together: the second queues until
+        // the first releases its qubits.
+        assert_eq!(backfill.outcomes[0].admitted_at, Tick::ZERO);
+        assert!(backfill.outcomes[1].admitted_at >= backfill.outcomes[0].finished_at);
     }
 
     #[test]
@@ -405,7 +252,7 @@ mod tests {
             catalog::by_name("qft_n13").unwrap(), // fits one QPU
         ];
         let placement = CloudQcPlacement::default();
-        let report = Orchestrator::new(&cloud, &placement, &CloudQcScheduler, 5)
+        let report = ServiceBuilder::new(&cloud, &placement, &CloudQcScheduler, 5)
             .run(&Workload::batch(jobs))
             .unwrap();
         assert_eq!(report.outcomes.len(), 2);
@@ -422,8 +269,9 @@ mod tests {
     fn report_series_are_consistent() {
         let cloud = CloudBuilder::paper_default(8).build();
         let placement = CloudQcPlacement::default();
-        let report = Orchestrator::new(&cloud, &placement, &CloudQcScheduler, 11)
-            .run(&Workload::poisson(&pool(), 6, 2_000.0, 11))
+        let workload = Workload::poisson(&pool(), 6, 2_000.0, 11);
+        let report = ServiceBuilder::new(&cloud, &placement, &CloudQcScheduler, 11)
+            .run(&workload)
             .unwrap();
         let tp = report.throughput(1_000);
         assert_eq!(
@@ -436,6 +284,11 @@ mod tests {
             .buckets()
             .iter()
             .all(|&u| (0.0..=1.0 + 1e-9).contains(&u)));
+        let u = report.utilization(cloud.total_computing_capacity());
+        assert!(u > 0.0 && u <= 1.0, "utilization {u}");
+        for o in &report.outcomes {
+            assert_eq!(o.qubits, workload.jobs()[o.job].circuit.num_qubits());
+        }
         let mean = report.mean_breakdown().unwrap();
         assert!(mean.total() > 0.0);
         assert!((report.mean_completion_time() - mean.total()).abs() < 1e-6);
@@ -444,9 +297,9 @@ mod tests {
     #[test]
     fn gate_less_circuits_are_recorded_and_release_resources() {
         // A gate-less circuit finishes inside try_add_job, before the
-        // executor ever steps; the orchestrator must still record it
-        // and release its computing qubits — including when it is the
-        // only (or last) job of the run.
+        // executor ever steps; the runtime must still record it and
+        // release its computing qubits — including when it is the only
+        // (or last) job of the run.
         let cloud = CloudBuilder::new(2)
             .computing_qubits(8)
             .line_topology()
@@ -459,7 +312,7 @@ mod tests {
                 (cloudqc_circuit::Circuit::new(3), Tick::new(50_000)),
             ]),
         ] {
-            let report = Orchestrator::new(&cloud, &placement, &CloudQcScheduler, 1)
+            let report = ServiceBuilder::new(&cloud, &placement, &CloudQcScheduler, 1)
                 .run(&workload)
                 .unwrap();
             assert_eq!(report.outcomes.len(), workload.len());
@@ -475,7 +328,7 @@ mod tests {
         let placement = CloudQcPlacement::default();
         let w = Workload::bursty(&pool(), 2, 2, 8_000.0, 5);
         let run = |seed| {
-            Orchestrator::new(&cloud, &placement, &CloudQcScheduler, seed)
+            ServiceBuilder::new(&cloud, &placement, &CloudQcScheduler, seed)
                 .run(&w)
                 .unwrap()
         };

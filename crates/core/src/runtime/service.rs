@@ -1,11 +1,12 @@
 //! The resident service core: one long-lived process serving an
 //! unbounded job stream on a continuous clock.
 //!
-//! [`crate::runtime::Orchestrator::run`] models a *finite trace*: every
-//! call rebuilds the placement cache from cold and retains every job
-//! outcome in memory to assemble its [`RunReport`]. A production-scale
-//! service cannot do either. [`Service`] is the same event loop made
-//! resident — it owns the state that must outlive any single run:
+//! [`crate::runtime::ServiceBuilder::run`] models a *finite trace*:
+//! every call rebuilds the placement cache from cold and retains every
+//! job outcome in memory to assemble its [`RunReport`]. A
+//! production-scale service cannot do either. [`Service`] is the same
+//! event loop made resident — it owns the state that must outlive any
+//! single run:
 //!
 //! * a persistent [`PlacementCache`] shared across epochs and windows,
 //! * a streaming [`OnlineReport`] (constant-memory running aggregates
@@ -21,7 +22,10 @@
 //! # Lifecycle
 //!
 //! ```text
-//!   Service::new ──► submit / submit_workload      (buffer jobs)
+//!   ServiceBuilder::build()
+//!        │
+//!        ▼
+//!     Service ──► submit / submit_workload      (buffer jobs)
 //!        ▲                     │
 //!        │          ┌──────────┴─────────────┐
 //!        │          ▼                        ▼
@@ -62,7 +66,7 @@ use crate::error::{ExecError, PlacementError};
 use crate::exec::AllocStats;
 use crate::placement::{CacheStats, Placement, PlacementAlgorithm, PlacementCache};
 use crate::runtime::engine::Engine;
-use crate::runtime::orchestrator::{JobRecord, RunReport};
+use crate::runtime::report::{JobRecord, RunReport};
 use crate::runtime::{AdmissionPolicy, LoadShedPolicy};
 use crate::schedule::Scheduler;
 use crate::workload::{Workload, WorkloadJob};
@@ -71,9 +75,9 @@ use cloudqc_sim::online::OnlineReport;
 use cloudqc_sim::series::BatchStats;
 use cloudqc_sim::Tick;
 
-/// The full runtime configuration one epoch or era runs under — shared
-/// verbatim between the one-shot [`crate::runtime::Orchestrator`] and
-/// the resident [`Service`] so the two can never drift apart.
+/// The full runtime configuration one epoch or era runs under, built by
+/// [`crate::runtime::ServiceBuilder`]: one-shot runs and resident
+/// services read the same value, so the two can never drift apart.
 #[derive(Copy, Clone)]
 pub(crate) struct RuntimeConfig<'a> {
     pub(crate) cloud: &'a Cloud,
@@ -89,12 +93,12 @@ pub(crate) struct RuntimeConfig<'a> {
     /// bucket) are patched with `placement::repair` instead of falling
     /// straight through to a full placement run.
     pub(crate) placement_repair: bool,
-    pub(crate) batched_allocation: bool,
-    pub(crate) sharded_front_layer: bool,
     pub(crate) fingerprint_seeding: bool,
     pub(crate) preemption: bool,
     pub(crate) aging_rate: f64,
     pub(crate) load_shed: Option<LoadShedPolicy>,
+    /// Completion-time reservoir capacity of the streaming report.
+    pub(crate) reservoir_capacity: usize,
     pub(crate) seed: u64,
 }
 
@@ -153,9 +157,7 @@ pub struct WindowReport {
 /// state, with an epoch face ([`Service::drive`]) and a continuous
 /// face ([`Service::drive_until`] and friends).
 ///
-/// Construct one through
-/// [`crate::runtime::Orchestrator::into_service`] (inheriting every
-/// configured knob) or [`Service::new`] for the defaults.
+/// Construct one through [`crate::runtime::ServiceBuilder::build`].
 ///
 /// # Example
 ///
@@ -163,13 +165,13 @@ pub struct WindowReport {
 /// use cloudqc_circuit::generators::catalog;
 /// use cloudqc_cloud::CloudBuilder;
 /// use cloudqc_core::placement::CloudQcPlacement;
-/// use cloudqc_core::runtime::Service;
+/// use cloudqc_core::runtime::ServiceBuilder;
 /// use cloudqc_core::schedule::CloudQcScheduler;
 /// use cloudqc_core::workload::Workload;
 ///
 /// let cloud = CloudBuilder::paper_default(1).build();
 /// let placement = CloudQcPlacement::default();
-/// let mut service = Service::new(&cloud, &placement, &CloudQcScheduler, 7);
+/// let mut service = ServiceBuilder::new(&cloud, &placement, &CloudQcScheduler, 7).build();
 /// let pool = vec![catalog::by_name("qft_n29").unwrap()];
 /// let workload = Workload::poisson(&pool, 3, 5_000.0, 7);
 ///
@@ -211,20 +213,6 @@ pub struct Service<'a> {
 }
 
 impl<'a> Service<'a> {
-    /// A resident service with the default runtime configuration
-    /// (priority-aware backfill admission, placement cache on, exact
-    /// cache signature, batched allocation, sharded front layer,
-    /// fingerprint seeding; preemption, aging, and load shedding off) —
-    /// the same defaults as [`crate::runtime::Orchestrator::new`].
-    pub fn new(
-        cloud: &'a Cloud,
-        placement: &'a dyn PlacementAlgorithm,
-        scheduler: &'a dyn Scheduler,
-        seed: u64,
-    ) -> Self {
-        crate::runtime::Orchestrator::new(cloud, placement, scheduler, seed).into_service()
-    }
-
     pub(crate) fn from_config(cfg: RuntimeConfig<'a>) -> Self {
         let cache = cfg.placement_cache.then(|| {
             PlacementCache::with_quantum(cfg.cache_quantum)
@@ -233,7 +221,7 @@ impl<'a> Service<'a> {
         });
         Service {
             cache,
-            online: OnlineReport::new(cfg.seed),
+            online: OnlineReport::with_reservoir(cfg.reservoir_capacity, cfg.seed),
             pending: Vec::new(),
             live: None,
             clock: 0,
@@ -246,26 +234,6 @@ impl<'a> Service<'a> {
             preemptions: 0,
             cfg,
         }
-    }
-
-    /// Sets the streaming report's completion-time reservoir capacity
-    /// (default [`OnlineReport::DEFAULT_RESERVOIR`]): percentiles are
-    /// exact up to this many completions, bounded-memory estimates
-    /// beyond. Must be called before any epoch records anything — it
-    /// replaces the streaming report, and replacing a non-empty one
-    /// would desynchronize it from the lifetime counters.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity == 0`, or if the service has already
-    /// recorded completions or rejections.
-    pub fn with_reservoir_capacity(mut self, capacity: usize) -> Self {
-        assert!(
-            self.online.completed() == 0 && self.online.rejected() == 0,
-            "set the reservoir capacity before driving any epoch"
-        );
-        self.online = OnlineReport::with_reservoir(capacity, self.cfg.seed);
-        self
     }
 
     /// Buffers one job (default tenant metadata) for the next `drive*`
@@ -627,7 +595,7 @@ impl<'a> Service<'a> {
 mod tests {
     use super::*;
     use crate::placement::CloudQcPlacement;
-    use crate::runtime::Orchestrator;
+    use crate::runtime::ServiceBuilder;
     use crate::schedule::CloudQcScheduler;
     use cloudqc_circuit::generators::catalog;
     use cloudqc_cloud::CloudBuilder;
@@ -644,7 +612,7 @@ mod tests {
     fn epochs_accumulate_lifetime_totals() {
         let cloud = CloudBuilder::paper_default(3).build();
         let placement = CloudQcPlacement::default();
-        let mut svc = Service::new(&cloud, &placement, &CloudQcScheduler, 5);
+        let mut svc = ServiceBuilder::new(&cloud, &placement, &CloudQcScheduler, 5).build();
         assert_eq!(svc.pending(), 0);
         let w = Workload::poisson(&pool(), 4, 3_000.0, 5);
         svc.submit_workload(&w);
@@ -688,7 +656,7 @@ mod tests {
         // the online report's last-finish must land on it.
         let cloud = CloudBuilder::paper_default(3).build();
         let placement = CloudQcPlacement::default();
-        let mut svc = Service::new(&cloud, &placement, &CloudQcScheduler, 5);
+        let mut svc = ServiceBuilder::new(&cloud, &placement, &CloudQcScheduler, 5).build();
         let w = Workload::poisson(&pool(), 4, 3_000.0, 5);
         svc.submit_workload(&w);
         let e1 = svc.drive().unwrap();
@@ -718,7 +686,7 @@ mod tests {
         let cloud = CloudBuilder::paper_default(7).build();
         let placement = CloudQcPlacement::default();
         let w = Workload::batch(pool());
-        let mut svc = Service::new(&cloud, &placement, &CloudQcScheduler, 11);
+        let mut svc = ServiceBuilder::new(&cloud, &placement, &CloudQcScheduler, 11).build();
         svc.submit_workload(&w);
         let cold = svc.drive().unwrap();
         svc.submit_workload(&w);
@@ -737,7 +705,7 @@ mod tests {
     fn drain_flushes_pending_submissions() {
         let cloud = CloudBuilder::paper_default(2).build();
         let placement = CloudQcPlacement::default();
-        let mut svc = Service::new(&cloud, &placement, &CloudQcScheduler, 3);
+        let mut svc = ServiceBuilder::new(&cloud, &placement, &CloudQcScheduler, 3).build();
         for c in pool() {
             svc.submit(c, Tick::ZERO);
         }
@@ -755,7 +723,7 @@ mod tests {
     fn empty_epoch_is_a_clean_noop() {
         let cloud = CloudBuilder::paper_default(2).build();
         let placement = CloudQcPlacement::default();
-        let mut svc = Service::new(&cloud, &placement, &CloudQcScheduler, 3);
+        let mut svc = ServiceBuilder::new(&cloud, &placement, &CloudQcScheduler, 3).build();
         let report = svc.drive().unwrap();
         assert!(report.outcomes.is_empty());
         assert_eq!(report.makespan, Tick::ZERO);
@@ -764,16 +732,18 @@ mod tests {
 
     #[test]
     fn service_inherits_orchestrator_configuration() {
-        // A service built from a configured orchestrator runs the same
-        // epoch the orchestrator would run.
+        // A service built from a configuration runs the same epoch a
+        // one-shot run of that configuration would.
         let cloud = CloudBuilder::paper_default(9).build();
         let placement = CloudQcPlacement::default();
         let w = Workload::poisson(&pool(), 5, 2_000.0, 9);
-        let orch = Orchestrator::new(&cloud, &placement, &CloudQcScheduler, 9)
-            .with_admission(AdmissionPolicy::ShortestJobFirst)
-            .with_cache_quantum(2);
-        let direct = orch.run(&w).unwrap();
-        let mut svc = orch.into_service();
+        let builder = || {
+            ServiceBuilder::new(&cloud, &placement, &CloudQcScheduler, 9)
+                .admission(AdmissionPolicy::ShortestJobFirst)
+                .cache_quantum(2)
+        };
+        let direct = builder().run(&w).unwrap();
+        let mut svc = builder().build();
         svc.submit_workload(&w);
         let epoch = svc.drive().unwrap();
         assert_eq!(direct.outcomes, epoch.outcomes);
@@ -792,7 +762,7 @@ mod tests {
             .line_topology()
             .build();
         let placement = CloudQcPlacement::default();
-        let mut svc = Service::new(&cloud, &placement, &CloudQcScheduler, 3);
+        let mut svc = ServiceBuilder::new(&cloud, &placement, &CloudQcScheduler, 3).build();
         svc.submit(catalog::by_name("vqe_n4").unwrap(), Tick::ZERO);
         svc.submit(catalog::by_name("ghz_n25").unwrap(), Tick::new(100_000));
         let err = svc.drive().unwrap_err();
@@ -819,17 +789,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "before driving any epoch")]
-    fn reservoir_capacity_cannot_change_after_recording() {
-        let cloud = CloudBuilder::paper_default(2).build();
-        let placement = CloudQcPlacement::default();
-        let mut svc = Service::new(&cloud, &placement, &CloudQcScheduler, 3);
-        svc.submit(catalog::by_name("vqe_n4").unwrap(), Tick::ZERO);
-        svc.drive().unwrap();
-        let _ = svc.with_reservoir_capacity(16);
-    }
-
-    #[test]
     fn deadline_policy_rejects_expired_jobs_in_service_runs() {
         // A tiny cloud serializes three identical jobs; with an SLA
         // budget only slightly above one service time, the third job's
@@ -839,15 +798,15 @@ mod tests {
             .line_topology()
             .build();
         let placement = CloudQcPlacement::default();
-        let probe = Orchestrator::new(&cloud, &placement, &CloudQcScheduler, 1)
+        let probe = ServiceBuilder::new(&cloud, &placement, &CloudQcScheduler, 1)
             .run(&Workload::batch(vec![catalog::by_name("ghz_n25").unwrap()]))
             .unwrap();
         let service_time = probe.makespan.as_ticks();
         let w = Workload::batch(vec![catalog::by_name("ghz_n25").unwrap(); 3])
             .with_uniform_sla(service_time * 2);
-        let mut svc = Orchestrator::new(&cloud, &placement, &CloudQcScheduler, 1)
-            .with_admission(AdmissionPolicy::DeadlineAware)
-            .into_service();
+        let mut svc = ServiceBuilder::new(&cloud, &placement, &CloudQcScheduler, 1)
+            .admission(AdmissionPolicy::DeadlineAware)
+            .build();
         svc.submit_workload(&w);
         let report = svc.drive().unwrap();
         assert!(
@@ -871,11 +830,11 @@ mod tests {
         let placement = CloudQcPlacement::default();
         let w = Workload::poisson(&pool(), 5, 2_000.0, 4);
         let epoch = {
-            let mut svc = Service::new(&cloud, &placement, &CloudQcScheduler, 6);
+            let mut svc = ServiceBuilder::new(&cloud, &placement, &CloudQcScheduler, 6).build();
             svc.submit_workload(&w);
             svc.drive().unwrap()
         };
-        let mut svc = Service::new(&cloud, &placement, &CloudQcScheduler, 6);
+        let mut svc = ServiceBuilder::new(&cloud, &placement, &CloudQcScheduler, 6).build();
         svc.submit_workload(&w);
         let window = svc.drive_to_quiescence().unwrap();
         assert!(window.quiescent);
@@ -897,11 +856,11 @@ mod tests {
         let placement = CloudQcPlacement::default();
         let w = Workload::poisson(&pool(), 6, 2_000.0, 4);
         // Reference: one uninterrupted continuous run.
-        let mut whole = Service::new(&cloud, &placement, &CloudQcScheduler, 6);
+        let mut whole = ServiceBuilder::new(&cloud, &placement, &CloudQcScheduler, 6).build();
         whole.submit_workload(&w);
         let complete = whole.drive_to_quiescence().unwrap();
         // Same stream advanced in small budget slices.
-        let mut sliced = Service::new(&cloud, &placement, &CloudQcScheduler, 6);
+        let mut sliced = ServiceBuilder::new(&cloud, &placement, &CloudQcScheduler, 6).build();
         sliced.submit_workload(&w);
         let mut outcomes = Vec::new();
         let mut windows = 0;
@@ -933,9 +892,9 @@ mod tests {
             .build();
         let placement = CloudQcPlacement::default();
         let jobs = vec![catalog::by_name("ghz_n16").unwrap(); 6];
-        let mut svc = Orchestrator::new(&cloud, &placement, &CloudQcScheduler, 3)
-            .with_load_shedding(LoadShedPolicy::queue_depth(2))
-            .into_service();
+        let mut svc = ServiceBuilder::new(&cloud, &placement, &CloudQcScheduler, 3)
+            .load_shedding(LoadShedPolicy::queue_depth(2))
+            .build();
         svc.submit_workload(&Workload::batch(jobs));
         let window = svc.drive_to_quiescence().unwrap();
         let shed: Vec<&(usize, ExecError)> = window
@@ -947,7 +906,7 @@ mod tests {
         assert_eq!(window.outcomes.len() + window.rejected.len(), 6);
         assert_eq!(svc.online().rejected(), window.rejected.len() as u64);
         // Without the policy everything eventually runs.
-        let mut free = Orchestrator::new(&cloud, &placement, &CloudQcScheduler, 3).into_service();
+        let mut free = ServiceBuilder::new(&cloud, &placement, &CloudQcScheduler, 3).build();
         free.submit_workload(&Workload::batch(vec![
             catalog::by_name("ghz_n16").unwrap();
             6
@@ -977,10 +936,10 @@ mod tests {
         }
         let w = Workload::trace(jobs);
         let run = |aging: f64| {
-            let mut svc = Orchestrator::new(&cloud, &placement, &CloudQcScheduler, 2)
-                .with_admission(AdmissionPolicy::ShortestJobFirst)
-                .with_aging_rate(aging)
-                .into_service();
+            let mut svc = ServiceBuilder::new(&cloud, &placement, &CloudQcScheduler, 2)
+                .admission(AdmissionPolicy::ShortestJobFirst)
+                .aging_rate(aging)
+                .build();
             svc.submit_workload(&w);
             svc.drive().unwrap()
         };
@@ -1017,9 +976,9 @@ mod tests {
         let mouse = Workload::trace(vec![(catalog::by_name("ghz_n12").unwrap(), Tick::new(200))])
             .with_uniform_sla(1_000_000);
         let run = |preempt: bool| {
-            let mut svc = Orchestrator::new(&cloud, &placement, &CloudQcScheduler, 9)
-                .with_preemption(preempt)
-                .into_service();
+            let mut svc = ServiceBuilder::new(&cloud, &placement, &CloudQcScheduler, 9)
+                .preemption(preempt)
+                .build();
             svc.submit_workload(&elephant);
             svc.submit_workload(&mouse);
             let report = svc.drive().unwrap();
@@ -1058,7 +1017,7 @@ mod tests {
     fn epoch_drive_refuses_a_busy_continuous_engine() {
         let cloud = CloudBuilder::paper_default(4).build();
         let placement = CloudQcPlacement::default();
-        let mut svc = Service::new(&cloud, &placement, &CloudQcScheduler, 6);
+        let mut svc = ServiceBuilder::new(&cloud, &placement, &CloudQcScheduler, 6).build();
         svc.submit_workload(&Workload::poisson(&pool(), 5, 2_000.0, 4));
         let window = svc.drive_for(10).unwrap();
         assert!(!window.quiescent, "work must still be in flight");

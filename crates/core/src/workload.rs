@@ -1,8 +1,8 @@
 //! Seed-deterministic workload generators for the runtime layer.
 //!
 //! A [`Workload`] is a list of circuits with arrival times — the input
-//! of the [`crate::runtime::Orchestrator`] and the resident
-//! [`crate::runtime::Service`]. Generators cover the paper's batch mode
+//! of a one-shot [`crate::runtime::ServiceBuilder::run`] and of the
+//! resident [`crate::runtime::Service`]. Generators cover the paper's batch mode
 //! (§VI.D: everything arrives at `t = 0`), the open-arrival incoming
 //! mode (§V.B: Poisson arrivals), bursty traffic, replay of explicit
 //! traces, *diurnal* traffic (a sinusoidally rate-modulated Poisson
@@ -55,7 +55,7 @@ impl WorkloadJob {
 
 /// A set of jobs with arrival times, in submission order.
 ///
-/// Job indices into the workload are stable: the orchestrator reports
+/// Job indices into the workload are stable: the runtime reports
 /// outcomes under the same indices.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Workload {
@@ -74,8 +74,8 @@ impl Workload {
     }
 
     /// Replays an explicit trace of `(circuit, arrival)` pairs, e.g.
-    /// recorded from a production queue. Any order; the orchestrator
-    /// sorts by arrival internally.
+    /// recorded from a production queue. Any order; the runtime sorts by
+    /// arrival internally.
     pub fn trace(jobs: impl IntoIterator<Item = (Circuit, Tick)>) -> Self {
         Workload {
             jobs: jobs
@@ -445,6 +445,10 @@ mod tests {
         assert_eq!(a.jobs()[0].circuit.num_qubits(), 4);
         assert_eq!(a.jobs()[1].circuit.num_qubits(), 13);
         assert_eq!(a.jobs()[2].circuit.num_qubits(), 4);
+        // Mean inter-arrival is roughly the requested mean.
+        let arrivals = poisson_arrivals(50, 100.0, 9);
+        let mean = arrivals.last().unwrap().as_ticks() as f64 / 50.0;
+        assert!((mean - 100.0).abs() < 50.0, "mean gap {mean}");
     }
 
     #[test]

@@ -11,12 +11,12 @@
 
 use cloudqc_circuit::generators::catalog;
 use cloudqc_cloud::CloudBuilder;
-use cloudqc_core::batch::OrderingPolicy;
 use cloudqc_core::config::{BatchWeights, PlacementConfig};
 use cloudqc_core::exec::simulate_job;
 use cloudqc_core::placement::{cost, CloudQcPlacement, PlacementAlgorithm};
+use cloudqc_core::runtime::{AdmissionPolicy, ServiceBuilder};
 use cloudqc_core::schedule::CloudQcScheduler;
-use cloudqc_core::tenant::run_multi_tenant;
+use cloudqc_core::workload::Workload;
 use cloudqc_experiments::table::fmt_num;
 use cloudqc_experiments::{ExpArgs, Table};
 use cloudqc_sim::SimRng;
@@ -55,8 +55,6 @@ fn rejection_breakdown(rejections: &[(usize, cloudqc_core::error::ExecError)]) -
 /// (all `none` on the paper's healthy fabric — see 6b for a degraded
 /// one).
 fn admission_ablation(args: &ExpArgs) {
-    use cloudqc_core::runtime::{AdmissionPolicy, Orchestrator};
-    use cloudqc_core::workload::Workload;
     println!("\nAblation 6: admission policy under bursty arrivals (runtime layer)\n");
     let pool: Vec<_> = ["qft_n63", "qugan_n71", "knn_n67", "ghz_n127", "vqe_n4"]
         .iter()
@@ -87,8 +85,8 @@ fn admission_ablation(args: &ExpArgs) {
             let run_seed = args.seed + rep as u64;
             let workload = Workload::bursty(&pool, 3, 4, 20_000.0, run_seed);
             let placement = CloudQcPlacement::default();
-            let report = Orchestrator::new(&cloud, &placement, &CloudQcScheduler, run_seed)
-                .with_admission(*policy)
+            let report = ServiceBuilder::new(&cloud, &placement, &CloudQcScheduler, run_seed)
+                .admission(*policy)
                 .run(&workload)
                 .expect("bursty run completes");
             jct += report.mean_completion_time();
@@ -113,10 +111,8 @@ fn admission_ablation(args: &ExpArgs) {
 /// Ablation 6b: the same policies on a communication-starved fabric
 /// (QPUs without communication qubits), where distributed jobs are
 /// rejected — the per-variant breakdown shows *why* each job bounced.
-fn rejection_ablation(args: &ExpArgs, policies: &[(&str, cloudqc_core::runtime::AdmissionPolicy)]) {
+fn rejection_ablation(args: &ExpArgs, policies: &[(&str, AdmissionPolicy)]) {
     use cloudqc_cloud::Qpu;
-    use cloudqc_core::runtime::Orchestrator;
-    use cloudqc_core::workload::Workload;
     println!("\nAblation 6b: rejection causes on a comm-starved fabric\n");
     // Half the QPUs have no communication qubits: single-QPU jobs run,
     // spanning jobs whose placement touches a dark QPU are rejected.
@@ -141,8 +137,8 @@ fn rejection_ablation(args: &ExpArgs, policies: &[(&str, cloudqc_core::runtime::
             let run_seed = args.seed + rep as u64;
             let workload = Workload::poisson(&pool, 8, 5_000.0, run_seed);
             let placement = CloudQcPlacement::default();
-            let report = Orchestrator::new(&cloud, &placement, &CloudQcScheduler, run_seed)
-                .with_admission(*policy)
+            let report = ServiceBuilder::new(&cloud, &placement, &CloudQcScheduler, run_seed)
+                .admission(*policy)
                 .run(&workload)
                 .expect("starved run completes");
             completed += report.outcomes.len();
@@ -164,23 +160,24 @@ fn rejection_ablation(args: &ExpArgs, policies: &[(&str, cloudqc_core::runtime::
 /// which term carries it?
 fn batch_weights_ablation(args: &ExpArgs) {
     println!("Ablation 1: batch-ordering weights (multi-tenant mean JCT, ticks)\n");
-    let batch: Vec<_> = [
-        "qft_n63",
-        "qugan_n71",
-        "knn_n67",
-        "adder_n64",
-        "multiplier_n45",
-        "ghz_n127",
-    ]
-    .iter()
-    .map(|n| catalog::by_name(n).expect("catalog circuit"))
-    .collect();
-    let variants: Vec<(&str, OrderingPolicy)> = vec![
-        ("FIFO", OrderingPolicy::Fifo),
-        ("default (1,1,0.1)", OrderingPolicy::default()),
+    let batch = Workload::batch(
+        [
+            "qft_n63",
+            "qugan_n71",
+            "knn_n67",
+            "adder_n64",
+            "multiplier_n45",
+            "ghz_n127",
+        ]
+        .iter()
+        .map(|n| catalog::by_name(n).expect("catalog circuit")),
+    );
+    let variants: Vec<(&str, AdmissionPolicy)> = vec![
+        ("FIFO", AdmissionPolicy::Backfill),
+        ("default (1,1,0.1)", AdmissionPolicy::default()),
         (
             "density only",
-            OrderingPolicy::Metric(BatchWeights {
+            AdmissionPolicy::PriorityBackfill(BatchWeights {
                 lambda1: 1.0,
                 lambda2: 0.0,
                 lambda3: 0.0,
@@ -188,7 +185,7 @@ fn batch_weights_ablation(args: &ExpArgs) {
         ),
         (
             "width only",
-            OrderingPolicy::Metric(BatchWeights {
+            AdmissionPolicy::PriorityBackfill(BatchWeights {
                 lambda1: 0.0,
                 lambda2: 1.0,
                 lambda3: 0.0,
@@ -196,7 +193,7 @@ fn batch_weights_ablation(args: &ExpArgs) {
         ),
         (
             "depth only",
-            OrderingPolicy::Metric(BatchWeights {
+            AdmissionPolicy::PriorityBackfill(BatchWeights {
                 lambda1: 0.0,
                 lambda2: 0.0,
                 lambda3: 1.0,
@@ -214,15 +211,17 @@ fn batch_weights_ablation(args: &ExpArgs) {
                     .seed(),
             )
             .build();
-            let run = run_multi_tenant(
-                &batch,
+            let placement = CloudQcPlacement::default();
+            let run = ServiceBuilder::new(
                 &cloud,
-                &CloudQcPlacement::default(),
+                &placement,
                 &CloudQcScheduler,
-                policy,
                 args.seed + rep as u64,
             )
+            .admission(policy)
+            .run(&batch)
             .expect("batch completes");
+            assert!(run.rejected.is_empty(), "{name}: {:?}", run.rejected);
             jct_sum += run.mean_completion_time();
             makespan_sum += run.makespan.as_ticks() as f64;
         }
@@ -357,7 +356,7 @@ fn path_reservation_ablation(args: &ExpArgs) {
                     .expect("placement succeeds");
                 let mut exec = Executor::new(&cloud, &CloudQcScheduler, args.seed + rep as u64)
                     .with_path_reservation(reserve);
-                let id = exec.add_job(&circuit, &p);
+                let id = exec.try_add_job(&circuit, &p).expect("job admitted");
                 exec.run_to_completion();
                 jct += exec
                     .job_result(id)

@@ -7,7 +7,7 @@
 use cloudqc_circuit::generators::catalog;
 use cloudqc_cloud::CloudBuilder;
 use cloudqc_core::placement::{CloudQcBfsPlacement, CloudQcPlacement, PlacementAlgorithm};
-use cloudqc_core::runtime::{AdmissionPolicy, Orchestrator};
+use cloudqc_core::runtime::{AdmissionPolicy, ServiceBuilder};
 use cloudqc_core::schedule::CloudQcScheduler;
 use cloudqc_core::workload::Workload;
 use cloudqc_experiments::table::fmt_num;
@@ -61,10 +61,11 @@ fn main() {
                 )
                 .build();
                 let workload = Workload::poisson(&pool, jobs_n, interarrival, run_seed);
-                let report = Orchestrator::new(&cloud, algo.as_ref(), &CloudQcScheduler, run_seed)
-                    .with_admission(AdmissionPolicy::Backfill)
-                    .run(&workload)
-                    .expect("incoming run completes");
+                let report =
+                    ServiceBuilder::new(&cloud, algo.as_ref(), &CloudQcScheduler, run_seed)
+                        .admission(AdmissionPolicy::Backfill)
+                        .run(&workload)
+                        .expect("incoming run completes");
                 for o in &report.outcomes {
                     jcts.push(o.completion_time.as_ticks() as f64);
                     delays.push(o.breakdown.queueing as f64);
@@ -126,10 +127,10 @@ fn service_mode(pool: &[cloudqc_circuit::Circuit], jobs_n: usize, seed: u64) {
     let placement = CloudQcPlacement::default();
     let run_seed = SimRng::new(seed).fork("svc").seed();
     let workload = Workload::poisson(pool, jobs_n, 5_000.0, run_seed);
-    let mut svc = Orchestrator::new(&cloud, &placement, &CloudQcScheduler, run_seed)
-        .with_admission(AdmissionPolicy::Backfill)
-        .with_placement_repair(true)
-        .into_service();
+    let mut svc = ServiceBuilder::new(&cloud, &placement, &CloudQcScheduler, run_seed)
+        .admission(AdmissionPolicy::Backfill)
+        .placement_repair(true)
+        .build();
     let mut t = Table::new(vec![
         "epoch".to_string(),
         "mean JCT".to_string(),
@@ -312,9 +313,9 @@ fn continuous_mode(pool: &[cloudqc_circuit::Circuit], jobs_n: usize, seed: u64) 
     let placement = CloudQcPlacement::default();
     let run_seed = SimRng::new(seed).fork("svc").seed();
     let workload = Workload::poisson(pool, jobs_n, 5_000.0, run_seed);
-    let mut svc = Orchestrator::new(&cloud, &placement, &CloudQcScheduler, run_seed)
-        .with_admission(AdmissionPolicy::Backfill)
-        .into_service();
+    let mut svc = ServiceBuilder::new(&cloud, &placement, &CloudQcScheduler, run_seed)
+        .admission(AdmissionPolicy::Backfill)
+        .build();
     svc.submit_workload(&workload);
     let mut t = Table::new(vec![
         "window".to_string(),

@@ -11,11 +11,11 @@ use crate::registry::{
 };
 use cloudqc_circuit::Circuit;
 use cloudqc_cloud::{Cloud, CloudBuilder};
-use cloudqc_core::batch::OrderingPolicy;
 use cloudqc_core::exec::simulate_job;
 use cloudqc_core::placement::{cost, CloudQcBfsPlacement, CloudQcPlacement, PlacementAlgorithm};
+use cloudqc_core::runtime::{AdmissionPolicy, ServiceBuilder};
 use cloudqc_core::schedule::CloudQcScheduler;
-use cloudqc_core::tenant::run_multi_tenant;
+use cloudqc_core::workload::Workload;
 use cloudqc_sim::metrics::Cdf;
 use cloudqc_sim::SimRng;
 
@@ -287,21 +287,21 @@ pub struct CdfSeries {
 /// default here is 4 × 8 × 2 (pass `--paper` for the full setting).
 pub fn fig14_17_data(args: &ExpArgs) -> Vec<CdfSeries> {
     let (batches, jobs_per_batch, topologies) = if args.paper { (50, 20, 20) } else { (4, 8, 2) };
-    let variants: Vec<(&str, Box<dyn PlacementAlgorithm>, OrderingPolicy)> = vec![
+    let variants: Vec<(&str, Box<dyn PlacementAlgorithm>, AdmissionPolicy)> = vec![
         (
             "CloudQC",
             Box::new(CloudQcPlacement::default()),
-            OrderingPolicy::default(),
+            AdmissionPolicy::default(),
         ),
         (
             "CloudQC-BFS",
             Box::new(CloudQcBfsPlacement::default()),
-            OrderingPolicy::default(),
+            AdmissionPolicy::default(),
         ),
         (
             "CloudQC-FIFO",
             Box::new(CloudQcPlacement::default()),
-            OrderingPolicy::Fifo,
+            AdmissionPolicy::Backfill,
         ),
     ];
     multi_tenant_workloads()
@@ -309,27 +309,37 @@ pub fn fig14_17_data(args: &ExpArgs) -> Vec<CdfSeries> {
         .map(|workload| {
             let series = variants
                 .iter()
-                .map(|(name, algo, ordering)| {
+                .map(|(name, algo, admission)| {
                     let mut jcts: Vec<f64> = Vec::new();
                     for batch_idx in 0..batches {
-                        let batch =
-                            sample_batch(&workload.circuits, jobs_per_batch, args.seed, batch_idx);
+                        let batch = Workload::batch(sample_batch(
+                            &workload.circuits,
+                            jobs_per_batch,
+                            args.seed,
+                            batch_idx,
+                        ));
                         for topo in 0..topologies {
                             let cloud = default_cloud(args.seed, batch_idx * 1000 + topo);
                             let run_seed = SimRng::new(args.seed)
                                 .fork_indexed(name, (batch_idx * 1000 + topo) as u64)
                                 .seed();
-                            let run = run_multi_tenant(
-                                &batch,
+                            let run = ServiceBuilder::new(
                                 &cloud,
                                 algo.as_ref(),
                                 &CloudQcScheduler,
-                                *ordering,
                                 run_seed,
                             )
+                            .admission(*admission)
+                            .run(&batch)
                             .unwrap_or_else(|e| {
                                 panic!("{name} failed on workload {}: {e}", workload.name)
                             });
+                            assert!(
+                                run.rejected.is_empty(),
+                                "{name} rejected jobs on workload {}: {:?}",
+                                workload.name,
+                                run.rejected
+                            );
                             jcts.extend(run.completion_times().iter().map(|t| t.as_ticks() as f64));
                         }
                     }

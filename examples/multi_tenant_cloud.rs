@@ -8,10 +8,10 @@
 
 use cloudqc::circuit::generators::catalog;
 use cloudqc::cloud::CloudBuilder;
-use cloudqc::core::batch::OrderingPolicy;
 use cloudqc::core::placement::{CloudQcBfsPlacement, CloudQcPlacement, PlacementAlgorithm};
+use cloudqc::core::runtime::{AdmissionPolicy, ServiceBuilder};
 use cloudqc::core::schedule::CloudQcScheduler;
-use cloudqc::core::tenant::run_multi_tenant;
+use cloudqc::core::workload::Workload;
 use cloudqc::sim::metrics::Summary;
 
 fn main() {
@@ -37,37 +37,34 @@ fn main() {
         cloud.total_computing_capacity()
     );
 
-    let variants: Vec<(&str, Box<dyn PlacementAlgorithm>, OrderingPolicy)> = vec![
+    let variants: Vec<(&str, Box<dyn PlacementAlgorithm>, AdmissionPolicy)> = vec![
         (
             "CloudQC",
             Box::new(CloudQcPlacement::default()),
-            OrderingPolicy::default(),
+            AdmissionPolicy::default(),
         ),
         (
             "CloudQC-BFS",
             Box::new(CloudQcBfsPlacement::default()),
-            OrderingPolicy::default(),
+            AdmissionPolicy::default(),
         ),
         (
             "CloudQC-FIFO",
             Box::new(CloudQcPlacement::default()),
-            OrderingPolicy::Fifo,
+            AdmissionPolicy::Backfill,
         ),
     ];
+    let workload = Workload::batch(batch);
     println!(
         "{:<13} {:>12} {:>12} {:>12} {:>12}",
         "variant", "mean JCT", "median JCT", "p95 JCT", "makespan"
     );
-    for (name, algo, ordering) in &variants {
-        let run = run_multi_tenant(
-            &batch,
-            &cloud,
-            algo.as_ref(),
-            &CloudQcScheduler,
-            *ordering,
-            7,
-        )
-        .expect("batch completes");
+    for (name, algo, admission) in &variants {
+        let run = ServiceBuilder::new(&cloud, algo.as_ref(), &CloudQcScheduler, 7)
+            .admission(*admission)
+            .run(&workload)
+            .expect("batch completes");
+        assert!(run.rejected.is_empty(), "{name}: {:?}", run.rejected);
         let jcts: Vec<f64> = run
             .completion_times()
             .iter()

@@ -13,7 +13,7 @@
 use cloudqc::circuit::generators::{catalog, ghz::ghz};
 use cloudqc::cloud::CloudBuilder;
 use cloudqc::core::placement::CloudQcPlacement;
-use cloudqc::core::runtime::{AdmissionPolicy, LoadShedPolicy, Orchestrator};
+use cloudqc::core::runtime::{AdmissionPolicy, LoadShedPolicy, ServiceBuilder};
 use cloudqc::core::schedule::CloudQcScheduler;
 use cloudqc::core::workload::Workload;
 use cloudqc::sim::Tick;
@@ -32,9 +32,9 @@ fn main() {
         .map(|n| catalog::by_name(n).expect("catalog circuit"))
         .collect();
     let diurnal = Workload::diurnal(&pool, 10, 4_000.0, 40_000, 0.8, 7);
-    let mut service = Orchestrator::new(&cloud, &placement, &CloudQcScheduler, 7)
-        .with_admission(AdmissionPolicy::Backfill)
-        .into_service();
+    let mut service = ServiceBuilder::new(&cloud, &placement, &CloudQcScheduler, 7)
+        .admission(AdmissionPolicy::Backfill)
+        .build();
     println!(
         "{:>6} {:>10} {:>11} {:>7} {:>8} {:>10}",
         "epoch", "mean JCT", "cache hit%", "hits", "misses", "scan/round"
@@ -95,9 +95,9 @@ fn main() {
         "policy", "mean JCT", "p95 JCT", "max queue", "rejected"
     );
     for (name, policy) in policies {
-        let mut svc = Orchestrator::new(&small_cloud, &placement, &CloudQcScheduler, 21)
-            .with_admission(policy)
-            .into_service();
+        let mut svc = ServiceBuilder::new(&small_cloud, &placement, &CloudQcScheduler, 21)
+            .admission(policy)
+            .build();
         svc.submit_workload(&heavy);
         let report = svc.drive().expect("policy epoch completes");
         let online = svc.online();
@@ -149,9 +149,9 @@ fn main() {
         "preemption", "worst mouse", "mean mouse", "suspensions"
     );
     for preempt in [false, true] {
-        let mut svc = Orchestrator::new(&tight, &placement, &CloudQcScheduler, 9)
-            .with_preemption(preempt)
-            .into_service();
+        let mut svc = ServiceBuilder::new(&tight, &placement, &CloudQcScheduler, 9)
+            .preemption(preempt)
+            .build();
         svc.submit_workload(&elephant);
         let early = svc.drive_for(200).expect("elephant takes the floor");
         assert!(!early.quiescent, "the elephant is mid-flight");
@@ -178,11 +178,11 @@ fn main() {
     println!("\n== Load shedding under a surge ==\n");
     let surge = Workload::pareto_sizes(ghz, 30, 1.2, 8, 64, 60.0, 33);
     for cap in [None, Some(LoadShedPolicy::queue_depth(4))] {
-        let mut orch = Orchestrator::new(&small_cloud, &placement, &CloudQcScheduler, 33);
+        let mut builder = ServiceBuilder::new(&small_cloud, &placement, &CloudQcScheduler, 33);
         if let Some(policy) = cap {
-            orch = orch.with_load_shedding(policy);
+            builder = builder.load_shedding(policy);
         }
-        let mut svc = orch.into_service();
+        let mut svc = builder.build();
         svc.submit_workload(&surge);
         let window = svc.drive_to_quiescence().expect("surge drains");
         let online = svc.online();

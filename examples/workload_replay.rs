@@ -1,5 +1,5 @@
 //! Open-arrival runtime demo: Poisson and bursty workloads through the
-//! unified orchestrator with backfill admission, reporting the per-job
+//! unified runtime with backfill admission, reporting the per-job
 //! latency breakdown (queueing vs. EPR wait vs. compute), throughput
 //! and utilization — the runtime layer's observability in one table.
 //!
@@ -10,7 +10,7 @@
 use cloudqc::circuit::generators::catalog;
 use cloudqc::cloud::CloudBuilder;
 use cloudqc::core::placement::CloudQcPlacement;
-use cloudqc::core::runtime::{AdmissionPolicy, Orchestrator};
+use cloudqc::core::runtime::{AdmissionPolicy, ServiceBuilder};
 use cloudqc::core::schedule::CloudQcScheduler;
 use cloudqc::core::workload::Workload;
 
@@ -35,8 +35,8 @@ fn main() {
             workload.total_qubits(),
             workload.last_arrival()
         );
-        let report = Orchestrator::new(&cloud, &placement, &CloudQcScheduler, 7)
-            .with_admission(AdmissionPolicy::Backfill)
+        let report = ServiceBuilder::new(&cloud, &placement, &CloudQcScheduler, 7)
+            .admission(AdmissionPolicy::Backfill)
             .run(workload)
             .expect("workload completes");
 

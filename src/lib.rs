@@ -13,7 +13,7 @@
 //! * [`sim`] — the discrete-event simulator.
 //! * [`core`] — the CloudQC framework itself: placement algorithms,
 //!   network schedulers, the batch manager, and the multi-tenant
-//!   orchestrator.
+//!   runtime.
 //!
 //! # Quickstart
 //!
@@ -47,9 +47,9 @@ pub use cloudqc_sim as sim;
 /// and read the reports.
 ///
 /// This is the *stable* face of the workspace — items here are the
-/// builder-first API (construct through [`ServiceBuilder`](prelude::ServiceBuilder) /
-/// [`FleetBuilder`](prelude::FleetBuilder), not legacy `with_*`
-/// chains), and the error enums
+/// builder-first API (configure and start the runtime through
+/// [`ServiceBuilder`](prelude::ServiceBuilder) /
+/// [`FleetBuilder`](prelude::FleetBuilder)), and the error enums
 /// re-exported here are `#[non_exhaustive]` so later PRs can add
 /// variants (e.g. new routing errors) without a breaking release.
 /// Experiment-grade internals (graph partitioning, QASM, individual
@@ -75,9 +75,8 @@ pub mod prelude {
     pub use cloudqc_core::placement::{CacheStats, CloudQcPlacement, Placement};
     pub use cloudqc_core::runtime::{
         AdmissionPolicy, CheapestPlacement, Fleet, FleetBuilder, FleetReport, JobRecord,
-        LoadShedPolicy, Orchestrator, RandomRouting, RoundRobin, RouteContext, RoutingPolicy,
-        RunReport, Service, ServiceBuilder, ServiceReport, TenantAffinity, UtilizationBalanced,
-        WindowReport,
+        LoadShedPolicy, RandomRouting, RoundRobin, RouteContext, RoutingPolicy, RunReport, Service,
+        ServiceBuilder, ServiceReport, TenantAffinity, UtilizationBalanced, WindowReport,
     };
     pub use cloudqc_core::schedule::CloudQcScheduler;
     pub use cloudqc_core::workload::{Workload, WorkloadJob};

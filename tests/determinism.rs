@@ -3,18 +3,18 @@
 //! The executor's contract (exec.rs) is FIFO event ordering plus
 //! seeded, forked RNG streams: the same inputs and seed must reproduce
 //! the same `JobResult` byte for byte, run after run. These tests guard
-//! that contract for both the single-job and the multi-tenant entry
-//! points, across every scheduler.
+//! that contract for both a single job and a multi-tenant batch run,
+//! across every scheduler.
 
 use cloudqc::circuit::generators::catalog;
 use cloudqc::cloud::{Cloud, CloudBuilder};
-use cloudqc::core::batch::OrderingPolicy;
 use cloudqc::core::placement::{CloudQcPlacement, PlacementAlgorithm};
+use cloudqc::core::runtime::{AdmissionPolicy, ServiceBuilder};
 use cloudqc::core::schedule::{
     AverageScheduler, CloudQcScheduler, GreedyScheduler, RandomScheduler, Scheduler,
 };
 use cloudqc::core::simulate_job;
-use cloudqc::core::tenant::run_multi_tenant;
+use cloudqc::core::workload::Workload;
 
 fn schedulers() -> Vec<Box<dyn Scheduler>> {
     vec![
@@ -75,31 +75,18 @@ fn simulate_job_seed_actually_matters() {
 }
 
 #[test]
-fn run_multi_tenant_is_deterministic_for_every_scheduler() {
+fn batch_run_is_deterministic_for_every_scheduler() {
     let cloud = contended_cloud(23);
-    let batch: Vec<_> = ["qft_n13", "ghz_n16", "bv_n12", "ising_n14", "qugan_n11"]
-        .iter()
-        .map(|name| catalog::by_name(name).expect("catalog circuit"))
-        .collect();
+    let batch = Workload::batch(
+        ["qft_n13", "ghz_n16", "bv_n12", "ising_n14", "qugan_n11"]
+            .iter()
+            .map(|name| catalog::by_name(name).expect("catalog circuit")),
+    );
+    let placement = CloudQcPlacement::default();
     for sched in schedulers() {
-        let a = run_multi_tenant(
-            &batch,
-            &cloud,
-            &CloudQcPlacement::default(),
-            sched.as_ref(),
-            OrderingPolicy::default(),
-            7,
-        )
-        .expect("batch fits");
-        let b = run_multi_tenant(
-            &batch,
-            &cloud,
-            &CloudQcPlacement::default(),
-            sched.as_ref(),
-            OrderingPolicy::default(),
-            7,
-        )
-        .expect("batch fits");
+        let builder = ServiceBuilder::new(&cloud, &placement, sched.as_ref(), 7);
+        let a = builder.run(&batch).expect("batch fits");
+        let b = builder.run(&batch).expect("batch fits");
         assert_eq!(a, b, "{} nondeterministic", sched.name());
         assert_eq!(format!("{a:?}"), format!("{b:?}"), "{}", sched.name());
         assert_eq!(a.outcomes.len(), batch.len());
@@ -107,24 +94,20 @@ fn run_multi_tenant_is_deterministic_for_every_scheduler() {
 }
 
 #[test]
-fn run_multi_tenant_fifo_ordering_is_deterministic() {
+fn batch_run_fifo_ordering_is_deterministic() {
     // FIFO exercises the admission queue differently from the default
     // metric ordering; both must reproduce exactly.
     let cloud = contended_cloud(31);
-    let batch: Vec<_> = ["adder_n10", "qft_n11", "cat_n12"]
-        .iter()
-        .map(|name| catalog::by_name(name).expect("catalog circuit"))
-        .collect();
+    let batch = Workload::batch(
+        ["adder_n10", "qft_n11", "cat_n12"]
+            .iter()
+            .map(|name| catalog::by_name(name).expect("catalog circuit")),
+    );
     let run = |seed: u64| {
-        run_multi_tenant(
-            &batch,
-            &cloud,
-            &CloudQcPlacement::default(),
-            &RandomScheduler,
-            OrderingPolicy::Fifo,
-            seed,
-        )
-        .expect("batch fits")
+        ServiceBuilder::new(&cloud, &CloudQcPlacement::default(), &RandomScheduler, seed)
+            .admission(AdmissionPolicy::Backfill)
+            .run(&batch)
+            .expect("batch fits")
     };
     assert_eq!(run(3), run(3));
     assert_eq!(run(4), run(4));

@@ -5,9 +5,10 @@
 use cloudqc::circuit::generators::catalog;
 use cloudqc::cloud::{CloudBuilder, Qpu, QpuId};
 use cloudqc::core::placement::{CloudQcPlacement, PlacementAlgorithm};
+use cloudqc::core::runtime::{AdmissionPolicy, ServiceBuilder};
 use cloudqc::core::schedule::CloudQcScheduler;
 use cloudqc::core::simulate_job;
-use cloudqc::core::tenant::{poisson_arrivals, run_incoming};
+use cloudqc::core::workload::{poisson_arrivals, Workload};
 use cloudqc::sim::Tick;
 
 #[test]
@@ -78,14 +79,10 @@ fn incoming_mode_with_poisson_arrivals_completes() {
         .enumerate()
         .map(|(i, &t)| (catalog::by_name(pool[i % pool.len()]).unwrap(), t))
         .collect();
-    let run = run_incoming(
-        &jobs,
-        &cloud,
-        &CloudQcPlacement::default(),
-        &CloudQcScheduler,
-        9,
-    )
-    .unwrap();
+    let run = ServiceBuilder::new(&cloud, &CloudQcPlacement::default(), &CloudQcScheduler, 9)
+        .admission(AdmissionPolicy::Backfill)
+        .run(&Workload::trace(jobs))
+        .unwrap();
     assert_eq!(run.outcomes.len(), 6);
     for o in &run.outcomes {
         assert!(o.admitted_at >= o.arrived_at);
@@ -126,14 +123,11 @@ fn zero_arrival_time_jobs_behave_like_batch() {
         (catalog::by_name("ising_n34").unwrap(), Tick::ZERO),
         (catalog::by_name("qugan_n39").unwrap(), Tick::ZERO),
     ];
-    let run = run_incoming(
-        &jobs,
-        &cloud,
-        &CloudQcPlacement::default(),
-        &CloudQcScheduler,
-        1,
-    )
-    .unwrap();
+    let run = ServiceBuilder::new(&cloud, &CloudQcPlacement::default(), &CloudQcScheduler, 1)
+        .admission(AdmissionPolicy::Backfill)
+        .run(&Workload::trace(jobs))
+        .unwrap();
+    assert_eq!(run.outcomes.len(), 2);
     for o in &run.outcomes {
         assert_eq!(o.arrived_at, Tick::ZERO);
         assert_eq!(o.admitted_at, Tick::ZERO); // both fit an empty cloud

@@ -1,5 +1,5 @@
-//! Multi-tenant orchestration integration tests: conservation,
-//! queueing, and variant behaviour under contention.
+//! Multi-tenant runtime integration tests: conservation, queueing, and
+//! variant behaviour under contention.
 
 use cloudqc::circuit::generators::catalog;
 use cloudqc::circuit::Circuit;
@@ -7,8 +7,9 @@ use cloudqc::cloud::CloudBuilder;
 use cloudqc::core::batch::{job_metric, order_jobs, OrderingPolicy};
 use cloudqc::core::config::BatchWeights;
 use cloudqc::core::placement::{CloudQcBfsPlacement, CloudQcPlacement};
+use cloudqc::core::runtime::{AdmissionPolicy, ServiceBuilder};
 use cloudqc::core::schedule::CloudQcScheduler;
-use cloudqc::core::tenant::run_multi_tenant;
+use cloudqc::core::workload::Workload;
 use cloudqc::sim::Tick;
 
 fn batch(names: &[&str]) -> Vec<Circuit> {
@@ -32,15 +33,9 @@ fn every_job_completes_exactly_once_under_contention() {
         "qugan_n39",
         "qft_n29",
     ]);
-    let run = run_multi_tenant(
-        &jobs,
-        &cloud,
-        &CloudQcPlacement::default(),
-        &CloudQcScheduler,
-        OrderingPolicy::default(),
-        3,
-    )
-    .unwrap();
+    let run = ServiceBuilder::new(&cloud, &CloudQcPlacement::default(), &CloudQcScheduler, 3)
+        .run(&Workload::batch(jobs.clone()))
+        .unwrap();
     assert_eq!(run.outcomes.len(), jobs.len());
     let mut seen = vec![false; jobs.len()];
     for o in &run.outcomes {
@@ -60,15 +55,10 @@ fn jct_includes_queueing_delay() {
         .ring_topology()
         .build();
     let jobs = batch(&["ghz_n30", "ghz_n30", "ghz_n30"]);
-    let run = run_multi_tenant(
-        &jobs,
-        &cloud,
-        &CloudQcPlacement::default(),
-        &CloudQcScheduler,
-        OrderingPolicy::Fifo,
-        5,
-    )
-    .unwrap();
+    let run = ServiceBuilder::new(&cloud, &CloudQcPlacement::default(), &CloudQcScheduler, 5)
+        .admission(AdmissionPolicy::Backfill)
+        .run(&Workload::batch(jobs))
+        .unwrap();
     let mut admitted: Vec<Tick> = run.outcomes.iter().map(|o| o.admitted_at).collect();
     admitted.sort();
     // With 30-qubit jobs on a 40-qubit cloud, jobs serialize: at most
@@ -90,43 +80,26 @@ fn jct_includes_queueing_delay() {
 #[test]
 fn all_three_variants_complete_the_same_batch() {
     let cloud = CloudBuilder::paper_default(7).build();
-    let jobs = batch(&["qugan_n39", "qft_n29", "adder_n64", "knn_n67"]);
-    for (name, run) in [
+    let workload = Workload::batch(batch(&["qugan_n39", "qft_n29", "adder_n64", "knn_n67"]));
+    let (cloudqc, bfs) = (CloudQcPlacement::default(), CloudQcBfsPlacement::default());
+    for (name, builder) in [
         (
             "CloudQC",
-            run_multi_tenant(
-                &jobs,
-                &cloud,
-                &CloudQcPlacement::default(),
-                &CloudQcScheduler,
-                OrderingPolicy::default(),
-                9,
-            ),
+            ServiceBuilder::new(&cloud, &cloudqc, &CloudQcScheduler, 9),
         ),
         (
             "CloudQC-BFS",
-            run_multi_tenant(
-                &jobs,
-                &cloud,
-                &CloudQcBfsPlacement::default(),
-                &CloudQcScheduler,
-                OrderingPolicy::default(),
-                9,
-            ),
+            ServiceBuilder::new(&cloud, &bfs, &CloudQcScheduler, 9),
         ),
         (
             "CloudQC-FIFO",
-            run_multi_tenant(
-                &jobs,
-                &cloud,
-                &CloudQcPlacement::default(),
-                &CloudQcScheduler,
-                OrderingPolicy::Fifo,
-                9,
-            ),
+            ServiceBuilder::new(&cloud, &cloudqc, &CloudQcScheduler, 9)
+                .admission(AdmissionPolicy::Backfill),
         ),
     ] {
-        let run = run.unwrap_or_else(|e| panic!("{name}: {e}"));
+        let run = builder
+            .run(&workload)
+            .unwrap_or_else(|e| panic!("{name}: {e}"));
         assert_eq!(run.outcomes.len(), 4, "{name}");
         assert!(run.makespan > Tick::ZERO, "{name}");
     }
@@ -151,15 +124,9 @@ fn batch_outcome_is_deterministic() {
     let cloud = CloudBuilder::paper_default(21).build();
     let jobs = batch(&["qugan_n39", "ising_n34", "bv_n70"]);
     let go = || {
-        run_multi_tenant(
-            &jobs,
-            &cloud,
-            &CloudQcPlacement::default(),
-            &CloudQcScheduler,
-            OrderingPolicy::default(),
-            31,
-        )
-        .unwrap()
+        ServiceBuilder::new(&cloud, &CloudQcPlacement::default(), &CloudQcScheduler, 31)
+            .run(&Workload::batch(jobs.clone()))
+            .unwrap()
     };
     assert_eq!(go(), go());
 }

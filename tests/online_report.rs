@@ -14,7 +14,7 @@ use cloudqc::circuit::generators::catalog;
 use cloudqc::circuit::Circuit;
 use cloudqc::cloud::CloudBuilder;
 use cloudqc::core::placement::CloudQcPlacement;
-use cloudqc::core::runtime::{AdmissionPolicy, Orchestrator};
+use cloudqc::core::runtime::{AdmissionPolicy, ServiceBuilder};
 use cloudqc::core::schedule::{
     AverageScheduler, CloudQcScheduler, GreedyScheduler, RandomScheduler, Scheduler,
 };
@@ -59,9 +59,9 @@ proptest! {
         let placement = CloudQcPlacement::default();
         let scheduler = scheduler_for(scheduler_pick);
         let workload = Workload::poisson(&pool(), 8, mean_gap, seed);
-        let mut svc = Orchestrator::new(&cloud, &placement, scheduler.as_ref(), seed)
-            .with_admission(AdmissionPolicy::Backfill)
-            .into_service();
+        let mut svc = ServiceBuilder::new(&cloud, &placement, scheduler.as_ref(), seed)
+            .admission(AdmissionPolicy::Backfill)
+            .build();
         svc.submit_workload(&workload);
         let report = svc.drive().unwrap();
         let online = svc.online();
@@ -114,10 +114,10 @@ proptest! {
         let placement = CloudQcPlacement::default();
         let workload = Workload::poisson(&pool(), 24, 2_000.0, seed);
         let run = |reservoir: usize| {
-            let mut svc = Orchestrator::new(&cloud, &placement, &CloudQcScheduler, seed)
-                .with_admission(AdmissionPolicy::Backfill)
-                .into_service()
-                .with_reservoir_capacity(reservoir);
+            let mut svc = ServiceBuilder::new(&cloud, &placement, &CloudQcScheduler, seed)
+                .admission(AdmissionPolicy::Backfill)
+                .reservoir_capacity(reservoir)
+                .build();
             svc.submit_workload(&workload);
             let report = svc.drive().unwrap();
             (report, svc.online().clone())

@@ -11,7 +11,7 @@ use cloudqc::circuit::generators::catalog;
 use cloudqc::circuit::Circuit;
 use cloudqc::cloud::{Cloud, CloudBuilder, QpuId};
 use cloudqc::core::placement::{CloudQcPlacement, PlacementAlgorithm, RandomPlacement};
-use cloudqc::core::runtime::{AdmissionPolicy, LoadShedPolicy, Orchestrator, RunReport};
+use cloudqc::core::runtime::{AdmissionPolicy, LoadShedPolicy, RunReport, ServiceBuilder};
 use cloudqc::core::schedule::CloudQcScheduler;
 use cloudqc::core::workload::Workload;
 use cloudqc::core::Executor;
@@ -80,9 +80,9 @@ proptest! {
             1 => AdmissionPolicy::Backfill,
             _ => AdmissionPolicy::default(),
         };
-        let report = Orchestrator::new(&cloud, &placement, &CloudQcScheduler, seed)
-            .with_admission(policy)
-            .with_path_reservation(reservation)
+        let report = ServiceBuilder::new(&cloud, &placement, &CloudQcScheduler, seed)
+            .admission(policy)
+            .path_reservation(reservation)
             .run(&Workload::batch(circuit_pool(seed)))
             .unwrap();
         prop_assert!(report.rejected.is_empty() || !report.outcomes.is_empty() || report.makespan == cloudqc::sim::Tick::ZERO);
@@ -100,8 +100,8 @@ proptest! {
         let placement = CloudQcPlacement::default();
         let pool = circuit_pool(seed);
         let workload = Workload::poisson(&pool, 5, mean_gap, seed);
-        let report = Orchestrator::new(&cloud, &placement, &CloudQcScheduler, seed)
-            .with_path_reservation(reservation)
+        let report = ServiceBuilder::new(&cloud, &placement, &CloudQcScheduler, seed)
+            .path_reservation(reservation)
             .run(&workload)
             .unwrap();
         assert_conserved(&cloud, &report);
@@ -132,12 +132,12 @@ proptest! {
         ]);
         let pool = circuit_pool(seed);
         let mice = Workload::poisson(&pool, 5, mean_gap, seed).with_uniform_sla(sla);
-        let mut orch = Orchestrator::new(&cloud, &placement, &CloudQcScheduler, seed)
-            .with_preemption(true);
+        let mut builder = ServiceBuilder::new(&cloud, &placement, &CloudQcScheduler, seed)
+            .preemption(true);
         if shed_depth > 0 {
-            orch = orch.with_load_shedding(LoadShedPolicy::queue_depth(shed_depth));
+            builder = builder.load_shedding(LoadShedPolicy::queue_depth(shed_depth));
         }
-        let mut svc = orch.into_service();
+        let mut svc = builder.build();
         svc.submit_workload(&elephants);
         svc.submit_workload(&mice);
         let report = svc.drive().unwrap();
@@ -171,7 +171,7 @@ proptest! {
             let p = RandomPlacement
                 .place(circuit, &cloud, &cloud.status(), seed ^ j as u64)
                 .unwrap();
-            exec.add_job(circuit, &p);
+            exec.try_add_job(circuit, &p).expect("job admitted");
         }
         exec.run_to_completion();
         let capacities: Vec<usize> = (0..cloud.qpu_count())

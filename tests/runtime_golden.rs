@@ -4,43 +4,61 @@
 //!
 //! * The *current* goldens (batch / FIFO / incoming tests below) were
 //!   re-pinned when fingerprint-derived placement seeding became the
-//!   orchestrator default: each job's placement seed is now a function
+//!   runtime default: each job's placement seed is now a function
 //!   of its circuit's structural fingerprint instead of its workload
 //!   index, so repeated shapes share placement-cache entries. Any
-//!   drift in these means the orchestrator, placement pipeline, or
+//!   drift in these means the runtime, placement pipeline, or
 //!   executor changed observable behaviour.
 //! * The *legacy* golden (`legacy_index_seeding_opt_out_...`) pins the
 //!   pre-default per-job completion times — originally captured from
 //!   the seed implementation at commit `37af50c` — under
-//!   `with_fingerprint_seeding(false)`. It proves the seeding default
+//!   `fingerprint_seeding(false)`. It proves the seeding default
 //!   is the only thing that moved: the legacy derivation still
 //!   reproduces the pre-refactor execution stack's outcomes exactly.
 //!
 //! The A/B tests below additionally pin that the placement cache, the
-//! batched-allocation elision, and the per-QPU-pair sharded front
-//! layer are all *pure* optimizations: enabling or disabling any of
-//! them leaves seeded schedules byte-identical.
+//! change-driven allocation elision, and the per-QPU-pair sharded front
+//! layer are all *pure* optimizations. Seeded schedules are
+//! byte-identical with the cache on or off, and with a pure scheduler
+//! or its [`Impure`] wrapper, which forces the global, never-elided
+//! front layer.
 
 use cloudqc::circuit::generators::catalog;
 use cloudqc::circuit::Circuit;
 use cloudqc::cloud::CloudBuilder;
-use cloudqc::core::batch::OrderingPolicy;
+use cloudqc::core::config::BatchWeights;
 use cloudqc::core::placement::PlacementAlgorithm;
 use cloudqc::core::placement::{CloudQcBfsPlacement, CloudQcPlacement, RandomPlacement};
-use cloudqc::core::runtime::{AdmissionPolicy, Orchestrator, RunReport};
+use cloudqc::core::runtime::{AdmissionPolicy, RunReport, ServiceBuilder};
 use cloudqc::core::schedule::{
-    AverageScheduler, CloudQcScheduler, GreedyScheduler, RandomScheduler, Scheduler,
+    Allocation, AverageScheduler, CloudQcScheduler, GreedyScheduler, RemoteRequest, Scheduler,
 };
-use cloudqc::core::tenant::{run_incoming, run_multi_tenant};
 use cloudqc::core::workload::Workload;
 use cloudqc::core::Executor;
 use cloudqc::sim::Tick;
+use rand::rngs::StdRng;
 
 fn batch(names: &[&str]) -> Vec<Circuit> {
     names
         .iter()
         .map(|n| catalog::by_name(n).expect("catalog circuit"))
         .collect()
+}
+
+/// Forwards `name` and `allocate` but keeps the default
+/// `is_pure() == false`, which forces the executor's global,
+/// never-elided front layer: the reference the sharded layer must
+/// reproduce.
+struct Impure<'s, S: ?Sized>(&'s S);
+
+impl<S: Scheduler + ?Sized> Scheduler for Impure<'_, S> {
+    fn name(&self) -> &'static str {
+        self.0.name()
+    }
+
+    fn allocate(&self, req: &[RemoteRequest], free: &[usize], rng: &mut StdRng) -> Vec<Allocation> {
+        self.0.allocate(req, free, rng)
+    }
 }
 
 fn big_batch() -> Vec<Circuit> {
@@ -66,15 +84,16 @@ fn batch_mode_reproduces_pinned_outcomes() {
         (42, [2612, 20138, 37860, 10451, 7660, 6243, 18354, 54024]),
     ];
     for (seed, times) in expected {
-        let run = run_multi_tenant(
-            &jobs,
+        let run = ServiceBuilder::new(
             &cloud,
             &CloudQcPlacement::default(),
             &CloudQcScheduler,
-            OrderingPolicy::default(),
             seed,
         )
+        .admission(AdmissionPolicy::PriorityBackfill(BatchWeights::default()))
+        .run(&Workload::batch(jobs.clone()))
         .unwrap();
+        assert!(run.rejected.is_empty(), "seed {seed}");
         let got: Vec<u64> = run
             .outcomes
             .iter()
@@ -103,16 +122,14 @@ fn legacy_index_seeding_opt_out_reproduces_seed_outcomes() {
         (7, [2217, 22290, 23760, 11285, 8385, 7041, 22439, 42431]),
         (42, [2418, 20946, 36602, 11067, 7957, 6513, 26829, 48698]),
     ];
-    let OrderingPolicy::Metric(weights) = OrderingPolicy::default() else {
-        panic!("metric ordering is the batch default");
-    };
     for (seed, times) in expected {
         let placement = CloudQcPlacement::default();
-        let run = Orchestrator::new(&cloud, &placement, &CloudQcScheduler, seed)
-            .with_admission(AdmissionPolicy::PriorityBackfill(weights))
-            .with_fingerprint_seeding(false)
+        let run = ServiceBuilder::new(&cloud, &placement, &CloudQcScheduler, seed)
+            .admission(AdmissionPolicy::PriorityBackfill(BatchWeights::default()))
+            .fingerprint_seeding(false)
             .run(&Workload::batch(jobs.clone()))
             .unwrap();
+        assert!(run.rejected.is_empty(), "seed {seed}");
         let got: Vec<u64> = run
             .outcomes
             .iter()
@@ -136,15 +153,16 @@ fn fifo_contended_batch_reproduces_pinned_outcomes() {
     let jobs = batch(&["ghz_n30", "ghz_n30", "ghz_n30"]);
     let expected: [(u64, [u64; 3]); 2] = [(5, [643, 1486, 2129]), (11, [894, 1688, 2482])];
     for (seed, times) in expected {
-        let run = run_multi_tenant(
-            &jobs,
+        let run = ServiceBuilder::new(
             &cloud,
             &CloudQcPlacement::default(),
             &CloudQcScheduler,
-            OrderingPolicy::Fifo,
             seed,
         )
+        .admission(AdmissionPolicy::Backfill)
+        .run(&Workload::batch(jobs.clone()))
         .unwrap();
+        assert!(run.rejected.is_empty(), "seed {seed}");
         let got: Vec<u64> = run
             .outcomes
             .iter()
@@ -190,14 +208,12 @@ fn incoming_mode_reproduces_pinned_outcomes() {
         ),
     ];
     for (seed, records) in expected {
-        let run = run_incoming(
-            &jobs,
-            &cloud,
-            &CloudQcBfsPlacement::default(),
-            &CloudQcScheduler,
-            seed,
-        )
-        .unwrap();
+        let placement = CloudQcBfsPlacement::default();
+        let run = ServiceBuilder::new(&cloud, &placement, &CloudQcScheduler, seed)
+            .admission(AdmissionPolicy::Backfill)
+            .run(&Workload::trace(jobs.iter().cloned()))
+            .unwrap();
+        assert!(run.rejected.is_empty(), "seed {seed}");
         let got: Vec<(u64, u64)> = run
             .outcomes
             .iter()
@@ -243,10 +259,10 @@ fn cached_and_uncached_placement_are_byte_identical() {
     for seed in [3u64, 7, 42] {
         for fingerprint_seeding in [false, true] {
             let run = |cached: bool| {
-                Orchestrator::new(&cloud, &placement, &CloudQcScheduler, seed)
-                    .with_admission(AdmissionPolicy::Backfill)
-                    .with_fingerprint_seeding(fingerprint_seeding)
-                    .with_placement_cache(cached)
+                ServiceBuilder::new(&cloud, &placement, &CloudQcScheduler, seed)
+                    .admission(AdmissionPolicy::Backfill)
+                    .fingerprint_seeding(fingerprint_seeding)
+                    .placement_cache(cached)
                     .run(&workload)
                     .expect("contended run completes")
             };
@@ -272,43 +288,25 @@ fn cached_and_uncached_placement_are_byte_identical() {
 }
 
 #[test]
-fn batched_and_unbatched_allocation_are_byte_identical_in_runtime() {
-    let (cloud, workload) = contended_setup();
-    let placement = CloudQcPlacement::default();
-    for seed in [5u64, 11] {
-        let run = |batched: bool| {
-            Orchestrator::new(&cloud, &placement, &CloudQcScheduler, seed)
-                .with_batched_allocation(batched)
-                .run(&workload)
-                .expect("contended run completes")
-        };
-        let batched = run(true);
-        let unbatched = run(false);
-        assert_eq!(observable(&batched), observable(&unbatched), "seed {seed}");
-        // Same events, same ticks: the batch distribution is identical
-        // too — only the number of allocation passes differs.
-        assert_eq!(batched.event_batches, unbatched.event_batches);
-    }
-}
-
-#[test]
 fn sharded_and_global_front_layers_are_byte_identical_in_runtime() {
-    // The per-QPU-pair sharded front layer only changes *which* shards
-    // an allocation round scans, never what it grants: runtime-level
-    // schedules must not move a tick, while the work counters show the
-    // sharded arm scanning strictly fewer requests per round.
+    // The per-QPU-pair sharded front layer and the change-driven
+    // elision only change *which* requests an allocation round scans,
+    // never what it grants: runtime-level schedules must not move a
+    // tick against the global, never-elided layer, while the work
+    // counters show the sharded arm scanning strictly fewer requests.
     let (cloud, workload) = contended_setup();
     let placement = CloudQcPlacement::default();
     for seed in [5u64, 11] {
-        let run = |sharded: bool| {
-            Orchestrator::new(&cloud, &placement, &CloudQcScheduler, seed)
-                .with_sharded_front_layer(sharded)
+        let run = |scheduler: &dyn Scheduler| {
+            ServiceBuilder::new(&cloud, &placement, scheduler, seed)
                 .run(&workload)
                 .expect("contended run completes")
         };
-        let sharded = run(true);
-        let global = run(false);
+        let sharded = run(&CloudQcScheduler);
+        let global = run(&Impure(&CloudQcScheduler));
         assert_eq!(observable(&sharded), observable(&global), "seed {seed}");
+        // Same events, same ticks: the batch distribution is identical
+        // too — only the allocation work differs.
         assert_eq!(sharded.event_batches, global.event_batches);
         assert!(
             sharded.allocation.requests_scanned < global.allocation.requests_scanned,
@@ -324,9 +322,8 @@ fn sharded_and_global_front_layers_are_byte_identical_in_runtime() {
 fn sharded_and_global_front_layers_are_byte_identical_in_executor() {
     // The executor-level A/B, under the bench's contention profile
     // (scarce pairs, low EPR success, random placements), across every
-    // scheduler. For the pure schedulers this exercises the dirty-shard
-    // fast path; for the random scheduler sharding must silently stay
-    // off (eliding shards would shift its RNG stream).
+    // pure scheduler: the dirty-shard fast path against the global,
+    // never-elided layer of the scheduler's impure wrapper.
     let cloud = CloudBuilder::new(6)
         .computing_qubits(40)
         .communication_qubits(2)
@@ -344,18 +341,15 @@ fn sharded_and_global_front_layers_are_byte_identical_in_executor() {
             (c, p)
         })
         .collect();
-    let schedulers: Vec<Box<dyn Scheduler>> = vec![
-        Box::new(CloudQcScheduler),
-        Box::new(GreedyScheduler),
-        Box::new(AverageScheduler),
-        Box::new(RandomScheduler),
-    ];
-    for scheduler in &schedulers {
+    let schedulers: [&dyn Scheduler; 3] = [&CloudQcScheduler, &GreedyScheduler, &AverageScheduler];
+    for scheduler in schedulers {
         for seed in [1u64, 9, 27] {
-            let run = |sharded: bool| {
-                let mut exec = Executor::new(&cloud, scheduler.as_ref(), seed)
-                    .with_sharded_front_layer(sharded);
-                let ids: Vec<usize> = placed.iter().map(|(c, p)| exec.add_job(c, p)).collect();
+            let run = |scheduler: &dyn Scheduler| {
+                let mut exec = Executor::new(&cloud, scheduler, seed);
+                let ids: Vec<usize> = placed
+                    .iter()
+                    .map(|(c, p)| exec.try_add_job(c, p).expect("job admitted"))
+                    .collect();
                 exec.run_to_completion();
                 let results: Vec<_> = ids
                     .into_iter()
@@ -363,7 +357,8 @@ fn sharded_and_global_front_layers_are_byte_identical_in_executor() {
                     .collect();
                 (results, exec.now(), exec.comm_free().to_vec())
             };
-            assert_eq!(run(true), run(false), "{} seed {seed}", scheduler.name());
+            let global = run(&Impure(scheduler));
+            assert_eq!(run(scheduler), global, "{} seed {seed}", scheduler.name());
         }
     }
 }
@@ -373,18 +368,18 @@ fn two_epoch_service_with_shared_cache_matches_independent_runs() {
     // The service-layer golden: driving the same workload through two
     // epochs of one resident Service (whose placement cache persists
     // across epochs) must produce *exactly* the per-job completion
-    // times of two independent Orchestrator::run calls — cache reuse
+    // times of two independent ServiceBuilder::run calls — cache reuse
     // may only change speed, never outcomes — while the warm epoch
     // proves the cache actually carried over (hit-rate > 0).
     let (cloud, workload) = contended_setup();
     let placement = CloudQcPlacement::default();
     for seed in [3u64, 7, 42] {
-        let orch = || {
-            Orchestrator::new(&cloud, &placement, &CloudQcScheduler, seed)
-                .with_admission(AdmissionPolicy::Backfill)
+        let builder = || {
+            ServiceBuilder::new(&cloud, &placement, &CloudQcScheduler, seed)
+                .admission(AdmissionPolicy::Backfill)
         };
-        let solo = orch().run(&workload).expect("independent run completes");
-        let mut svc = orch().into_service();
+        let solo = builder().run(&workload).expect("independent run completes");
+        let mut svc = builder().build();
         svc.submit_workload(&workload);
         let epoch1 = svc.drive().expect("epoch 1 completes");
         svc.submit_workload(&workload);
@@ -438,19 +433,19 @@ fn continuous_clock_over_drained_boundary_matches_epoch_mode() {
         r
     };
     for seed in [3u64, 7, 42] {
-        let orch = || {
-            Orchestrator::new(&cloud, &placement, &CloudQcScheduler, seed)
-                .with_admission(AdmissionPolicy::Backfill)
+        let builder = || {
+            ServiceBuilder::new(&cloud, &placement, &CloudQcScheduler, seed)
+                .admission(AdmissionPolicy::Backfill)
         };
         // Epoch face: two drives, each a fresh clock-0 era.
-        let mut epochs = orch().into_service();
+        let mut epochs = builder().build();
         epochs.submit_workload(&w1);
         let e1 = epochs.drive().expect("epoch 1 completes");
         epochs.submit_workload(&w2);
         let e2 = epochs.drive().expect("epoch 2 completes");
         // Continuous face: same engine, never reset; the second
         // workload is submitted in lifetime coordinates.
-        let mut cont = orch().into_service();
+        let mut cont = builder().build();
         cont.submit_workload(&w1);
         let c1 = cont.drive_to_quiescence().expect("window 1 completes");
         assert!(c1.quiescent, "seed {seed}: cloud must drain at boundary");
@@ -476,43 +471,6 @@ fn continuous_clock_over_drained_boundary_matches_epoch_mode() {
             epochs.now(),
             "seed {seed}: both faces park the lifetime clock at the same tick"
         );
-    }
-}
-
-#[test]
-fn batched_and_unbatched_allocation_are_byte_identical_in_executor() {
-    // The executor-level A/B, under the bench's contention profile:
-    // scarce pairs, low EPR success, random placements.
-    let cloud = CloudBuilder::new(6)
-        .computing_qubits(40)
-        .communication_qubits(2)
-        .epr_success_prob(0.2)
-        .ring_topology()
-        .build();
-    let jobs = batch(&["qugan_n39", "knn_n67", "adder_n64", "qft_n29"]);
-    let placed: Vec<_> = jobs
-        .iter()
-        .enumerate()
-        .map(|(i, c)| {
-            let p = RandomPlacement
-                .place(c, &cloud, &cloud.status(), i as u64)
-                .expect("placement succeeds");
-            (c, p)
-        })
-        .collect();
-    for seed in [1u64, 9, 27] {
-        let run = |batched: bool| {
-            let mut exec =
-                Executor::new(&cloud, &CloudQcScheduler, seed).with_batched_allocation(batched);
-            let ids: Vec<usize> = placed.iter().map(|(c, p)| exec.add_job(c, p)).collect();
-            exec.run_to_completion();
-            let results: Vec<_> = ids
-                .into_iter()
-                .map(|id| exec.job_result(id).expect("job finished"))
-                .collect();
-            (results, exec.now(), exec.comm_free().to_vec())
-        };
-        assert_eq!(run(true), run(false), "seed {seed}");
     }
 }
 

@@ -13,13 +13,13 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 use cloudqc::circuit::generators::catalog;
 use cloudqc::cloud::{CloudBuilder, QpuId};
-use cloudqc::core::batch::OrderingPolicy;
 use cloudqc::core::placement::CloudQcPlacement;
+use cloudqc::core::runtime::ServiceBuilder;
 use cloudqc::core::schedule::{
     validate_allocations, Allocation, AverageScheduler, CloudQcScheduler, GreedyScheduler,
     RandomScheduler, RemoteRequest, Scheduler,
 };
-use cloudqc::core::tenant::run_multi_tenant;
+use cloudqc::core::workload::Workload;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 
@@ -100,15 +100,9 @@ fn no_scheduler_oversubscribes_in_a_contended_multi_tenant_run() {
         .collect();
     for sched in schedulers() {
         let validating = ValidatingScheduler::new(sched.as_ref());
-        let run = run_multi_tenant(
-            &batch,
-            &cloud,
-            &CloudQcPlacement::default(),
-            &validating,
-            OrderingPolicy::default(),
-            13,
-        )
-        .expect("batch fits");
+        let run = ServiceBuilder::new(&cloud, &CloudQcPlacement::default(), &validating, 13)
+            .run(&Workload::batch(batch.clone()))
+            .expect("batch fits");
         assert_eq!(run.outcomes.len(), batch.len(), "{}", sched.name());
         assert!(
             validating.rounds.load(Ordering::Relaxed) > 0,
