@@ -127,10 +127,9 @@ pub enum ExecError {
         /// Waiting jobs at the instant the job was shed.
         queue_depth: usize,
     },
-    /// The job can never be placed, even on a fully idle cloud. The
-    /// continuous-clock service rejects such jobs (carrying the
-    /// placement failure) instead of failing the whole run the way the
-    /// fail-fast epoch mode does.
+    /// The job can never be placed, even on a fully idle cloud. Every
+    /// face of the runtime rejects such a job (carrying the placement
+    /// failure) and keeps running the rest of the stream.
     Unplaceable(PlacementError),
 }
 

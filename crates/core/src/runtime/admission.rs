@@ -76,10 +76,9 @@ impl Default for AdmissionPolicy {
 }
 
 /// Everything the runtime loop needs from the policy: queue-ordering
-/// metrics and the SLA terms for deadline admission control. Epoch mode
-/// computes it once per epoch ([`AdmissionPolicy::prepare`]); the
-/// continuous-clock engine grows it one submission batch at a time
-/// ([`AdmissionPolicy::extend`]).
+/// metrics and the SLA terms for deadline admission control. The
+/// engine grows it one submission batch at a time
+/// ([`AdmissionPolicy::extend`]) and starts it over at each re-anchor.
 pub(crate) struct QueueContext {
     /// Per-job queue priority, higher first (`None` keeps pure arrival
     /// order).
@@ -88,8 +87,8 @@ pub(crate) struct QueueContext {
     /// [`AdmissionPolicy::DeadlineAware`].
     sla: Option<Vec<(Option<Tick>, u64)>>,
     /// Per-tenant WFQ virtual finish times, carried across submission
-    /// batches under [`AdmissionPolicy::WeightedFairShare`] (reset at a
-    /// continuous-engine re-anchor, where epoch mode starts fresh).
+    /// batches under [`AdmissionPolicy::WeightedFairShare`] (reset at an
+    /// engine re-anchor).
     tenant_finish: Vec<f64>,
 }
 
@@ -187,10 +186,10 @@ impl AdmissionPolicy {
 
     /// Appends the queue context for one more submission batch (whose
     /// jobs are indexed right after everything already in `ctx`) — the
-    /// incremental form the continuous-clock engine uses to inject
-    /// batches onto a live executor. WFQ virtual finishes carry across
-    /// batches through the context's per-tenant state; a single batch
-    /// over an empty context computes one epoch's worth from scratch.
+    /// incremental form the engine uses to inject batches onto a live
+    /// executor. WFQ virtual finishes carry across batches through the
+    /// context's per-tenant state; a single batch over an empty context
+    /// computes one epoch's worth from scratch.
     pub(crate) fn extend(&self, ctx: &mut QueueContext, jobs: &[WorkloadJob], cloud: &Cloud) {
         let estimates = |jobs: &[WorkloadJob]| -> Vec<u64> {
             jobs.iter()

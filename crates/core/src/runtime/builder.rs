@@ -1,9 +1,13 @@
 //! The one way to configure and start the runtime.
 //!
 //! [`ServiceBuilder`] is one typed, documented home for every runtime
-//! knob. A [`crate::runtime::Fleet`] needs a *per-backend*
-//! configuration value it can hold, pass around, and build services
-//! from, and this builder is that value.
+//! knob. [`ServiceBuilder::build`] creates a [`Service`] together with
+//! the one engine every face of it drives; [`ServiceBuilder::run`]
+//! drives one epoch of a fresh service. A [`crate::runtime::Fleet`]
+//! needs a *per-backend* configuration value it can hold, pass around,
+//! and build services from, and this builder is that value: every
+//! option, the placement cache's repair tier included, is set per
+//! backend here.
 //!
 //! ```
 //! use cloudqc_cloud::CloudBuilder;
@@ -31,10 +35,10 @@ use cloudqc_cloud::Cloud;
 use cloudqc_sim::online::OnlineReport;
 
 /// Typed construction of one runtime configuration: every knob the
-/// epoch, continuous, and fleet faces share. The defaults are
-/// priority-aware backfill admission, the placement cache on with the
-/// exact signature, fingerprint seeding, and the default streaming
-/// reservoir; preemption, aging, and load shedding are off.
+/// epoch and continuous faces and the fleet's backends share. The
+/// defaults are priority-aware backfill admission, the placement cache
+/// on with the exact signature, fingerprint seeding, and the default
+/// streaming reservoir; preemption, aging, and load shedding are off.
 ///
 /// Terminal calls: [`ServiceBuilder::build`] for a resident
 /// [`Service`], [`ServiceBuilder::run`] for one finite workload, or
@@ -261,12 +265,16 @@ impl<'a> ServiceBuilder<'a> {
     /// epoch of a fresh [`Service`], so a finite trace and a service
     /// epoch are by construction the same computation.
     ///
+    /// Jobs that can never be placed even on an idle cloud
+    /// ([`crate::error::ExecError::Unplaceable`]), jobs whose placement
+    /// can never *execute* (communication starvation), and jobs whose
+    /// SLA expired are rejected in the report; the rest of the run
+    /// completes.
+    ///
     /// # Errors
     ///
-    /// [`PlacementError`] if some job can never be placed even on an
-    /// idle cloud (it would otherwise wait forever). Jobs whose
-    /// *placement* succeeds but can never *execute* (communication
-    /// starvation) are rejected, not errors.
+    /// As [`Service::drive`]: [`PlacementError`] only in pathological
+    /// engine states, never for a property of the workload.
     pub fn run(&self, workload: &Workload) -> Result<RunReport, PlacementError> {
         let mut service = Service::from_config(self.cfg);
         service.submit_workload(workload);

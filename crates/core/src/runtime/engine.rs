@@ -1,39 +1,34 @@
-//! The resident event loop shared by the epoch-mode and
-//! continuous-clock faces of [`crate::runtime::Service`].
+//! The resident event loop behind every face of
+//! [`crate::runtime::Service`].
 //!
 //! An [`Engine`] owns everything one *era* of simulation needs to stay
 //! live between calls: the executor (with its event queue and RNG), the
 //! cloud's free-capacity ledger, the admission queue context, the jobs
-//! injected so far, and the not-yet-arrived tail of the stream. The
-//! service drives it two ways:
+//! injected so far, and the not-yet-arrived tail of the stream. A
+//! service owns exactly one engine. Submissions land on the live
+//! executor mid-flight ([`Engine::inject`]), and [`Engine::advance`]
+//! runs until quiescent or until a lifetime-tick budget.
 //!
-//! * **Epoch mode** (`continuous == false`): one fresh engine per
-//!   `drive()`, injected once and advanced to quiescence — literally
-//!   the pre-refactor `run_epoch` loop, with job records stamped on the
-//!   era-local clock so epoch reports are unchanged.
-//! * **Continuous mode** (`continuous == true`): one engine resident on
-//!   the service. Submissions land on the *live* executor mid-flight
-//!   ([`Engine::inject`]); [`Engine::advance`] runs until quiescent or
-//!   until a lifetime-tick budget. Job records are stamped on the
-//!   lifetime clock.
+//! Every tick the engine reports is on the service's *lifetime* clock
+//! (`clock_base + era-local`): job records, rejection payloads, and the
+//! streaming [`OnlineReport`]. Multi-epoch throughput and last-finish
+//! series are therefore monotone instead of piling up at tick 0. An
+//! epoch (`Service::drive`) is a drive to quiescence whose records the
+//! service restamps into the epoch frame afterwards.
 //!
-//! In both modes the streaming [`OnlineReport`] is fed *lifetime* ticks
-//! (`clock_base + era-local`), so multi-epoch throughput and
-//! last-finish series are monotone instead of piling up at tick 0.
+//! # Re-anchoring, and why an epoch is a drive to quiescence
 //!
-//! # Re-anchoring, and why continuous == epoch over a drained cloud
-//!
-//! When a continuous engine is fully quiescent (no waiting jobs, no
-//! in-flight work, no future arrivals) and a new batch is injected, it
+//! When the engine is fully quiescent (no waiting jobs, no in-flight
+//! work, no future arrivals) and a new batch is injected, it
 //! *re-anchors*: the lifetime clock base absorbs the elapsed era, and
 //! the executor, capacity ledger, and admission context are rebuilt
-//! fresh — exactly the state a new epoch would start from. Every
-//! admission metric is shift-invariant under a uniform arrival offset
-//! (WFQ virtual finishes restart with the context, EDF compares
-//! like-framed deadlines, SJF/priority ignore time entirely), so a
-//! continuous run over concatenated workloads reproduces epoch mode
-//! byte-for-byte whenever the cloud drains between them — the golden
-//! test in `tests/runtime_golden.rs` pins this.
+//! fresh — exactly the state of a new service. Every admission metric
+//! is shift-invariant under a uniform arrival offset (WFQ virtual
+//! finishes restart with the context, EDF compares like-framed
+//! deadlines, SJF/priority ignore time entirely), so a run over
+//! concatenated workloads reproduces independent runs byte-for-byte
+//! whenever the cloud drains between them — the golden tests in
+//! `tests/runtime_golden.rs` pin this.
 //!
 //! # The policy tier
 //!
@@ -44,7 +39,9 @@
 //! **aging** (waiting jobs gain priority linearly with queueing time,
 //! bounding SJF/EDF starvation), and **load shedding** (arrivals are
 //! turned away with [`ExecError::LoadShed`] while the waiting queue or
-//! the streaming p99 is over its configured limit).
+//! the streaming p99 is over its configured limit). A job that can
+//! never be placed, even on an idle cloud, is rejected with
+//! [`ExecError::Unplaceable`].
 
 use crate::error::{ExecError, PlacementError};
 use crate::exec::{AllocStats, Executor};
@@ -72,8 +69,8 @@ struct EngineJob {
     /// Structural fingerprint (computed when the cache or fingerprint
     /// seeding needs it).
     fingerprint: Option<Fingerprint>,
-    /// The index this job is reported under (workload index in epoch
-    /// mode, lifetime submission index in continuous mode).
+    /// The index this job is reported under: its lifetime submission
+    /// index.
     record_index: usize,
 }
 
@@ -88,10 +85,6 @@ struct Admitted {
 /// admission queue, and the stream tail, advanced on demand.
 pub(crate) struct Engine<'a> {
     cfg: RuntimeConfig<'a>,
-    /// Continuous-clock mode: lifetime stamping, typed rejection of
-    /// never-placeable jobs (epoch mode fails fast instead), and
-    /// re-anchoring on quiescent injection.
-    continuous: bool,
     /// Lifetime tick at which this era's local clock 0 sits.
     clock_base: u64,
     status: CloudStatus,
@@ -111,10 +104,13 @@ pub(crate) struct Engine<'a> {
     critical_running: usize,
     /// Whether the admission queue could admit differently since the
     /// last pass (a job arrived, a completion freed capacity, or a
-    /// suspension was lifted). Gating admission on this keeps a
-    /// budget-bounded `advance` transparent: pausing and resuming the
-    /// clock re-runs admission only at the same instants an
-    /// uninterrupted run would.
+    /// suspension was lifted). Gating admission on this skips passes
+    /// that cannot admit anything new. It does not make budget slicing
+    /// transparent: a budget deadline is itself an admission instant,
+    /// so capacity that a completion frees before the deadline is
+    /// offered to waiting jobs at the deadline, where an uninterrupted
+    /// run offers it only at the next arrival. Once a job waits for
+    /// capacity, slicing can change the schedule (ROADMAP item 2).
     admission_dirty: bool,
     /// Completions recorded since the last [`Engine::take_window`].
     outcomes: Vec<JobRecord>,
@@ -130,7 +126,7 @@ pub(crate) struct Engine<'a> {
 }
 
 impl<'a> Engine<'a> {
-    pub(crate) fn new(cfg: RuntimeConfig<'a>, continuous: bool, clock_base: u64) -> Self {
+    pub(crate) fn new(cfg: RuntimeConfig<'a>, clock_base: u64) -> Self {
         Engine {
             status: cfg.cloud.status(),
             exec: Self::fresh_exec(&cfg),
@@ -149,7 +145,6 @@ impl<'a> Engine<'a> {
             retired_preemptions: 0,
             finished_scratch: Vec::new(),
             cfg,
-            continuous,
             clock_base,
         }
     }
@@ -162,17 +157,6 @@ impl<'a> Engine<'a> {
     /// The engine's clock on the service lifetime frame.
     pub(crate) fn now(&self) -> Tick {
         Tick::new(self.clock_base + self.exec.now().as_ticks())
-    }
-
-    /// The clock admission policies compare deadlines against: era-local
-    /// in epoch mode (deadlines are epoch-local there), lifetime in
-    /// continuous mode.
-    fn policy_now(&self) -> Tick {
-        if self.continuous {
-            self.now()
-        } else {
-            self.exec.now()
-        }
     }
 
     fn shift(&self, t: Tick) -> Tick {
@@ -218,6 +202,12 @@ impl<'a> Engine<'a> {
         self.retired_preemptions + self.exec.preemptions()
     }
 
+    /// The allocation-pass counters and event-batch distribution of the
+    /// current era alone (the live executor).
+    pub(crate) fn era_stats(&self) -> (AllocStats, BatchStats) {
+        (self.exec.alloc_stats(), self.exec.batch_stats().clone())
+    }
+
     /// Free computing qubits per QPU right now.
     pub(crate) fn free_computing(&self) -> Vec<usize> {
         (0..self.cfg.cloud.qpu_count())
@@ -240,7 +230,8 @@ impl<'a> Engine<'a> {
     /// their communication pairs to the fabric) and returns the record
     /// indices of *all* unfinished work — in-flight, waiting, and
     /// not-yet-arrived — so the caller can re-submit it elsewhere. The
-    /// engine is not usable afterwards; drop it.
+    /// engine then starts a fresh, empty era at the current lifetime
+    /// tick.
     ///
     /// Partial progress is lost by design (restart-from-scratch
     /// failover: placements are not migratable across clouds), but no
@@ -264,6 +255,7 @@ impl<'a> Engine<'a> {
                 .map(|&id| self.jobs[id].record_index),
         );
         evacuated.sort_unstable();
+        self.reanchor();
         evacuated
     }
 
@@ -277,13 +269,12 @@ impl<'a> Engine<'a> {
     }
 
     /// Lands a submission batch on the engine. `first_record_index`
-    /// numbers the batch's jobs in the caller's reporting frame;
+    /// numbers the batch's jobs by lifetime submission index;
     /// `cache_active` controls fingerprint computation.
     ///
-    /// In continuous mode, injecting onto a *quiescent* engine
-    /// re-anchors it first (see the module docs); arrivals are lifetime
-    /// ticks and are converted to the era-local frame (past arrivals
-    /// land immediately). In epoch mode arrivals are already era-local.
+    /// Injecting onto a *quiescent* engine re-anchors it first (see the
+    /// module docs). Arrivals are lifetime ticks and are converted to
+    /// the era-local frame (past arrivals land immediately).
     pub(crate) fn inject(
         &mut self,
         jobs: Vec<WorkloadJob>,
@@ -293,13 +284,12 @@ impl<'a> Engine<'a> {
         if jobs.is_empty() {
             return;
         }
-        if self.continuous && !self.jobs.is_empty() && self.is_quiescent() {
+        if !self.jobs.is_empty() && self.is_quiescent() {
             self.reanchor();
         }
-        // The queue context is extended in the submission frame (epoch:
-        // era-local; continuous: lifetime) — every metric is either
-        // time-free or uniformly shifted, so queue *order* is identical
-        // in both frames.
+        // The queue context is extended in the lifetime frame — every
+        // metric is either time-free or uniformly shifted, so queue
+        // *order* is the same as in the era-local frame.
         self.cfg
             .admission
             .extend(&mut self.ctx, &jobs, self.cfg.cloud);
@@ -307,11 +297,7 @@ impl<'a> Engine<'a> {
         for (offset, job) in jobs.into_iter().enumerate() {
             let fingerprint =
                 (cache_active || self.cfg.fingerprint_seeding).then(|| job.circuit.fingerprint());
-            let arrival = if self.continuous {
-                Tick::new(job.arrival.as_ticks().saturating_sub(self.clock_base))
-            } else {
-                job.arrival
-            };
+            let arrival = Tick::new(job.arrival.as_ticks().saturating_sub(self.clock_base));
             self.jobs.push(EngineJob {
                 circuit: job.circuit,
                 arrival,
@@ -328,11 +314,10 @@ impl<'a> Engine<'a> {
         self.admission_dirty = true;
     }
 
-    /// Starts a fresh era over the drained cloud: the elapsed era folds
-    /// into the clock base and the executor, ledger, and admission
-    /// context are rebuilt exactly as a new epoch would build them.
+    /// Starts a fresh, empty era: the elapsed era folds into the clock
+    /// base and the executor, ledger, and admission context are rebuilt
+    /// exactly as a new service would build them.
     fn reanchor(&mut self) {
-        debug_assert!(self.is_quiescent(), "re-anchor requires quiescence");
         self.retired_allocation.merge(self.exec.alloc_stats());
         self.retired_batches.merge(self.exec.batch_stats());
         self.retired_preemptions += self.exec.preemptions();
@@ -343,6 +328,7 @@ impl<'a> Engine<'a> {
         self.jobs.clear();
         self.upcoming.clear();
         self.next_arrival = 0;
+        self.waiting.clear();
         self.admitted.clear();
         self.critical_running = 0;
     }
@@ -352,10 +338,10 @@ impl<'a> Engine<'a> {
     ///
     /// # Errors
     ///
-    /// In epoch mode (fail-fast), [`PlacementError`] when some job can
-    /// never be placed even on an idle cloud. Continuous mode rejects
-    /// such jobs with [`ExecError::Unplaceable`] instead and does not
-    /// error.
+    /// [`PlacementError::NoFeasiblePlacement`] only when jobs are in
+    /// flight, none can run, and no suspension is left to lift — an
+    /// engine bug, not a property of the workload. A job that can never
+    /// be placed is rejected with [`ExecError::Unplaceable`] instead.
     pub(crate) fn advance(
         &mut self,
         online: &mut OnlineReport,
@@ -364,7 +350,7 @@ impl<'a> Engine<'a> {
     ) -> Result<(), PlacementError> {
         let deadline = deadline.map(|d| Tick::new(d.as_ticks().saturating_sub(self.clock_base)));
         loop {
-            self.admit(online, cache)?;
+            self.admit(online, cache);
 
             // An arrival inside the budget: advance to it (recording
             // completions along the way) and enqueue the whole batch
@@ -453,9 +439,6 @@ impl<'a> Engine<'a> {
                 // Idle executor, nothing arriving inside the budget,
                 // jobs still waiting: they failed placement against the
                 // fully free cloud and never will fit.
-                if !self.continuous {
-                    return Err(PlacementError::NoFeasiblePlacement);
-                }
                 let stuck = std::mem::take(&mut self.waiting);
                 for job_idx in stuck {
                     self.rejections.push((
@@ -471,15 +454,10 @@ impl<'a> Engine<'a> {
     /// One admission pass: age the queue, prune expired SLAs, place and
     /// start everything the policy and free capacity allow. Skipped
     /// unless something changed since the last pass — retrying against
-    /// unchanged state cannot admit anything new, and the gate makes
-    /// budget boundaries invisible to the schedule.
-    fn admit(
-        &mut self,
-        online: &mut OnlineReport,
-        cache: &mut Option<PlacementCache>,
-    ) -> Result<(), PlacementError> {
+    /// unchanged state cannot admit anything new.
+    fn admit(&mut self, online: &mut OnlineReport, cache: &mut Option<PlacementCache>) {
         if !self.admission_dirty {
-            return Ok(());
+            return;
         }
         self.admission_dirty = false;
         self.age_queue();
@@ -488,20 +466,13 @@ impl<'a> Engine<'a> {
             let job_idx = self.waiting[i];
             // SLA admission control: prune jobs whose deadline can no
             // longer be met instead of retrying them forever.
-            let policy_now = self.policy_now();
-            if let Some(deadline) = self
-                .cfg
-                .admission
-                .sla_violation(&self.ctx, job_idx, policy_now)
-            {
+            let now = self.now();
+            if let Some(deadline) = self.cfg.admission.sla_violation(&self.ctx, job_idx, now) {
                 self.rejections.push((
                     self.jobs[job_idx].record_index,
-                    ExecError::SlaExpired {
-                        deadline,
-                        now: policy_now,
-                    },
+                    ExecError::SlaExpired { deadline, now },
                 ));
-                online.record_rejection(self.now());
+                online.record_rejection(now);
                 self.waiting.remove(i);
                 continue;
             }
@@ -559,16 +530,12 @@ impl<'a> Engine<'a> {
                 Err(PlacementError::InsufficientCapacity { required, .. })
                     if required > self.cfg.cloud.total_computing_capacity() =>
                 {
-                    // Impossible even on an idle cloud: epoch mode
-                    // fails the run, continuous mode rejects the job
-                    // and lives on.
+                    // Impossible even on an idle cloud: reject the job
+                    // and keep the run going.
                     let err = PlacementError::InsufficientCapacity {
                         required,
                         available: self.cfg.cloud.total_computing_capacity(),
                     };
-                    if !self.continuous {
-                        return Err(err);
-                    }
                     self.rejections
                         .push((self.jobs[job_idx].record_index, ExecError::Unplaceable(err)));
                     online.record_rejection(self.now());
@@ -584,7 +551,6 @@ impl<'a> Engine<'a> {
                 }
             }
         }
-        Ok(())
     }
 
     /// The placement seed of one waiting job: fingerprint-derived when
@@ -691,22 +657,12 @@ impl<'a> Engine<'a> {
             let breakdown =
                 LatencyBreakdown::new(queueing, result.epr_wait, service - result.epr_wait);
             let completion_time = Tick::new(result.finished_at - arrived);
-            // The streaming report always sees the lifetime clock, so
-            // cross-epoch series stay monotone.
-            online.record_completion(completion_time, breakdown, self.shift(result.finished_at));
-            let (arrived_at, admitted_at, finished_at) = if self.continuous {
-                (
-                    self.shift(arrived),
-                    self.shift(result.started_at),
-                    self.shift(result.finished_at),
-                )
-            } else {
-                (arrived, result.started_at, result.finished_at)
-            };
+            let finished_at = self.shift(result.finished_at);
+            online.record_completion(completion_time, breakdown, finished_at);
             self.outcomes.push(JobRecord {
                 job: self.jobs[*job].record_index,
-                arrived_at,
-                admitted_at,
+                arrived_at: self.shift(arrived),
+                admitted_at: self.shift(result.started_at),
                 finished_at,
                 completion_time,
                 remote_gates: result.remote_gates,

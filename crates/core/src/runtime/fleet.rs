@@ -155,7 +155,6 @@ pub struct FleetReport {
 pub struct FleetBuilder<'a> {
     backends: Vec<ServiceBuilder<'a>>,
     policy: Box<dyn RoutingPolicy>,
-    placement_repair: Option<bool>,
 }
 
 impl Default for FleetBuilder<'_> {
@@ -170,7 +169,6 @@ impl<'a> FleetBuilder<'a> {
         FleetBuilder {
             backends: Vec::new(),
             policy: Box::new(UtilizationBalanced),
-            placement_repair: None,
         }
     }
 
@@ -195,19 +193,6 @@ impl<'a> FleetBuilder<'a> {
         self
     }
 
-    /// Sets the placement cache's incremental-repair tier on *every*
-    /// backend at build time (see [`ServiceBuilder::placement_repair`];
-    /// off by default). A fleet-level override because routing probes
-    /// are where near-misses concentrate: each probe of a busy backend
-    /// sees a slightly different free-capacity vector, so a repaired
-    /// near-miss lets the probe reuse the cached placement instead of
-    /// re-running the pipeline. Backends keep their own setting when
-    /// this is never called.
-    pub fn placement_repair(mut self, enabled: bool) -> Self {
-        self.placement_repair = Some(enabled);
-        self
-    }
-
     /// Builds the fleet.
     ///
     /// # Panics
@@ -215,16 +200,12 @@ impl<'a> FleetBuilder<'a> {
     /// Panics if no backend was added.
     pub fn build(self) -> Fleet<'a> {
         assert!(!self.backends.is_empty(), "a fleet needs a backend");
-        let repair = self.placement_repair;
         Fleet {
             backends: self
                 .backends
                 .into_iter()
                 .map(|builder| Backend {
-                    service: match repair {
-                        Some(enabled) => builder.placement_repair(enabled).build(),
-                        None => builder.build(),
-                    },
+                    service: builder.build(),
                     up: true,
                     routed: Vec::new(),
                 })
@@ -409,12 +390,13 @@ impl<'a> Fleet<'a> {
                     .collect();
                 let mut ctx = RouteContext::new(candidates);
                 let chosen = self.policy.route(&self.jobs[id].job, &mut ctx);
-                assert!(
-                    eligible.contains(&chosen),
-                    "routing policy `{}` chose ineligible backend {chosen}",
-                    self.policy.name()
-                );
-                chosen
+                // An answer outside the candidate set is a policy bug;
+                // the job takes the universal fallback.
+                if eligible.contains(&chosen) {
+                    chosen
+                } else {
+                    ctx.least_loaded()
+                }
             }
         };
         self.backends[chosen].routed.push(id);

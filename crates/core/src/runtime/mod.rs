@@ -27,17 +27,17 @@
 //! ```
 //!
 //! The loop lives in the resident [`Service`], which exposes two faces
-//! over one engine (`runtime/engine.rs`): epoch mode (`submit` /
-//! `drive` / `drain`, each drive a fresh clock-0 era) and the
-//! continuous clock (`drive_until` / `drive_for` /
-//! `drive_to_quiescence`, submissions landing on the live executor
-//! mid-flight). [`ServiceBuilder`] is the one way in: it configures
-//! the runtime and either builds a resident [`Service`] or, through
-//! [`ServiceBuilder::run`], drives exactly one epoch of a fresh one, so
-//! finite-trace experiments and service epochs are the same
-//! computation by construction — and epoch mode is itself the
-//! degenerate case of the continuous clock (see the golden test in
-//! `tests/runtime_golden.rs`).
+//! over its one engine (`runtime/engine.rs`): the continuous clock
+//! (`drive_until` / `drive_for` / `drive_to_quiescence`, submissions
+//! landing on the live executor mid-flight) and epochs (`submit` /
+//! `drive` / `drain`). An epoch is a drive to quiescence whose
+//! arrivals are offset by the service clock and whose records are
+//! restamped from the epoch's start. [`ServiceBuilder`] is the one way
+//! in: it configures the runtime and either builds a resident
+//! [`Service`] or, through [`ServiceBuilder::run`], drives exactly one
+//! epoch of a fresh one, so finite-trace experiments, service epochs
+//! and continuous drives are the same computation by construction (see
+//! the golden tests in `tests/runtime_golden.rs`).
 
 mod admission;
 mod builder;

@@ -9,9 +9,10 @@
 //! workloads. Job completion time (the metric of Figs. 14–17) is
 //! measured from each job's arrival, so it includes queueing delay.
 //!
-//! Jobs whose placement can never execute (a remote gate over a QPU
-//! with no communication qubits), or whose SLA expired under
-//! deadline-aware admission, are *rejected* — reported in
+//! Jobs that can never be placed even on an idle cloud, jobs whose
+//! placement can never execute (a remote gate over a QPU with no
+//! communication qubits), and jobs whose SLA expired under
+//! deadline-aware admission are *rejected* — reported in
 //! [`RunReport::rejected`] — instead of aborting the run.
 
 use crate::error::ExecError;
@@ -50,7 +51,7 @@ pub struct RunReport {
     /// One record per completed job, in workload order (rejected jobs
     /// are absent).
     pub outcomes: Vec<JobRecord>,
-    /// Jobs whose placement could never execute, with the reason.
+    /// Rejected jobs, with the typed reason.
     pub rejected: Vec<(usize, ExecError)>,
     /// Time the last job finished.
     pub makespan: Tick,

@@ -158,11 +158,11 @@ impl<'f, 'a> RouteContext<'f, 'a> {
 
 /// A pluggable fleet routing decision.
 ///
-/// `route` must return one of [`RouteContext::candidate_ids`]; the
-/// fleet panics on an out-of-set answer (a policy bug, not a runtime
-/// condition). Policies may keep state (`&mut self`) — rotation
-/// cursors, affinity maps, seeded RNGs — and must be deterministic for
-/// a deterministic fleet run.
+/// `route` should return one of [`RouteContext::candidate_ids`]. An
+/// out-of-set answer is a policy bug, and the fleet routes that job to
+/// [`RouteContext::least_loaded`] instead. Policies may keep state
+/// (`&mut self`) — rotation cursors, affinity maps, seeded RNGs — and
+/// must be deterministic for a deterministic fleet run.
 pub trait RoutingPolicy {
     /// Short stable policy label, for reports and bench tables.
     fn name(&self) -> &'static str;

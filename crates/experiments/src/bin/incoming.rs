@@ -239,27 +239,17 @@ fn fleet_mode(pool: &[cloudqc_circuit::Circuit], jobs_n: usize, seed: u64) {
     ]);
     for policy in policies {
         let placement = CloudQcPlacement::default();
+        // Routing probes are where cache near-misses concentrate, so
+        // every backend runs the incremental-repair tier.
+        let backend = |cloud| {
+            ServiceBuilder::new(cloud, &placement, &CloudQcScheduler, run_seed)
+                .placement_repair(true)
+        };
         let mut fleet = FleetBuilder::new()
-            .backend(ServiceBuilder::new(
-                &big,
-                &placement,
-                &CloudQcScheduler,
-                run_seed,
-            ))
-            .backend(ServiceBuilder::new(
-                &ring,
-                &placement,
-                &CloudQcScheduler,
-                run_seed,
-            ))
-            .backend(ServiceBuilder::new(
-                &edge,
-                &placement,
-                &CloudQcScheduler,
-                run_seed,
-            ))
+            .backend(backend(&big))
+            .backend(backend(&ring))
+            .backend(backend(&edge))
             .boxed_policy(policy)
-            .placement_repair(true)
             .build();
         fleet.submit_workload(&workload);
         fleet.drive_for(6_000).expect("fleet warms up");

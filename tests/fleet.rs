@@ -18,8 +18,8 @@ use cloudqc::cloud::CloudBuilder;
 use cloudqc::core::error::ExecError;
 use cloudqc::core::placement::CloudQcPlacement;
 use cloudqc::core::runtime::{
-    AdmissionPolicy, FleetBuilder, LoadShedPolicy, RandomRouting, RoundRobin, ServiceBuilder,
-    TenantAffinity,
+    AdmissionPolicy, FleetBuilder, LoadShedPolicy, RandomRouting, RoundRobin, RouteContext,
+    RoutingPolicy, ServiceBuilder, TenantAffinity,
 };
 use cloudqc::core::schedule::CloudQcScheduler;
 use cloudqc::core::workload::{Workload, WorkloadJob};
@@ -291,6 +291,41 @@ fn tenant_affinity_beats_random_routing_on_cache_hit_rate() {
         affinity > random,
         "tenant affinity must beat random routing on cache hit rate: {affinity:.3} vs {random:.3}"
     );
+}
+
+/// A buggy policy: always names a backend the fleet does not have.
+struct OutOfRange;
+
+impl RoutingPolicy for OutOfRange {
+    fn name(&self) -> &'static str {
+        "out-of-range"
+    }
+
+    fn route(&mut self, _job: &WorkloadJob, _ctx: &mut RouteContext<'_, '_>) -> usize {
+        99
+    }
+}
+
+#[test]
+fn out_of_range_routing_answer_falls_back_to_the_least_loaded_backend() {
+    let a = CloudBuilder::paper_default(1).build();
+    let b = CloudBuilder::paper_default(2).build();
+    let placement = CloudQcPlacement::default();
+    let mut fleet = FleetBuilder::new()
+        .backend(ServiceBuilder::new(&a, &placement, &CloudQcScheduler, 3))
+        .backend(ServiceBuilder::new(&b, &placement, &CloudQcScheduler, 3))
+        .policy(OutOfRange)
+        .build();
+    for i in 0..4 {
+        fleet.submit(catalog::by_name("qft_n29").unwrap(), Tick::new(i * 500));
+    }
+    // Least-loaded alternates between two backends of equal capacity.
+    assert_eq!(fleet.backend(0).pending(), 2);
+    assert_eq!(fleet.backend(1).pending(), 2);
+    let window = fleet.drive_to_quiescence().unwrap();
+    assert!(window.quiescent);
+    assert_eq!(window.outcomes.len(), 4);
+    assert_eq!(fleet.report().completed, 4);
 }
 
 proptest! {

@@ -370,43 +370,62 @@ fn two_epoch_service_with_shared_cache_matches_independent_runs() {
     // across epochs) must produce *exactly* the per-job completion
     // times of two independent ServiceBuilder::run calls — cache reuse
     // may only change speed, never outcomes — while the warm epoch
-    // proves the cache actually carried over (hit-rate > 0).
+    // proves the cache actually carried over (hit-rate > 0). Every
+    // admission policy runs, over three weighted tenants with SLA
+    // deadlines, so a frame slip in epoch 2 — WFQ's f64 virtual
+    // finishes, EDF deadlines, or the `SlaExpired` payloads — shows up
+    // as a diff against the fresh run.
     let (cloud, workload) = contended_setup();
+    let workload = workload
+        .assign_round_robin_tenants(&[1.0, 3.0, 0.7])
+        .with_uniform_sla(2_500);
     let placement = CloudQcPlacement::default();
-    for seed in [3u64, 7, 42] {
-        let builder = || {
-            ServiceBuilder::new(&cloud, &placement, &CloudQcScheduler, seed)
-                .admission(AdmissionPolicy::Backfill)
-        };
-        let solo = builder().run(&workload).expect("independent run completes");
-        let mut svc = builder().build();
-        svc.submit_workload(&workload);
-        let epoch1 = svc.drive().expect("epoch 1 completes");
-        svc.submit_workload(&workload);
-        let epoch2 = svc.drive().expect("epoch 2 completes");
-        assert_eq!(observable(&epoch1), observable(&solo), "seed {seed}");
-        assert_eq!(observable(&epoch2), observable(&solo), "seed {seed}");
-        // Warm-epoch cache hit-rate > 0: the persistent cache answered
-        // admission lookups epoch 1 already paid for.
-        assert!(
-            epoch2.placement_cache.hit_rate() > 0.0,
-            "seed {seed}: warm epoch never hit the shared cache: {:?}",
-            epoch2.placement_cache
-        );
-        assert!(
-            epoch2.placement_cache.misses < epoch1.placement_cache.misses,
-            "seed {seed}: warm epoch should miss less: {:?} vs {:?}",
-            epoch2.placement_cache,
-            epoch1.placement_cache
-        );
-        // The streaming report saw both epochs.
-        let report = svc.report();
-        assert_eq!(report.epochs, 2);
-        assert_eq!(report.completed, 2 * solo.outcomes.len() as u64);
-        assert_eq!(
-            report.placement_cache.hits,
-            epoch1.placement_cache.hits + epoch2.placement_cache.hits
-        );
+    let policies = [
+        AdmissionPolicy::Fcfs,
+        AdmissionPolicy::Backfill,
+        AdmissionPolicy::PriorityBackfill(BatchWeights::default()),
+        AdmissionPolicy::ShortestJobFirst,
+        AdmissionPolicy::WeightedFairShare,
+        AdmissionPolicy::DeadlineAware,
+    ];
+    for policy in policies {
+        for seed in [3u64, 7, 42] {
+            let builder = || {
+                ServiceBuilder::new(&cloud, &placement, &CloudQcScheduler, seed).admission(policy)
+            };
+            let solo = builder().run(&workload).expect("independent run completes");
+            let mut svc = builder().build();
+            svc.submit_workload(&workload);
+            let epoch1 = svc.drive().expect("epoch 1 completes");
+            svc.submit_workload(&workload);
+            let epoch2 = svc.drive().expect("epoch 2 completes");
+            let case = format!("{policy:?}, seed {seed}");
+            assert_eq!(observable(&epoch1), observable(&solo), "{case}");
+            assert_eq!(observable(&epoch2), observable(&solo), "{case}");
+            let expected_rejections = match policy {
+                AdmissionPolicy::DeadlineAware => 2,
+                _ => 0,
+            };
+            assert_eq!(solo.rejected.len(), expected_rejections, "{case}");
+            // Warm-epoch cache hit-rate > 0: the persistent cache
+            // answered every admission lookup epoch 1 already paid for.
+            assert!(
+                epoch2.placement_cache.hit_rate() > 0.0,
+                "{case}: warm epoch never hit the shared cache: {:?}",
+                epoch2.placement_cache
+            );
+            assert_eq!(epoch2.placement_cache.misses, 0, "{case}");
+            assert!(epoch1.placement_cache.misses > 0, "{case}");
+            // The streaming report saw both epochs.
+            let report = svc.report();
+            assert_eq!(report.epochs, 2);
+            assert_eq!(report.completed, 2 * solo.outcomes.len() as u64);
+            assert_eq!(report.rejected, 2 * solo.rejected.len() as u64);
+            assert_eq!(
+                report.placement_cache.hits,
+                epoch1.placement_cache.hits + epoch2.placement_cache.hits
+            );
+        }
     }
 }
 
