@@ -248,40 +248,69 @@ fn contended_setup() -> (cloudqc::cloud::Cloud, Workload) {
     (cloud, Workload::poisson(&pool, 16, 500.0, 13))
 }
 
+/// Every admission policy, for the tests that must hold under each.
+fn all_policies() -> [AdmissionPolicy; 6] {
+    [
+        AdmissionPolicy::Fcfs,
+        AdmissionPolicy::Backfill,
+        AdmissionPolicy::PriorityBackfill(BatchWeights::default()),
+        AdmissionPolicy::ShortestJobFirst,
+        AdmissionPolicy::WeightedFairShare,
+        AdmissionPolicy::DeadlineAware,
+    ]
+}
+
 #[test]
 fn cached_and_uncached_placement_are_byte_identical() {
     // The placement cache (default signature: exact free vector + per
     // job seed) memoizes a deterministic function, so enabling it must
     // not move a single tick — under the fingerprint-seeding default
-    // and under the legacy per-index opt-out alike.
+    // and under the legacy per-index opt-out alike, and under every
+    // admission policy: FCFS's blocked head, backfill past waiters
+    // that cannot fit, and SLA pruning ahead of the lookup.
     let (cloud, workload) = contended_setup();
+    let workload = workload
+        .assign_round_robin_tenants(&[1.0, 3.0, 0.7])
+        .with_uniform_sla(2_500);
     let placement = CloudQcPlacement::default();
-    for seed in [3u64, 7, 42] {
-        for fingerprint_seeding in [false, true] {
-            let run = |cached: bool| {
-                ServiceBuilder::new(&cloud, &placement, &CloudQcScheduler, seed)
-                    .admission(AdmissionPolicy::Backfill)
-                    .fingerprint_seeding(fingerprint_seeding)
-                    .placement_cache(cached)
-                    .run(&workload)
-                    .expect("contended run completes")
-            };
-            let cached = run(true);
-            let uncached = run(false);
-            assert_eq!(
-                observable(&cached),
-                observable(&uncached),
-                "seed {seed}, fingerprint_seeding {fingerprint_seeding}"
-            );
-            assert_eq!(cached.outcomes.len(), workload.len());
-            let stats = cached.placement_cache;
-            assert!(stats.misses > 0, "cache was never consulted");
-            assert_eq!(uncached.placement_cache.hits, 0);
-            assert_eq!(uncached.placement_cache.misses, 0);
-            if fingerprint_seeding {
-                // Repeated shapes over a recurring free vector must
-                // actually hit, or the A/B proves nothing.
-                assert!(stats.hits > 0, "no cache hits under fingerprint seeding");
+    for policy in all_policies() {
+        for seed in [3u64, 7, 42] {
+            for fingerprint_seeding in [false, true] {
+                let run = |cached: bool| {
+                    ServiceBuilder::new(&cloud, &placement, &CloudQcScheduler, seed)
+                        .admission(policy)
+                        .fingerprint_seeding(fingerprint_seeding)
+                        .placement_cache(cached)
+                        .run(&workload)
+                        .expect("contended run completes")
+                };
+                let cached = run(true);
+                let uncached = run(false);
+                let case =
+                    format!("{policy:?}, seed {seed}, fingerprint_seeding {fingerprint_seeding}");
+                assert_eq!(observable(&cached), observable(&uncached), "{case}");
+                let expected_rejections = match policy {
+                    AdmissionPolicy::DeadlineAware => 2,
+                    _ => 0,
+                };
+                assert_eq!(cached.rejected.len(), expected_rejections, "{case}");
+                assert_eq!(
+                    cached.outcomes.len() + cached.rejected.len(),
+                    workload.len(),
+                    "{case}"
+                );
+                let stats = cached.placement_cache;
+                assert!(stats.misses > 0, "{case}: cache was never consulted");
+                assert_eq!(uncached.placement_cache.hits, 0);
+                assert_eq!(uncached.placement_cache.misses, 0);
+                if fingerprint_seeding {
+                    // Repeated shapes over a recurring free vector must
+                    // actually hit, or the A/B proves nothing.
+                    assert!(
+                        stats.hits > 0,
+                        "{case}: no cache hits under fingerprint seeding"
+                    );
+                }
             }
         }
     }
@@ -380,15 +409,7 @@ fn two_epoch_service_with_shared_cache_matches_independent_runs() {
         .assign_round_robin_tenants(&[1.0, 3.0, 0.7])
         .with_uniform_sla(2_500);
     let placement = CloudQcPlacement::default();
-    let policies = [
-        AdmissionPolicy::Fcfs,
-        AdmissionPolicy::Backfill,
-        AdmissionPolicy::PriorityBackfill(BatchWeights::default()),
-        AdmissionPolicy::ShortestJobFirst,
-        AdmissionPolicy::WeightedFairShare,
-        AdmissionPolicy::DeadlineAware,
-    ];
-    for policy in policies {
+    for policy in all_policies() {
         for seed in [3u64, 7, 42] {
             let builder = || {
                 ServiceBuilder::new(&cloud, &placement, &CloudQcScheduler, seed).admission(policy)
@@ -555,4 +576,83 @@ fn placement_layer_reproduces_pinned_digest() {
         digest, 0x23ae_1d1e_7af7_da40,
         "placement digest {digest:#018x}"
     );
+}
+
+/// What one drive of the queued-Poisson stream leaves behind.
+struct QueuedRun {
+    /// e2ebench's schedule digest: FNV-1a over (job, `finished_at`,
+    /// `epr_rounds`), sorted by job.
+    digest: u64,
+    misses: u64,
+    hits: u64,
+    /// The deepest queue seen at the end of a drive call.
+    peak_queue: usize,
+}
+
+/// Submits e2ebench's circuit pool as a 600-job Poisson stream at a
+/// 300-tick mean, far faster than `paper_default(1)` serves it, so
+/// hundreds of jobs wait and every admission pass walks a long queue.
+/// Then drives it to quiescence in one call (`window` = `None`) or in
+/// `drive_for(window)` steps.
+fn drive_queued_poisson(window: Option<u64>) -> QueuedRun {
+    let cloud = CloudBuilder::paper_default(1).build();
+    let placement = CloudQcPlacement::default();
+    let pool = batch(&["vqe_n4", "ghz_n40", "qft_n29", "ising_n34"]);
+    let mut svc = ServiceBuilder::new(&cloud, &placement, &CloudQcScheduler, 7).build();
+    svc.submit_workload(&Workload::poisson(&pool, 600, 300.0, 3));
+    let mut records = Vec::new();
+    let mut peak_queue = 0;
+    loop {
+        let w = match window {
+            Some(ticks) => svc.drive_for(ticks),
+            None => svc.drive_to_quiescence(),
+        }
+        .expect("queued stream drives");
+        assert!(w.rejected.is_empty(), "{:?}", w.rejected);
+        records.extend(w.outcomes);
+        peak_queue = peak_queue.max(svc.queue_depth());
+        if w.quiescent {
+            break;
+        }
+    }
+    assert_eq!(records.len(), 600);
+    records.sort_by_key(|r| r.job);
+    let mut digest = 0xcbf2_9ce4_8422_2325u64;
+    for r in &records {
+        for word in [r.job as u64, r.finished_at.as_ticks(), r.epr_rounds] {
+            fnv1a(&mut digest, word);
+        }
+    }
+    let cache = svc.cache_stats();
+    QueuedRun {
+        digest,
+        misses: cache.misses,
+        hits: cache.hits,
+        peak_queue,
+    }
+}
+
+#[test]
+fn queued_poisson_stream_reproduces_pinned_schedules() {
+    // The runtime golden on a backlogged stream, under the two drive
+    // patterns e2ebench's `backlog` workload sits between. They pin
+    // different schedules: the engine admits only at arrivals, drive
+    // deadlines and completions with no arrival pending, so window
+    // deadlines add admission instants. The hit counts pin the
+    // admission pass's lookup work; misses are the cold placements.
+    let run = drive_queued_poisson(None);
+    assert_eq!(
+        (run.digest, run.misses, run.hits),
+        (0x7945_cc7e_ac48_ce07, 498, 177_046),
+        "drive_to_quiescence: digest {:#018x}",
+        run.digest
+    );
+    let run = drive_queued_poisson(Some(1_500));
+    assert_eq!(
+        (run.digest, run.misses, run.hits),
+        (0xfbdb_611c_c969_f970, 323, 142_988),
+        "drive_for(1_500): digest {:#018x}",
+        run.digest
+    );
+    assert_eq!(run.peak_queue, 373);
 }
