@@ -1,18 +1,24 @@
 //! Placement memoization for the runtime's admission hot path.
 //!
 //! Profiling the runtime under admission churn shows placement as
-//! the dominant cost: every pass over the waiting queue re-runs the
-//! full Algorithm 1 pipeline (partition sweep × QPU-set search ×
-//! scoring) per job, even when nothing about the problem changed since
-//! the last attempt — the typical case for a head-of-line job retried
-//! on every loop iteration while the cloud drains.
+//! the dominant cost: every admission pass over the waiting queue would
+//! re-run the full Algorithm 1 pipeline (partition sweep × QPU-set
+//! search × scoring) per waiter, even when nothing about the problem
+//! changed since the last attempt — the typical case for a job that
+//! waits through many passes while the cloud drains.
 //!
 //! [`PlacementCache`] memoizes [`PlacementAlgorithm::place`] outcomes —
-//! successes *and* failures (the failure entries are what break the
-//! retry loop) — for one fixed (algorithm instance, cloud) pair (each
-//! [`crate::runtime::Service`] owns one; debug builds enforce the
-//! binding), keyed by a signature of everything else the algorithm
-//! can observe:
+//! successes *and* failures — for one fixed (algorithm instance, cloud)
+//! pair (each [`crate::runtime::Service`] owns one; debug builds
+//! enforce the binding). Repeated failures are answered at two levels.
+//! Inside one pass, the engine looks up each failing key once: only an
+//! admission changes the free vector, so until the next one a later
+//! waiter with the same key waits without a lookup. Across passes, the
+//! failure entries answer a key that already failed against the same
+//! free vector.
+//!
+//! Entries are keyed by a signature of everything the algorithm can
+//! observe beyond that pair:
 //!
 //! * the circuit's structural [`Fingerprint`] (name-independent, so
 //!   identical circuits submitted by different tenants share entries),
@@ -72,7 +78,9 @@ use cloudqc_cloud::{Cloud, CloudStatus, QpuId};
 use std::collections::HashMap;
 
 /// Hit/miss/eviction counters of a [`PlacementCache`] (surfaced per run
-/// in [`crate::runtime::RunReport`]).
+/// in [`crate::runtime::RunReport`]). A waiter the runtime skips
+/// because its key already failed in the same admission pass makes no
+/// lookup and counts nowhere.
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Lookups answered from the cache with an exact-signature entry.

@@ -455,12 +455,22 @@ impl<'a> Engine<'a> {
     /// start everything the policy and free capacity allow. Skipped
     /// unless something changed since the last pass — retrying against
     /// unchanged state cannot admit anything new.
+    ///
+    /// With the placement cache on, the pass looks up each failing
+    /// (fingerprint, seed) key once. An admission is the only ledger
+    /// change inside a pass, so until the next one a later waiter with
+    /// that key would hit the failure the first lookup memoized: it
+    /// waits without a lookup. Across passes, the cache's failure
+    /// entries answer the repeats. An uncached run looks up every
+    /// waiter and stays the reference a cached run must reproduce.
     fn admit(&mut self, online: &mut OnlineReport, cache: &mut Option<PlacementCache>) {
         if !self.admission_dirty {
             return;
         }
         self.admission_dirty = false;
         self.age_queue();
+        // Keys that could not fit since the pass's last admission.
+        let mut failed: Vec<(Fingerprint, u64)> = Vec::new();
         let mut i = 0;
         while i < self.waiting.len() {
             let job_idx = self.waiting[i];
@@ -477,17 +487,24 @@ impl<'a> Engine<'a> {
                 continue;
             }
             let job_seed = self.job_seed(job_idx);
+            let fingerprint = self.jobs[job_idx].fingerprint;
             let placed = match cache.as_mut() {
-                Some(cache) => cache.place_fingerprinted(
-                    self.jobs[job_idx]
-                        .fingerprint
-                        .expect("fingerprints are computed when the cache is on"),
-                    self.cfg.placement,
-                    &self.jobs[job_idx].circuit,
-                    self.cfg.cloud,
-                    &self.status,
-                    job_seed,
-                ),
+                Some(cache) => {
+                    let fingerprint =
+                        fingerprint.expect("fingerprints are computed when the cache is on");
+                    if failed.contains(&(fingerprint, job_seed)) {
+                        i += 1;
+                        continue;
+                    }
+                    cache.place_fingerprinted(
+                        fingerprint,
+                        self.cfg.placement,
+                        &self.jobs[job_idx].circuit,
+                        self.cfg.cloud,
+                        &self.status,
+                        job_seed,
+                    )
+                }
                 None => self.cfg.placement.place(
                     &self.jobs[job_idx].circuit,
                     self.cfg.cloud,
@@ -503,6 +520,7 @@ impl<'a> Engine<'a> {
                             self.status
                                 .allocate_all_computing(&demand)
                                 .expect("placement.fits was checked by the algorithm");
+                            failed.clear();
                             debug_assert_eq!(exec_id, self.admitted.len());
                             let critical = self.jobs[job_idx].critical;
                             self.admitted.push(Admitted {
@@ -546,6 +564,14 @@ impl<'a> Engine<'a> {
                     // the queue; otherwise later jobs may backfill.
                     if self.cfg.admission.head_of_line_blocks() {
                         break;
+                    }
+                    // A per-index seed never repeats a key within a
+                    // pass, so only fingerprint seeding lists it.
+                    if cache.is_some() && self.cfg.fingerprint_seeding {
+                        failed.push((
+                            fingerprint.expect("fingerprints are computed when seeding needs them"),
+                            job_seed,
+                        ));
                     }
                     i += 1;
                 }

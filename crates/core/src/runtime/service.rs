@@ -840,6 +840,42 @@ mod tests {
     }
 
     #[test]
+    fn admission_pass_looks_up_each_failing_shape_once_per_admission() {
+        // `one_pass` submits a blocker at tick 0 and twelve waiters of
+        // three shapes at tick 2, so one pass sees them all, and returns
+        // that pass's lookups and the queue it leaves. Fingerprint
+        // seeding gives each shape one cache key.
+        let cloud = CloudBuilder::new(2).computing_qubits(20).build();
+        let placement = CloudQcPlacement::default();
+        let lookups = |s: CacheStats| s.hits + s.misses;
+        let one_pass = |blocker: &str, admission: AdmissionPolicy| {
+            let mut svc = ServiceBuilder::new(&cloud, &placement, &CloudQcScheduler, 5)
+                .admission(admission)
+                .build();
+            svc.submit(catalog::by_name(blocker).unwrap(), Tick::new(0));
+            svc.drive_for(1).unwrap();
+            let shapes = ["vqe_n4", "qft_n29", "ising_n34"];
+            for name in shapes.iter().cycle().take(12) {
+                svc.submit(catalog::by_name(name).unwrap(), Tick::new(2));
+            }
+            let before = lookups(svc.cache_stats());
+            svc.drive_for(3).unwrap();
+            let pass = (lookups(svc.cache_stats()) - before, svc.queue_depth());
+            svc.drive_to_quiescence().unwrap();
+            assert_eq!(svc.report().completed, 13);
+            pass
+        };
+        // ghz_n40 fills both 20-qubit QPUs: nothing fits, and the pass
+        // looks up each shape once, not each waiter.
+        assert_eq!(one_pass("ghz_n40", AdmissionPolicy::default()), (3, 12));
+        // ghz_n32 leaves room for two vqe_n4, and arrival order
+        // interleaves the shapes. Each admission changes the free
+        // vector, so the pass looks up a failed shape again after it:
+        // 7 lookups where keeping the failures would make 5.
+        assert_eq!(one_pass("ghz_n32", AdmissionPolicy::Backfill), (7, 10));
+    }
+
+    #[test]
     fn load_shedding_rejects_arrivals_over_the_depth_limit() {
         // A burst of simultaneous arrivals on a tiny cloud: with a
         // queue-depth cap the tail of the burst is shed at the door.

@@ -106,7 +106,7 @@ fn main() {
         }
     }
     t.print();
-    println!("\nShorter inter-arrival = heavier load: queueing delay should dominate JCT\nas the cloud saturates (EPR wait stays roughly constant per job).\n\"cache hit%\" is the placement cache's hit rate over all admission\nattempts; \"batch mean/max\" is the executor's same-tick event batch\nsize (events drained per allocation round); \"scan/round\" is the mean\nfront-layer requests the sharded scheduler actually scanned per\nallocation round (dirty shards only).");
+    println!("\nShorter inter-arrival = heavier load: queueing delay should dominate JCT\nas the cloud saturates (EPR wait stays roughly constant per job).\n\"cache hit%\" is the placement cache's hit rate over its lookups (a\nwaiter whose key already failed in the same admission pass is not\nlooked up); \"batch mean/max\" is the executor's same-tick event batch\nsize (events drained per allocation round); \"scan/round\" is the mean\nfront-layer requests the sharded scheduler actually scanned per\nallocation round (dirty shards only).");
 
     service_mode(&pool, jobs_n, args.seed);
     continuous_mode(&pool, jobs_n, args.seed);

@@ -643,14 +643,14 @@ fn queued_poisson_stream_reproduces_pinned_schedules() {
     let run = drive_queued_poisson(None);
     assert_eq!(
         (run.digest, run.misses, run.hits),
-        (0x7945_cc7e_ac48_ce07, 498, 177_046),
+        (0x7945_cc7e_ac48_ce07, 498, 2_526),
         "drive_to_quiescence: digest {:#018x}",
         run.digest
     );
     let run = drive_queued_poisson(Some(1_500));
     assert_eq!(
         (run.digest, run.misses, run.hits),
-        (0xfbdb_611c_c969_f970, 323, 142_988),
+        (0xfbdb_611c_c969_f970, 323, 2_371),
         "drive_for(1_500): digest {:#018x}",
         run.digest
     );
