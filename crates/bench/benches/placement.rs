@@ -1,6 +1,10 @@
 //! Placement algorithm cost on a mid-size benchmark (Table III's inner
 //! loop). SA/GA use the quick settings; the paper reports their full
 //! versions take over an hour per circuit in Python.
+//!
+//! Every iteration places with a freshly built algorithm: Table III
+//! prices one cold place, and CloudQC's partition memo would otherwise
+//! turn every iteration after the first into a sweep-warm place.
 
 use cloudqc_bench::{bench_circuit, bench_cloud};
 use cloudqc_core::placement::{
@@ -14,31 +18,31 @@ fn bench_placement(c: &mut Criterion) {
     let cloud = bench_cloud();
     let circuit = bench_circuit("knn_n67");
     let status = cloud.status();
-    let algorithms: Vec<(&str, Box<dyn PlacementAlgorithm>)> = vec![
-        ("random", Box::new(RandomPlacement)),
-        (
-            "sa_quick",
+    type Build = fn() -> Box<dyn PlacementAlgorithm>;
+    let algorithms: Vec<(&str, Build)> = vec![
+        ("random", || Box::new(RandomPlacement)),
+        ("sa_quick", || {
             Box::new(AnnealingPlacement {
                 iterations: 2_000,
                 ..AnnealingPlacement::default()
-            }),
-        ),
-        (
-            "ga_quick",
+            })
+        }),
+        ("ga_quick", || {
             Box::new(GeneticPlacement {
                 population: 16,
                 generations: 10,
                 ..GeneticPlacement::default()
-            }),
-        ),
-        ("cloudqc_bfs", Box::new(CloudQcBfsPlacement::default())),
-        ("cloudqc", Box::new(CloudQcPlacement::default())),
+            })
+        }),
+        ("cloudqc_bfs", || Box::new(CloudQcBfsPlacement::default())),
+        ("cloudqc", || Box::new(CloudQcPlacement::default())),
     ];
     let mut group = c.benchmark_group("placement/knn_n67");
-    for (name, algo) in &algorithms {
+    for (name, build) in &algorithms {
         group.bench_function(*name, |b| {
             b.iter(|| {
-                algo.place(black_box(&circuit), &cloud, &status, 7)
+                build()
+                    .place(black_box(&circuit), &cloud, &status, 7)
                     .expect("placement succeeds")
             });
         });

@@ -117,7 +117,11 @@ fn bench_cross_epoch_cache(c: &mut Criterion) {
 /// signature bucket, so the stale warm entry is a distance-zero
 /// near-miss candidate for the drifted lookup:
 ///
-/// * `cold_place` — empty cache: the lookup pays the full pipeline.
+/// * `cold_place` — empty cache and a fresh algorithm: the lookup pays
+///   the full pipeline, partitions included.
+/// * `sweep_warm_place` — empty cache, but an algorithm that has placed
+///   this circuit under this seed before: the lookup pays the pipeline
+///   minus the partitions its memo already holds.
 /// * `exact_hit` — warm cache, undrifted status: signature match,
 ///   `fits` revalidation, clone.
 /// * `repaired_near_miss` — warm cache, drifted status: the repair
@@ -173,10 +177,19 @@ fn bench_repair_tier(c: &mut Criterion) {
     group.sample_size(10);
     group.bench_function("cold_place", |b| {
         b.iter(|| {
+            let algo = CloudQcPlacement::default();
             let mut cache = PlacementCache::with_quantum(64).with_repair(true);
             cache
                 .place(&algo, &circuit, &cloud, black_box(&drifted), seed)
                 .expect("cold place")
+        });
+    });
+    group.bench_function("sweep_warm_place", |b| {
+        b.iter(|| {
+            let mut cache = PlacementCache::with_quantum(64).with_repair(true);
+            cache
+                .place(&algo, &circuit, &cloud, black_box(&drifted), seed)
+                .expect("sweep-warm place")
         });
     });
     group.bench_function("exact_hit", |b| {
@@ -208,6 +221,7 @@ fn bench_repair_tier(c: &mut Criterion) {
     let samples = 5;
     let mut cold = Duration::MAX;
     for _ in 0..samples {
+        let algo = CloudQcPlacement::default();
         let mut cache = PlacementCache::with_quantum(64).with_repair(true);
         let start = Instant::now();
         black_box(

@@ -4,26 +4,41 @@
 //! search to find feasible QPU for each partition instead of community
 //! detection."
 
-use super::cloudqc::place_with_mode;
+use super::cloudqc::{place_with_mode, SplitMemo};
 use super::find_placement::FindPlacementMode;
 use super::{Placement, PlacementAlgorithm};
 use crate::config::PlacementConfig;
 use crate::error::PlacementError;
 use cloudqc_circuit::Circuit;
 use cloudqc_cloud::{Cloud, CloudStatus};
+use std::fmt;
 
 /// CloudQC with BFS QPU-set selection instead of community detection.
 /// Shares every other pipeline stage (partition sweep, center mapping,
-/// scoring) with [`super::CloudQcPlacement`].
-#[derive(Clone, Debug, Default)]
+/// scoring) with [`super::CloudQcPlacement`], and like it partitions
+/// each circuit shape once: it keeps its own bounded, exact memo of the
+/// sweep's partitions, keyed, bounded and shared as described there.
+#[derive(Clone, Default)]
 pub struct CloudQcBfsPlacement {
     config: PlacementConfig,
+    memo: SplitMemo,
 }
 
 impl CloudQcBfsPlacement {
     /// Uses the given pipeline configuration.
     pub fn new(config: PlacementConfig) -> Self {
-        CloudQcBfsPlacement { config }
+        CloudQcBfsPlacement {
+            config,
+            memo: SplitMemo::default(),
+        }
+    }
+}
+
+impl fmt::Debug for CloudQcBfsPlacement {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("CloudQcBfsPlacement")
+            .field("config", &self.config)
+            .finish()
     }
 }
 
@@ -46,6 +61,7 @@ impl PlacementAlgorithm for CloudQcBfsPlacement {
             &self.config,
             FindPlacementMode::Bfs,
             seed,
+            &self.memo,
         )
     }
 }

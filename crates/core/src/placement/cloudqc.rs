@@ -8,9 +8,13 @@ use super::{check_total_capacity, Placement, PlacementAlgorithm};
 use crate::config::PlacementConfig;
 use crate::error::PlacementError;
 use cloudqc_circuit::interaction::{interaction_graph, partition_interaction_graph};
-use cloudqc_circuit::Circuit;
+use cloudqc_circuit::{Circuit, Qubit};
 use cloudqc_cloud::{Cloud, CloudStatus, QpuId};
-use cloudqc_graph::partition::{partition, PartitionConfig};
+use cloudqc_graph::partition::{partition, PartitionConfig, Partitioning};
+use cloudqc_graph::Graph;
+use std::collections::HashMap;
+use std::fmt;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// CloudQC's filtering-and-scoring placement (Algorithm 1):
 ///
@@ -20,20 +24,61 @@ use cloudqc_graph::partition::{partition, PartitionConfig};
 ///    community detection), filter by feasibility (capacity, ε), and
 ///    score survivors with `S = α/T + β/C`.
 /// 3. Return the highest-scoring placement.
-#[derive(Clone, Debug, Default)]
+///
+/// # Partitions once per shape
+///
+/// A partition reads only the circuit's qubit count and two-qubit
+/// operands, α, k and the seed, never the cloud. Each instance keeps
+/// an exact memo of them: for every (shape, seed, α, k) it has swept,
+/// the assignment, the part sizes and the part interaction graph (or
+/// that the partitioner failed). A shape is keyed by a word-wise hash
+/// of (qubit count, two-qubit operands in program order, seed), and
+/// every hit compares the stored operand list with the circuit's, so a
+/// hit replays exactly the inputs a fresh sweep would compute. Mapping,
+/// the ε filter and scoring still run against the live status on every
+/// call, so results are those of a fresh instance, call by call.
+///
+/// The memo holds at most 4 096 splits and is cleared whole when a
+/// sweep would overflow it. A split takes ~1 KB for a 30–40-qubit
+/// circuit and up to ~30 KB for `qft_n160` cut into 20 parts. Each
+/// shape also keeps 8 B per two-qubit gate and holds at least `|α|`
+/// splits, so at most 1 365 shapes fit under the default sweep. The
+/// worst case on the paper's 20-QPU cloud is `qft_n160` under a new
+/// seed per call against statuses that force 20 parts: 1 365 shapes
+/// of ~300 KB, ~0.4 GB. The end-to-end benchmark's episodes hold 45 to
+/// 186 splits over 3 to 10 shapes, ~0.2 MB.
+///
+/// Because no entry depends on the cloud, one instance may serve every
+/// service built on it (fleet backends, epochs, different clouds). A
+/// clone starts with an empty memo, and `Debug` leaves it out. The
+/// memo sits behind a `Mutex` taken once per call, so the type stays
+/// `Send + Sync`.
+#[derive(Clone, Default)]
 pub struct CloudQcPlacement {
     config: PlacementConfig,
+    memo: SplitMemo,
 }
 
 impl CloudQcPlacement {
     /// Uses the given pipeline configuration.
     pub fn new(config: PlacementConfig) -> Self {
-        CloudQcPlacement { config }
+        CloudQcPlacement {
+            config,
+            memo: SplitMemo::default(),
+        }
     }
 
     /// The active configuration.
     pub fn config(&self) -> &PlacementConfig {
         &self.config
+    }
+}
+
+impl fmt::Debug for CloudQcPlacement {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("CloudQcPlacement")
+            .field("config", &self.config)
+            .finish()
     }
 }
 
@@ -56,12 +101,14 @@ impl PlacementAlgorithm for CloudQcPlacement {
             &self.config,
             FindPlacementMode::Community,
             seed,
+            &self.memo,
         )
     }
 }
 
 /// Shared Algorithm 1 driver, parameterized by the Algorithm 2 variant
-/// (community detection for CloudQC, BFS for CloudQC-BFS).
+/// (community detection for CloudQC, BFS for CloudQC-BFS). `memo`
+/// belongs to the calling instance, whose `config` never changes.
 pub(crate) fn place_with_mode(
     circuit: &Circuit,
     cloud: &Cloud,
@@ -69,6 +116,7 @@ pub(crate) fn place_with_mode(
     config: &PlacementConfig,
     mode: FindPlacementMode,
     seed: u64,
+    memo: &SplitMemo,
 ) -> Result<Placement, PlacementError> {
     check_total_capacity(circuit, status)?;
     let size = circuit.num_qubits();
@@ -84,8 +132,6 @@ pub(crate) fn place_with_mode(
         return Ok(Placement::new(vec![best_fit; size]));
     }
 
-    let ig = interaction_graph(circuit);
-
     // Part-count sweep bounds: at least ⌈size / biggest free block⌉
     // parts are needed; explore a few more.
     let max_block = status.max_free_computing().max(1);
@@ -100,24 +146,33 @@ pub(crate) fn place_with_mode(
     // Community detection depends only on (cloud, status, seed): once
     // per call, not once per sweep candidate.
     let candidate_sets = CandidateSets::new(cloud, status, mode, seed);
+    // The interaction graph is needed only to partition a split the
+    // memo lacks, or for the capacity fill below.
+    let mut interaction = None;
+    let mut memo = memo.lock();
+    let sweep = config.imbalance_factors.len() * (k_max - k_min + 1);
+    let mut shape = memo.take(circuit, seed, sweep);
     let mut best: Option<(f64, Placement)> = None;
     for (ai, &alpha) in config.imbalance_factors.iter().enumerate() {
         for k in k_min..=k_max {
-            let part_cfg = PartitionConfig::new(k)
-                .with_imbalance(alpha)
-                .with_seed(seed ^ ((ai as u64) << 32) ^ k as u64);
-            let Ok(parts) = partition(&ig, &part_cfg) else {
+            let split = shape.splits.entry((ai, k)).or_insert_with(|| {
+                let interaction = interaction.get_or_insert_with(|| interaction_graph(circuit));
+                let part_seed = seed ^ ((ai as u64) << 32) ^ k as u64;
+                Split::new(circuit, interaction, alpha, k, part_seed)
+            });
+            let Some(split) = split else {
                 continue;
             };
-            let members = parts.part_members();
-            let part_sizes: Vec<usize> = members.iter().map(|m| m.len()).collect();
-            let part_graph = partition_interaction_graph(circuit, parts.assignment(), k);
-            let Some(part_to_qpu) =
-                find_placement(&part_sizes, &part_graph, cloud, status, &candidate_sets)
-            else {
+            let Some(part_to_qpu) = find_placement(
+                &split.part_sizes,
+                &split.part_graph,
+                cloud,
+                status,
+                &candidate_sets,
+            ) else {
                 continue;
             };
-            let placement = expand_to_qubits(parts.assignment(), &part_to_qpu);
+            let placement = expand_to_qubits(split.parts.assignment(), &part_to_qpu);
             // Feasibility filter: capacity (find_placement guarantees it,
             // but double-check) and the ε remote-op threshold (Eq. 6).
             if !placement.fits(status) {
@@ -137,6 +192,8 @@ pub(crate) fn place_with_mode(
             }
         }
     }
+    memo.put(shape);
+    drop(memo);
     if let Some((_, p)) = best {
         return Ok(p);
     }
@@ -145,7 +202,8 @@ pub(crate) fn place_with_mode(
     // a capacity-aware fill that keeps interacting qubits together:
     // qubits in interaction-BFS order onto QPUs in capacity order.
     // Respects Eq. 3 by construction; ε is still enforced.
-    if let Some(placement) = capacity_fill(circuit, &ig, cloud, status) {
+    let interaction = interaction.get_or_insert_with(|| interaction_graph(circuit));
+    if let Some(placement) = capacity_fill(circuit, interaction, cloud, status) {
         if config.epsilon == usize::MAX
             || remote_ops_per_qpu(circuit, &placement, cloud.qpu_count())
                 .iter()
@@ -156,6 +214,158 @@ pub(crate) fn place_with_mode(
     }
     Err(PlacementError::NoFeasiblePlacement)
 }
+
+/// The status-independent half of Algorithm 1's sweep, memoized per
+/// (circuit shape, seed) and bounded by [`SplitMemo::CAP`] splits.
+/// See [`CloudQcPlacement`] for the key, the bound and the sharing.
+#[derive(Default)]
+pub(crate) struct SplitMemo(Mutex<MemoTable>);
+
+impl SplitMemo {
+    /// Most splits the memo holds between calls.
+    const CAP: usize = 4_096;
+
+    fn lock(&self) -> MutexGuard<'_, MemoTable> {
+        // A panic mid-sweep leaves the table consistent: the shape in
+        // use was taken out of it and is simply lost.
+        self.0.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Splits held, over all shapes.
+    #[cfg(test)]
+    fn len(&self) -> usize {
+        self.lock().splits
+    }
+}
+
+impl Clone for SplitMemo {
+    /// A clone starts empty: the memo is a cache, not state.
+    fn clone(&self) -> Self {
+        SplitMemo::default()
+    }
+}
+
+#[derive(Default)]
+struct MemoTable {
+    /// Shapes by [`shape_hash`]. A shape whose operands differ from
+    /// its hash-mate's replaces it.
+    shapes: HashMap<u64, Shape>,
+    /// Splits held by `shapes`.
+    splits: usize,
+}
+
+impl MemoTable {
+    /// Removes and returns the entry of (`circuit`'s structure, `seed`),
+    /// or a new empty one with room for `sweep` splits.
+    fn take(&mut self, circuit: &Circuit, seed: u64, sweep: usize) -> Shape {
+        let hash = shape_hash(circuit, seed);
+        if let Some(shape) = self.shapes.remove(&hash) {
+            self.splits -= shape.splits.len();
+            if shape.matches(circuit, seed) {
+                return shape;
+            }
+        }
+        Shape {
+            hash,
+            num_qubits: circuit.num_qubits(),
+            seed,
+            operands: operands(circuit).collect(),
+            splits: HashMap::with_capacity(sweep),
+        }
+    }
+
+    /// Puts back a shape from [`MemoTable::take`], first clearing
+    /// every other shape if it would not fit under the cap. A shape
+    /// larger than the cap on its own is dropped.
+    fn put(&mut self, shape: Shape) {
+        let len = shape.splits.len();
+        if self.splits + len > SplitMemo::CAP {
+            self.shapes.clear();
+            self.splits = 0;
+        }
+        if len <= SplitMemo::CAP {
+            self.splits += len;
+            self.shapes.insert(shape.hash, shape);
+        }
+    }
+}
+
+/// One circuit structure under one seed, and its splits by (α index, k):
+/// `None` where the partitioner failed.
+struct Shape {
+    hash: u64,
+    num_qubits: usize,
+    seed: u64,
+    operands: Vec<(Qubit, Qubit)>,
+    splits: HashMap<(usize, usize), Option<Split>>,
+}
+
+impl Shape {
+    /// Whether this entry was built from `circuit`'s structure and `seed`.
+    fn matches(&self, circuit: &Circuit, seed: u64) -> bool {
+        self.seed == seed
+            && self.num_qubits == circuit.num_qubits()
+            && self.operands.iter().copied().eq(operands(circuit))
+    }
+}
+
+/// One partitioning and everything Algorithm 2 reads of it.
+struct Split {
+    parts: Partitioning,
+    part_sizes: Vec<usize>,
+    part_graph: Graph,
+}
+
+impl Split {
+    /// Partitions `interaction`, the interaction graph of `circuit`,
+    /// into `k` parts; `None` if the partitioner fails.
+    fn new(
+        circuit: &Circuit,
+        interaction: &Graph,
+        alpha: f64,
+        k: usize,
+        seed: u64,
+    ) -> Option<Split> {
+        let config = PartitionConfig::new(k)
+            .with_imbalance(alpha)
+            .with_seed(seed);
+        let parts = partition(interaction, &config).ok()?;
+        let mut part_sizes = vec![0; k];
+        for &p in parts.assignment() {
+            part_sizes[p] += 1;
+        }
+        let part_graph = partition_interaction_graph(circuit, parts.assignment(), k);
+        Some(Split {
+            parts,
+            part_sizes,
+            part_graph,
+        })
+    }
+}
+
+/// The two-qubit operands of `circuit`, in program order: all a split
+/// reads of it besides its qubit count.
+fn operands(circuit: &Circuit) -> impl Iterator<Item = (Qubit, Qubit)> + '_ {
+    circuit.two_qubit_gates().map(|(_, a, b)| (a, b))
+}
+
+/// A word-wise (FxHash-style) hash of `circuit`'s qubit count and
+/// two-qubit operands and of `seed`. Only a lookup hint: a hit also
+/// compares the operands.
+fn shape_hash(circuit: &Circuit, seed: u64) -> u64 {
+    const K: u64 = 0x517c_c1b7_2722_0a95;
+    let step = |h: u64, word: u64| (h.rotate_left(5) ^ word).wrapping_mul(K);
+    operands(circuit).fold(step(seed, circuit.num_qubits() as u64), |h, (a, b)| {
+        step(h, (a.index() as u64) << 32 | b.index() as u64)
+    })
+}
+
+const _: () = {
+    // Services may share one placement instance across threads.
+    const fn send_sync<T: Send + Sync>() {}
+    send_sync::<CloudQcPlacement>();
+    send_sync::<super::CloudQcBfsPlacement>();
+};
 
 /// Last-resort capacity-aware placement: orders qubits by BFS over the
 /// interaction graph (so neighbours stay together) and QPUs by free
@@ -327,5 +537,69 @@ mod tests {
         // chain mostly contiguous so remote ops stay near the minimum.
         assert_eq!(p.qpu_demand(4)[0], 40);
         assert!(remote_op_count(&circuit, &p) <= 5);
+    }
+
+    /// `count` distinct statuses of `cloud` that leave QPU 0 whole and
+    /// take 1–11 qubits from every other QPU.
+    fn statuses_keeping_one_block(cloud: &Cloud, count: usize) -> Vec<CloudStatus> {
+        (0..count)
+            .map(|i| {
+                let mut status = cloud.status();
+                for q in 1..cloud.qpu_count() {
+                    let take = 1 + (q * 7 + i * 3) % 11;
+                    status.allocate_computing(QpuId::new(q), take).unwrap();
+                }
+                status
+            })
+            .collect()
+    }
+
+    #[test]
+    fn sweep_partitions_each_shape_once() {
+        let cloud = paper_cloud(1);
+        let qft = catalog::by_name("qft_n29").unwrap();
+        let algo = CloudQcPlacement::default();
+        // 29 qubits over a largest free block of 20: k = 2..=6.
+        let sweep = algo.config().imbalance_factors.len() * 5;
+        assert_eq!(sweep, 15);
+        for status in statuses_keeping_one_block(&cloud, 10) {
+            assert_eq!(status.max_free_computing(), 20);
+            let fresh = CloudQcPlacement::default().place(&qft, &cloud, &status, 7);
+            assert_eq!(algo.place(&qft, &cloud, &status, 7), fresh);
+            // The status is not part of the key: ten statuses, one sweep.
+            assert_eq!(algo.memo.len(), sweep);
+        }
+        // A second shape adds its own splits.
+        let ising = catalog::by_name("ising_n34").unwrap();
+        let status = cloud.status();
+        let fresh = CloudQcPlacement::default().place(&ising, &cloud, &status, 7);
+        assert_eq!(algo.place(&ising, &cloud, &status, 7), fresh);
+        assert_eq!(algo.memo.len(), 2 * sweep);
+        // The memo is a cache: clones start empty, Debug leaves it out.
+        assert_eq!(algo.clone().memo.len(), 0);
+        assert_eq!(
+            format!("{algo:?}"),
+            format!("CloudQcPlacement {{ config: {:?} }}", algo.config())
+        );
+    }
+
+    #[test]
+    fn memo_stays_within_its_cap() {
+        // ghz_n20 over two 16-qubit QPUs sweeps k = 2 alone: |α| splits
+        // per seed, so enough seeds overflow the memo.
+        let cloud = CloudBuilder::new(2).computing_qubits(16).build();
+        let ghz = catalog::by_name("ghz_n20").unwrap();
+        let status = cloud.status();
+        let algo = CloudQcPlacement::default();
+        let per_seed = algo.config().imbalance_factors.len();
+        let mut peak = 0;
+        for seed in 0..(SplitMemo::CAP / per_seed + 10) as u64 {
+            let fresh = CloudQcPlacement::default().place(&ghz, &cloud, &status, seed);
+            assert_eq!(algo.place(&ghz, &cloud, &status, seed), fresh);
+            assert!(algo.memo.len() <= SplitMemo::CAP);
+            peak = peak.max(algo.memo.len());
+        }
+        assert!(peak > SplitMemo::CAP - per_seed, "peak {peak}");
+        assert!(algo.memo.len() < peak, "the memo was never cleared");
     }
 }

@@ -5,7 +5,8 @@
 //!
 //! * [`CloudQcPlacement`] — Algorithm 1: graph partition sweep (imbalance
 //!   × part count) + community-detection QPU selection + center-based
-//!   mapping + scoring.
+//!   mapping + scoring. Each instance partitions a circuit shape once
+//!   per seed and replays the partitions on later calls.
 //! * [`CloudQcBfsPlacement`] — the CloudQC-BFS variant: BFS QPU-set
 //!   search instead of community detection.
 //! * [`RandomPlacement`], [`AnnealingPlacement`], [`GeneticPlacement`] —
@@ -135,6 +136,13 @@ impl Placement {
 /// provided status; `seed` controls all internal randomness — so
 /// [`PlacementAlgorithm::place`] is a pure function of its arguments
 /// (the placement cache already depends on this).
+///
+/// That stays true as far as any caller can observe when an
+/// implementation memoizes internally. [`CloudQcPlacement`] and
+/// [`CloudQcBfsPlacement`] keep the partitions of their sweep, which
+/// read the circuit's two-qubit structure and the seed but no cloud
+/// state, and compare the stored structure on every hit; a hit replays
+/// exactly what a fresh instance would compute.
 pub trait PlacementAlgorithm {
     /// Short human-readable name (used in experiment tables).
     fn name(&self) -> &'static str;

@@ -382,6 +382,122 @@ proptest! {
     }
 }
 
+/// The memo differential's circuit pool: catalog circuits that reach
+/// Algorithm 1's sweep on a partly used `paper_default` cloud (two of
+/// them as wide as each other), plus two twins of the Ising circuit
+/// with its two-qubit structure, so its memo entries: one renamed, one
+/// with other rotation angles.
+fn memo_pool() -> Vec<Circuit> {
+    use cloudqc::circuit::generators::catalog;
+    use cloudqc::circuit::{Gate, GateKind};
+
+    let ising = catalog::by_name("ising_n22").unwrap();
+    let mut retuned = Circuit::new(ising.num_qubits()).with_name("ising_retuned");
+    for gate in ising.gates() {
+        let q = gate.qubits()[0];
+        retuned.push(match gate.kind() {
+            GateKind::Rz(theta) => Gate::rz(q, theta + 0.5),
+            GateKind::Rx(theta) => Gate::rx(q, 2.0 * theta),
+            _ => *gate,
+        });
+    }
+    let renamed = ising.clone().with_name("ising_renamed");
+    vec![
+        catalog::by_name("ghz_n24").unwrap(),
+        catalog::by_name("bv_n24").unwrap(),
+        catalog::by_name("qft_n21").unwrap(),
+        ising,
+        renamed,
+        retuned,
+    ]
+}
+
+/// Places `circuit` with the long-lived `algo` and with a fresh
+/// instance from `fresh`, which must agree.
+fn memo_matches_fresh<P: PlacementAlgorithm>(
+    algo: &P,
+    fresh: impl Fn() -> P,
+    circuit: &Circuit,
+    cloud: &Cloud,
+    status: &cloudqc::cloud::CloudStatus,
+    seed: u64,
+) -> Result<(), String> {
+    let memoized = algo.place(circuit, cloud, status, seed);
+    prop_assert_eq!(
+        &memoized,
+        &fresh().place(circuit, cloud, status, seed),
+        "{} on {} (seed {})",
+        algo.name(),
+        circuit.name(),
+        seed
+    );
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// A long-lived `CloudQcPlacement` and `CloudQcBfsPlacement`, whose
+    /// memos carry partitions from call to call, return exactly what a
+    /// freshly built instance returns, call by call. Circuits, seeds and
+    /// twins repeat so memo keys recur against changing statuses.
+    #[test]
+    fn memoized_sweep_matches_fresh_instances(
+        steps in prop::collection::vec((0usize..6, any::<u64>(), 0u64..3), 1..10),
+    ) {
+        use cloudqc::cloud::QpuId;
+        let pool = memo_pool();
+        let cloud = CloudBuilder::paper_default(3).build();
+        let (cloudqc, bfs) = (CloudQcPlacement::default(), CloudQcBfsPlacement::default());
+        for (circuit, status_seed, seed) in steps {
+            let mut rng = StdRng::seed_from_u64(status_seed);
+            let mut status = cloud.status();
+            for i in 0..cloud.qpu_count() {
+                let qpu = QpuId::new(i);
+                let take = rng.random_range(0..=status.free_computing(qpu));
+                status.allocate_computing(qpu, take).unwrap();
+            }
+            let circuit = &pool[circuit];
+            memo_matches_fresh(&cloudqc, CloudQcPlacement::default, circuit, &cloud, &status, seed)?;
+            memo_matches_fresh(&bfs, CloudQcBfsPlacement::default, circuit, &cloud, &status, seed)?;
+        }
+    }
+}
+
+/// The memo differential over a sequence long enough to overflow the
+/// memo (4 096 splits) and clear it: ghz_n20 over two 16-qubit QPUs
+/// sweeps three splits per seed, so 1 400 seeds cross the cap once,
+/// and a second pass over the first seeds replays what was evicted.
+#[test]
+fn memoized_sweep_matches_fresh_instances_across_the_cap() {
+    use cloudqc::circuit::generators::catalog;
+
+    let cloud = CloudBuilder::new(2).computing_qubits(16).build();
+    let ghz = catalog::by_name("ghz_n20").unwrap();
+    let status = cloud.status();
+    let (cloudqc, bfs) = (CloudQcPlacement::default(), CloudQcBfsPlacement::default());
+    for seed in (0..1_400).chain(0..20) {
+        memo_matches_fresh(
+            &cloudqc,
+            CloudQcPlacement::default,
+            &ghz,
+            &cloud,
+            &status,
+            seed,
+        )
+        .unwrap();
+        memo_matches_fresh(
+            &bfs,
+            CloudQcBfsPlacement::default,
+            &ghz,
+            &cloud,
+            &status,
+            seed,
+        )
+        .unwrap();
+    }
+}
+
 /// Golden for the repair tier through the public cache API: warm the
 /// cache, drift the status within one quantization bucket so the cached
 /// placement no longer fits, and pin that the lookup is answered by the
