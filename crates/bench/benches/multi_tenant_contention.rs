@@ -10,8 +10,8 @@
 //!   probability, so allocation rounds dominate: this isolates the
 //!   front-layer maintenance cost.
 //! * `placement_cache/*` — steady-state traffic of repeated circuit
-//!   shapes under fingerprint seeding, cached vs uncached: the
-//!   admission loop's placement-memoization win.
+//!   shapes, cached vs uncached: the admission loop's
+//!   placement-memoization win.
 //!
 //! With `BENCH_JSON=<path>` in the environment every case's minimum
 //! sample lands in `<path>` as ms/run — the input of the CI
@@ -111,9 +111,9 @@ fn bench_executor_contention(c: &mut Criterion) {
 
 fn bench_placement_cache(c: &mut Criterion) {
     // Steady-state traffic of two repeated shapes: the free-capacity
-    // vector oscillates through a small set of values, so under
-    // fingerprint seeding the (fingerprint, free-vector) signature
-    // recurs and the cache elides the full placement pipeline.
+    // vector oscillates through a small set of values, so the
+    // (fingerprint, free-vector) signature recurs and the cache elides
+    // the full placement pipeline.
     let cloud = CloudBuilder::new(8)
         .computing_qubits(40)
         .communication_qubits(3)
@@ -137,7 +137,6 @@ fn bench_placement_cache(c: &mut Criterion) {
                 seed = seed.wrapping_add(1);
                 ServiceBuilder::new(&cloud, &placement, &CloudQcScheduler, seed)
                     .admission(AdmissionPolicy::Backfill)
-                    .fingerprint_seeding(true)
                     .placement_cache(cached)
                     .run(black_box(&workload))
                     .expect("steady run completes")

@@ -2,13 +2,10 @@
 //! win.
 //!
 //! Steady-state traffic of repeated circuit shapes is driven for
-//! several epochs. Four arms price the persistent cache:
+//! several epochs. Three arms price the persistent cache:
 //!
 //! * `service_warm_epochs` — one resident `Service`: epoch 1 fills the
 //!   cache, later epochs admit from it.
-//! * `service_warm_quantum4` — the same, with the coarser (quantum 4)
-//!   free-vector signature: more hits, at the cost of within-bucket
-//!   drift being allowed to reuse stale placements.
 //! * `orchestrator_cold_epochs` — one `ServiceBuilder::run` per
 //!   epoch: the pre-service behaviour, rebuilding the cache from cold
 //!   every epoch.
@@ -35,8 +32,8 @@ const EPOCHS: usize = 3;
 fn bench_cross_epoch_cache(c: &mut Criterion) {
     // The steady-shapes contention profile of
     // `multi_tenant_contention/placement_cache`, driven for several
-    // epochs: two repeated shapes, a free-capacity vector oscillating
-    // through a small set of values, fingerprint seeding on.
+    // epochs: two repeated shapes and a free-capacity vector
+    // oscillating through a small set of values.
     let cloud = CloudBuilder::new(8)
         .computing_qubits(40)
         .communication_qubits(3)
@@ -59,18 +56,6 @@ fn bench_cross_epoch_cache(c: &mut Criterion) {
         b.iter(|| {
             seed = seed.wrapping_add(1);
             let mut svc = builder(seed).build();
-            for _ in 0..EPOCHS {
-                svc.submit_workload(black_box(&workload));
-                svc.drive().expect("epoch completes");
-            }
-            svc.report().completed
-        });
-    });
-    group.bench_function("service_warm_quantum4", |b| {
-        let mut seed = 0u64;
-        b.iter(|| {
-            seed = seed.wrapping_add(1);
-            let mut svc = builder(seed).cache_quantum(4).build();
             for _ in 0..EPOCHS {
                 svc.submit_workload(black_box(&workload));
                 svc.drive().expect("epoch completes");

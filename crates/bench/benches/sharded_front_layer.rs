@@ -11,7 +11,7 @@
 //!
 //! Cases: `cloudqc_sharded`, `greedy_sharded` and `average_sharded` —
 //! the three pure schedulers on the sharded path (and the merge-based
-//! `Scheduler::allocate_sharded` overrides). Their schedules equal the
+//! `Scheduler::allocate_shard_iter` overrides). Their schedules equal the
 //! global layer's (pinned in `tests/runtime_golden.rs`).
 //!
 //! With `BENCH_JSON=<path>` in the environment every case's minimum

@@ -78,7 +78,7 @@
 //! dirtied when a request enters or leaves it, or when the free
 //! communication count of either endpoint QPU changes. An allocation
 //! round hands only the dirty shards to the scheduler
-//! ([`Scheduler::allocate_sharded`]) and then marks every visited
+//! ([`Scheduler::allocate_shard_iter`]) and then marks every visited
 //! shard clean unless the round's own grants re-dirtied it, so
 //! allocation cost scales with the requests *affected* by a tick
 //! instead of with every pending request.

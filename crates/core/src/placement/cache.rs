@@ -30,18 +30,20 @@
 //! vector, so a hit replays a computation with identical inputs and the
 //! cached result is *provably* what the algorithm would return —
 //! cached and uncached runs produce byte-identical schedules (pinned in
-//! `tests/runtime_golden.rs`). Coarser quanta trade fidelity for hit
-//! rate: capacity drifts within a bucket reuse the old result, which
-//! can shift schedules (never correctness — see below) and is why
-//! coarse quanta are opt-in.
+//! `tests/runtime_golden.rs`). A service's cache always uses it.
+//! Coarser quanta ([`PlacementCache::with_quantum`], for code that uses
+//! a cache directly) trade fidelity for hit rate: capacity drifts
+//! within a bucket reuse the old result, which can shift schedules
+//! (never correctness — see below).
 //!
 //! The cache is **bounded**: entries are held in least-recently-used
-//! order and capped at [`PlacementCache::with_capacity`] (default
-//! [`PlacementCache::DEFAULT_CAPACITY`]), so a long-lived service
-//! facing an unbounded stream of distinct signatures evicts cold
-//! entries instead of leaking memory. Evictions never affect
-//! correctness — a re-lookup of an evicted signature recomputes the
-//! same pure function — and are counted in [`CacheStats::evictions`].
+//! order and capped at [`PlacementCache::with_capacity`] (default, and
+//! a service's fixed cap, [`PlacementCache::DEFAULT_CAPACITY`]), so a
+//! long-lived service facing an unbounded stream of distinct
+//! signatures evicts cold entries instead of leaking memory. Evictions
+//! never affect correctness — a re-lookup of an evicted signature
+//! recomputes the same pure function — and are counted in
+//! [`CacheStats::evictions`].
 //!
 //! Feasibility is never compromised: a cached placement is only reused
 //! after [`Placement::fits`] re-validates it against the *actual*

@@ -19,14 +19,14 @@
 //! let placement = CloudQcPlacement::default();
 //! let service = ServiceBuilder::new(&cloud, &placement, &CloudQcScheduler, 7)
 //!     .admission(AdmissionPolicy::ShortestJobFirst)
-//!     .cache_quantum(2)
+//!     .placement_repair(true)
 //!     .preemption(true)
 //!     .build();
 //! assert_eq!(service.pending(), 0);
 //! ```
 
 use crate::error::PlacementError;
-use crate::placement::{PlacementAlgorithm, PlacementCache};
+use crate::placement::PlacementAlgorithm;
 use crate::runtime::service::{RuntimeConfig, Service};
 use crate::runtime::{AdmissionPolicy, LoadShedPolicy, RunReport};
 use crate::schedule::Scheduler;
@@ -37,8 +37,18 @@ use cloudqc_sim::online::OnlineReport;
 /// Typed construction of one runtime configuration: every knob the
 /// epoch and continuous faces and the fleet's backends share. The
 /// defaults are priority-aware backfill admission, the placement cache
-/// on with the exact signature, fingerprint seeding, and the default
-/// streaming reservoir; preemption, aging, and load shedding are off.
+/// on, and the default streaming reservoir; preemption, aging, and
+/// load shedding are off.
+///
+/// Every job is placed with the seed `seed ^ fingerprint`, where
+/// `fingerprint` is its circuit's structural
+/// [`cloudqc_circuit::Fingerprint`]. Two jobs of one circuit shape
+/// against one free-capacity vector are therefore one placement
+/// problem, which is exactly the placement cache's key. The cache is
+/// keyed by the exact free vector and holds at most
+/// [`crate::placement::PlacementCache::DEFAULT_CAPACITY`] entries, so
+/// it replays a repeated shape instead of re-running the pipeline, and
+/// cached and uncached runs stay byte-identical.
 ///
 /// Terminal calls: [`ServiceBuilder::build`] for a resident
 /// [`Service`], [`ServiceBuilder::run`] for one finite workload, or
@@ -89,10 +99,7 @@ impl<'a> ServiceBuilder<'a> {
                 admission: AdmissionPolicy::default(),
                 path_reservation: false,
                 placement_cache: true,
-                cache_quantum: 1,
-                cache_capacity: PlacementCache::DEFAULT_CAPACITY,
                 placement_repair: false,
-                fingerprint_seeding: true,
                 preemption: false,
                 aging_rate: 0.0,
                 load_shed: None,
@@ -116,83 +123,32 @@ impl<'a> ServiceBuilder<'a> {
         self
     }
 
-    /// Enables or disables the placement cache (on by default). With
-    /// the default exact signature (quantum 1) a hit replays an
-    /// identical computation, so cached and uncached runs produce
-    /// byte-identical schedules; disable only to A/B the cache or when
-    /// a placement algorithm violates seeded determinism.
+    /// Enables or disables the placement cache (on by default). A hit
+    /// replays an identical computation, so cached and uncached runs
+    /// produce byte-identical schedules, and uncached runs are the
+    /// reference cached ones are checked against. Disable it to A/B the
+    /// cache or when a placement algorithm violates seeded determinism.
     pub fn placement_cache(mut self, enabled: bool) -> Self {
         self.cfg.placement_cache = enabled;
         self
     }
 
-    /// Sets the placement cache's free-capacity quantization bucket
-    /// (default 1 = exact; see [`PlacementCache::with_quantum`]).
-    /// Coarser buckets raise the hit rate but let capacity drift within
-    /// a bucket reuse stale results, which can shift schedules (never
-    /// feasibility).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `quantum == 0`.
-    pub fn cache_quantum(mut self, quantum: usize) -> Self {
-        assert!(quantum > 0, "quantization bucket must be positive");
-        self.cfg.cache_quantum = quantum;
-        self
-    }
-
-    /// Caps the placement cache's entry count (default
-    /// [`PlacementCache::DEFAULT_CAPACITY`]; see
-    /// [`PlacementCache::with_capacity`]). Long-lived services facing
-    /// unbounded distinct signatures evict least-recently-used entries
-    /// instead of growing without bound.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity == 0`.
-    pub fn cache_capacity(mut self, capacity: usize) -> Self {
-        assert!(capacity > 0, "cache capacity must be positive");
-        self.cfg.cache_capacity = capacity;
-        self
-    }
-
     /// Enables the placement cache's incremental-repair tier (off by
-    /// default; see [`PlacementCache::with_repair`]). On an exact-key
-    /// miss, the cache looks for a placement of the same circuit and
-    /// seed cached under an *adjacent* free-capacity bucket (every
-    /// per-QPU bucket within ±1) and patches it with
+    /// default; see [`crate::placement::PlacementCache::with_repair`]).
+    /// On an exact-key miss, the cache looks for a placement of the
+    /// same circuit and seed cached under an *adjacent* free-capacity
+    /// vector (every QPU's free count within ±1) and patches it with
     /// [`crate::placement::repair()`] — relocating only the qubits on
     /// now-overloaded QPUs — instead of re-running the full placement
     /// pipeline. Every repaired placement passes the same
     /// [`crate::placement::Placement::fits`] guard as an exact hit, and
     /// an unpatchable near-miss falls through to a full placement, so
-    /// feasibility is never weakened; like a coarse
-    /// [`ServiceBuilder::cache_quantum`], reuse under a *shifted*
-    /// capacity vector can pick different (never infeasible) placements
-    /// than a cold run, which is why the tier is opt-in. Repairs and
-    /// fallbacks are counted separately in
-    /// [`crate::placement::CacheStats`].
+    /// feasibility is never weakened. Reuse under a *shifted* capacity
+    /// vector can pick different (never infeasible) placements than a
+    /// cold run, which is why the tier is opt-in. Repairs and fallbacks
+    /// are counted separately in [`crate::placement::CacheStats`].
     pub fn placement_repair(mut self, enabled: bool) -> Self {
         self.cfg.placement_repair = enabled;
-        self
-    }
-
-    /// Derives each job's placement seed from its circuit's structural
-    /// fingerprint instead of its workload index (on by default).
-    ///
-    /// With fingerprint seeding, two jobs submitting the *same circuit
-    /// shape* against the *same free-capacity vector* are by
-    /// construction the same placement problem — which is exactly the
-    /// placement cache's key, so steady-state traffic of repeated
-    /// shapes hits the cache instead of re-running the full pipeline
-    /// per admission. Runs remain deterministic per run seed, and
-    /// cached and uncached runs remain byte-identical (the seed is a
-    /// function of the key either way). Disabling restores the legacy
-    /// per-workload-index seed derivation — and with it the exact
-    /// schedules of pre-default seeded runs (the opt-out golden test
-    /// pins them).
-    pub fn fingerprint_seeding(mut self, enabled: bool) -> Self {
-        self.cfg.fingerprint_seeding = enabled;
         self
     }
 
@@ -298,14 +254,6 @@ mod tests {
         svc.submit(catalog::by_name("vqe_n4").unwrap(), cloudqc_sim::Tick::ZERO);
         let report = svc.drain().unwrap();
         assert_eq!(report.completed, 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "positive")]
-    fn zero_cache_quantum_is_rejected() {
-        let cloud = CloudBuilder::paper_default(3).build();
-        let placement = CloudQcPlacement::default();
-        let _ = ServiceBuilder::new(&cloud, &placement, &CloudQcScheduler, 1).cache_quantum(0);
     }
 
     #[test]

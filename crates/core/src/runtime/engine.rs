@@ -66,9 +66,8 @@ struct EngineJob {
     /// Whether the job carries an SLA deadline — the preemption
     /// trigger's definition of "critical".
     critical: bool,
-    /// Structural fingerprint (computed when the cache or fingerprint
-    /// seeding needs it).
-    fingerprint: Option<Fingerprint>,
+    /// Structural fingerprint: the placement seed and cache key.
+    fingerprint: Fingerprint,
     /// The index this job is reported under: its lifetime submission
     /// index.
     record_index: usize,
@@ -269,18 +268,12 @@ impl<'a> Engine<'a> {
     }
 
     /// Lands a submission batch on the engine. `first_record_index`
-    /// numbers the batch's jobs by lifetime submission index;
-    /// `cache_active` controls fingerprint computation.
+    /// numbers the batch's jobs by lifetime submission index.
     ///
     /// Injecting onto a *quiescent* engine re-anchors it first (see the
     /// module docs). Arrivals are lifetime ticks and are converted to
     /// the era-local frame (past arrivals land immediately).
-    pub(crate) fn inject(
-        &mut self,
-        jobs: Vec<WorkloadJob>,
-        first_record_index: usize,
-        cache_active: bool,
-    ) {
+    pub(crate) fn inject(&mut self, jobs: Vec<WorkloadJob>, first_record_index: usize) {
         if jobs.is_empty() {
             return;
         }
@@ -295,8 +288,7 @@ impl<'a> Engine<'a> {
             .extend(&mut self.ctx, &jobs, self.cfg.cloud);
         let base = self.jobs.len();
         for (offset, job) in jobs.into_iter().enumerate() {
-            let fingerprint =
-                (cache_active || self.cfg.fingerprint_seeding).then(|| job.circuit.fingerprint());
+            let fingerprint = job.circuit.fingerprint();
             let arrival = Tick::new(job.arrival.as_ticks().saturating_sub(self.clock_base));
             self.jobs.push(EngineJob {
                 circuit: job.circuit,
@@ -457,20 +449,23 @@ impl<'a> Engine<'a> {
     /// unchanged state cannot admit anything new.
     ///
     /// With the placement cache on, the pass looks up each failing
-    /// (fingerprint, seed) key once. An admission is the only ledger
-    /// change inside a pass, so until the next one a later waiter with
-    /// that key would hit the failure the first lookup memoized: it
-    /// waits without a lookup. Across passes, the cache's failure
-    /// entries answer the repeats. An uncached run looks up every
-    /// waiter and stays the reference a cached run must reproduce.
+    /// fingerprint once: the fingerprint fixes the seed, so under one
+    /// free vector it is the whole cache key. An admission is the only
+    /// ledger change inside a pass, so until the next one a later
+    /// waiter with that fingerprint would hit the failure the first
+    /// lookup memoized: it waits without a lookup. Across passes, the
+    /// cache's failure entries answer the repeats. An uncached run
+    /// looks up every waiter and stays the reference a cached run must
+    /// reproduce.
     fn admit(&mut self, online: &mut OnlineReport, cache: &mut Option<PlacementCache>) {
         if !self.admission_dirty {
             return;
         }
         self.admission_dirty = false;
         self.age_queue();
-        // Keys that could not fit since the pass's last admission.
-        let mut failed: Vec<(Fingerprint, u64)> = Vec::new();
+        // Fingerprints that could not fit since the pass's last
+        // admission.
+        let mut failed: Vec<Fingerprint> = Vec::new();
         let mut i = 0;
         while i < self.waiting.len() {
             let job_idx = self.waiting[i];
@@ -486,32 +481,17 @@ impl<'a> Engine<'a> {
                 self.waiting.remove(i);
                 continue;
             }
-            let job_seed = self.job_seed(job_idx);
             let fingerprint = self.jobs[job_idx].fingerprint;
-            let placed = match cache.as_mut() {
-                Some(cache) => {
-                    let fingerprint =
-                        fingerprint.expect("fingerprints are computed when the cache is on");
-                    if failed.contains(&(fingerprint, job_seed)) {
-                        i += 1;
-                        continue;
-                    }
-                    cache.place_fingerprinted(
-                        fingerprint,
-                        self.cfg.placement,
-                        &self.jobs[job_idx].circuit,
-                        self.cfg.cloud,
-                        &self.status,
-                        job_seed,
-                    )
-                }
-                None => self.cfg.placement.place(
-                    &self.jobs[job_idx].circuit,
-                    self.cfg.cloud,
-                    &self.status,
-                    job_seed,
-                ),
-            };
+            if cache.is_some() && failed.contains(&fingerprint) {
+                i += 1;
+                continue;
+            }
+            let placed = self.cfg.place(
+                cache.as_mut(),
+                &self.jobs[job_idx].circuit,
+                fingerprint,
+                &self.status,
+            );
             match placed {
                 Ok(p) => {
                     let demand = p.qpu_demand(self.cfg.cloud.qpu_count());
@@ -565,30 +545,12 @@ impl<'a> Engine<'a> {
                     if self.cfg.admission.head_of_line_blocks() {
                         break;
                     }
-                    // A per-index seed never repeats a key within a
-                    // pass, so only fingerprint seeding lists it.
-                    if cache.is_some() && self.cfg.fingerprint_seeding {
-                        failed.push((
-                            fingerprint.expect("fingerprints are computed when seeding needs them"),
-                            job_seed,
-                        ));
+                    if cache.is_some() {
+                        failed.push(fingerprint);
                     }
                     i += 1;
                 }
             }
-        }
-    }
-
-    /// The placement seed of one waiting job: fingerprint-derived when
-    /// fingerprint seeding is on, workload-index-derived otherwise.
-    fn job_seed(&self, job_idx: usize) -> u64 {
-        if self.cfg.fingerprint_seeding {
-            let fp = self.jobs[job_idx]
-                .fingerprint
-                .expect("fingerprints are computed when seeding needs them");
-            self.cfg.seed ^ fp.as_u64()
-        } else {
-            self.cfg.seed ^ (job_idx as u64) << 17
         }
     }
 

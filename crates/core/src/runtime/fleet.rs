@@ -282,13 +282,18 @@ impl<'a> Fleet<'a> {
         self.backends.len()
     }
 
-    /// Whether backend `id` is currently healthy.
+    /// Whether backend `id` is currently healthy (`false` for an id
+    /// that names no backend).
     pub fn is_up(&self, id: usize) -> bool {
-        self.backends[id].up
+        self.backends.get(id).is_some_and(|b| b.up)
     }
 
     /// Read access to backend `id`'s service (its online report, cache
     /// stats, queue depth, and clock).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id >= self.backend_count()`.
     pub fn backend(&self, id: usize) -> &Service<'a> {
         &self.backends[id].service
     }
@@ -608,5 +613,29 @@ impl<'a> Fleet<'a> {
             failovers: self.failovers,
             policy: self.policy.name(),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::placement::CloudQcPlacement;
+    use crate::schedule::CloudQcScheduler;
+    use cloudqc_cloud::CloudBuilder;
+
+    #[test]
+    fn is_up_answers_false_for_unknown_ids() {
+        let cloud = CloudBuilder::paper_default(2).build();
+        let placement = CloudQcPlacement::default();
+        let backend = || ServiceBuilder::new(&cloud, &placement, &CloudQcScheduler, 1);
+        let mut fleet = FleetBuilder::new()
+            .backend(backend())
+            .backend(backend())
+            .build();
+        assert!(fleet.is_up(0) && fleet.is_up(1));
+        assert!(!fleet.is_up(2));
+        assert!(!fleet.is_up(usize::MAX));
+        fleet.fail_backend(1);
+        assert!(!fleet.is_up(1));
     }
 }

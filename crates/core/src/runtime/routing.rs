@@ -121,18 +121,6 @@ impl<'f, 'a> RouteContext<'f, 'a> {
             .expect("candidates are never empty")
     }
 
-    /// Every candidate's backlog summed: jobs pending or waiting for
-    /// admission across the whole candidate set. The congestion signal
-    /// [`CheapestPlacement::with_probe_budget`] gates its probes on —
-    /// when the fleet is this far behind, a per-candidate placement
-    /// probe buys little (queueing dominates) and costs the most.
-    pub fn total_backlog(&self) -> usize {
-        self.candidates
-            .iter()
-            .map(|(_, svc)| svc.pending() + svc.queue_depth())
-            .sum()
-    }
-
     /// Speculatively places `job` on backend `id` (through its
     /// placement cache, against its live ledger — see
     /// `Service::probe_place`) and scores the placement by the paper's
@@ -182,36 +170,18 @@ pub trait RoutingPolicy {
 /// signatures — and with the cache's repair tier on, a near-miss
 /// signature patches instead of recomputing (see
 /// [`RouteContext::placement_cost`]).
-///
-/// [`CheapestPlacement::with_probe_budget`] (default: unbounded) bounds
-/// what a decision costs: it skips probing entirely while the
-/// candidates' summed backlog ([`RouteContext::total_backlog`]) exceeds
-/// the budget, falling back to [`UtilizationBalanced`]'s least-loaded
-/// choice — under that much queueing the placement signal is stale by
-/// the time the job admits, so the router stops paying for it.
 #[derive(Clone, Debug, Default)]
-pub struct CheapestPlacement {
-    probe_budget: Option<usize>,
-}
+pub struct CheapestPlacement;
 
 impl CheapestPlacement {
     /// A probe-everything router.
     pub fn new() -> Self {
-        Self::default()
+        Self
     }
 
     /// Inert (probes run serially); kept because `e2ebench` calls it.
     #[doc(hidden)]
     pub fn with_worker_threads(self, _threads: usize) -> Self {
-        self
-    }
-
-    /// Sets the probe budget: while the candidates' summed backlog
-    /// (pending + waiting jobs, [`RouteContext::total_backlog`])
-    /// exceeds `backlog`, decisions skip the placement probes and route
-    /// least-loaded instead.
-    pub fn with_probe_budget(mut self, backlog: usize) -> Self {
-        self.probe_budget = Some(backlog);
         self
     }
 }
@@ -222,11 +192,6 @@ impl RoutingPolicy for CheapestPlacement {
     }
 
     fn route(&mut self, job: &WorkloadJob, ctx: &mut RouteContext<'_, '_>) -> usize {
-        if let Some(budget) = self.probe_budget {
-            if ctx.total_backlog() > budget {
-                return ctx.least_loaded();
-            }
-        }
         let best = ctx
             .candidate_ids()
             .into_iter()
@@ -415,39 +380,6 @@ mod tests {
         let mut b = ServiceBuilder::new(&split, &placement, &CloudQcScheduler, 3).build();
         let mut ctx = RouteContext::new(vec![(0, &mut a), (1, &mut b)]);
         assert_eq!(CheapestPlacement::new().route(&job(), &mut ctx), 0);
-    }
-
-    #[test]
-    fn probe_budget_skips_probing_under_backlog() {
-        // Backend 0 would win every probe (single QPU, zero comm cost)
-        // but carries the backlog; over budget the router must not
-        // probe at all and route least-loaded instead.
-        let one_qpu = CloudBuilder::new(1).computing_qubits(40).build();
-        let split = CloudBuilder::new(4)
-            .computing_qubits(10)
-            .line_topology()
-            .build();
-        let placement = CloudQcPlacement::default();
-        let mut a = ServiceBuilder::new(&one_qpu, &placement, &CloudQcScheduler, 3).build();
-        let mut b = ServiceBuilder::new(&split, &placement, &CloudQcScheduler, 3).build();
-        for _ in 0..3 {
-            a.submit(catalog::by_name("vqe_n4").unwrap(), Tick::ZERO);
-        }
-        let mut policy = CheapestPlacement::new().with_probe_budget(2);
-        let mut ctx = RouteContext::new(vec![(0, &mut a), (1, &mut b)]);
-        assert_eq!(ctx.total_backlog(), 3);
-        assert_eq!(policy.route(&job(), &mut ctx), 1, "least-loaded fallback");
-        drop(ctx);
-        assert_eq!(
-            a.cache_stats().misses + b.cache_stats().misses,
-            0,
-            "over budget no backend was probed"
-        );
-        // Under the budget the probes run again and the cheap backend
-        // wins despite its longer queue.
-        let mut roomy = CheapestPlacement::new().with_probe_budget(8);
-        let mut ctx = RouteContext::new(vec![(0, &mut a), (1, &mut b)]);
-        assert_eq!(roomy.route(&job(), &mut ctx), 0);
     }
 
     #[test]

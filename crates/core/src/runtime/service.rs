@@ -67,7 +67,8 @@ use crate::runtime::report::{JobRecord, RunReport};
 use crate::runtime::{AdmissionPolicy, LoadShedPolicy};
 use crate::schedule::Scheduler;
 use crate::workload::{Workload, WorkloadJob};
-use cloudqc_cloud::Cloud;
+use cloudqc_circuit::{Circuit, Fingerprint};
+use cloudqc_cloud::{Cloud, CloudStatus};
 use cloudqc_sim::online::OnlineReport;
 use cloudqc_sim::series::BatchStats;
 use cloudqc_sim::Tick;
@@ -83,20 +84,44 @@ pub(crate) struct RuntimeConfig<'a> {
     pub(crate) admission: AdmissionPolicy,
     pub(crate) path_reservation: bool,
     pub(crate) placement_cache: bool,
-    pub(crate) cache_quantum: usize,
-    pub(crate) cache_capacity: usize,
     /// Whether the placement cache's incremental-repair tier is on:
     /// near-miss lookups (same circuit and seed, adjacent free-capacity
-    /// bucket) are patched with `placement::repair` instead of falling
+    /// vector) are patched with `placement::repair` instead of falling
     /// straight through to a full placement run.
     pub(crate) placement_repair: bool,
-    pub(crate) fingerprint_seeding: bool,
     pub(crate) preemption: bool,
     pub(crate) aging_rate: f64,
     pub(crate) load_shed: Option<LoadShedPolicy>,
     /// Completion-time reservoir capacity of the streaming report.
     pub(crate) reservoir_capacity: usize,
     pub(crate) seed: u64,
+}
+
+impl RuntimeConfig<'_> {
+    /// Places one circuit against `status` with the seed
+    /// `seed ^ fingerprint`, through `cache` when it is on. Admission
+    /// and the fleet router's probes both place through here, so a
+    /// probe looks up exactly the key the admission will.
+    pub(crate) fn place(
+        &self,
+        cache: Option<&mut PlacementCache>,
+        circuit: &Circuit,
+        fingerprint: Fingerprint,
+        status: &CloudStatus,
+    ) -> Result<Placement, PlacementError> {
+        let seed = self.seed ^ fingerprint.as_u64();
+        match cache {
+            Some(cache) => cache.place_fingerprinted(
+                fingerprint,
+                self.placement,
+                circuit,
+                self.cloud,
+                status,
+                seed,
+            ),
+            None => self.placement.place(circuit, self.cloud, status, seed),
+        }
+    }
 }
 
 /// Lifetime summary of a [`Service`]: everything it aggregated across
@@ -205,11 +230,9 @@ pub struct Service<'a> {
 
 impl<'a> Service<'a> {
     pub(crate) fn from_config(cfg: RuntimeConfig<'a>) -> Self {
-        let cache = cfg.placement_cache.then(|| {
-            PlacementCache::with_quantum(cfg.cache_quantum)
-                .with_capacity(cfg.cache_capacity)
-                .with_repair(cfg.placement_repair)
-        });
+        let cache = cfg
+            .placement_cache
+            .then(|| PlacementCache::new().with_repair(cfg.placement_repair));
         Service {
             cache,
             online: OnlineReport::with_reservoir(cfg.reservoir_capacity, cfg.seed),
@@ -225,7 +248,7 @@ impl<'a> Service<'a> {
 
     /// Buffers one job (default tenant metadata) for the next `drive*`
     /// call; returns its index within the pending buffer.
-    pub fn submit(&mut self, circuit: cloudqc_circuit::Circuit, arrival: Tick) -> usize {
+    pub fn submit(&mut self, circuit: Circuit, arrival: Tick) -> usize {
         self.submit_job(WorkloadJob::new(circuit, arrival))
     }
 
@@ -281,37 +304,18 @@ impl<'a> Service<'a> {
     /// free-capacity ledger *without* submitting it — the probe a fleet
     /// router uses to score backends before committing a job to one.
     ///
-    /// The probe goes through the persistent [`PlacementCache`] when
-    /// enabled, so repeated probes of hot shapes are cheap and warm the
-    /// cache for the eventual admission; probe lookups count in
-    /// [`Service::cache_stats`] like any other. The probed seed equals
-    /// the admission seed under fingerprint seeding (the default); with
-    /// fingerprint seeding off, admission seeds depend on the job's
-    /// submission index — unknowable before routing — so the probe uses
-    /// the raw run seed as an approximation (fine for *scoring*; the
-    /// actual admission recomputes).
+    /// The probe places exactly as admission would, with the same seed
+    /// and through the persistent [`PlacementCache`] when enabled, so
+    /// repeated probes of hot shapes are cheap and warm the cache for
+    /// the eventual admission; probe lookups count in
+    /// [`Service::cache_stats`] like any other.
     pub(crate) fn probe_place(&mut self, job: &WorkloadJob) -> Result<Placement, PlacementError> {
-        let fingerprint = job.circuit.fingerprint();
-        let seed = if self.cfg.fingerprint_seeding {
-            self.cfg.seed ^ fingerprint.as_u64()
-        } else {
-            self.cfg.seed
-        };
-        let status = self.engine.status();
-        match self.cache.as_mut() {
-            Some(cache) => cache.place_fingerprinted(
-                fingerprint,
-                self.cfg.placement,
-                &job.circuit,
-                self.cfg.cloud,
-                status,
-                seed,
-            ),
-            None => self
-                .cfg
-                .placement
-                .place(&job.circuit, self.cfg.cloud, status, seed),
-        }
+        self.cfg.place(
+            self.cache.as_mut(),
+            &job.circuit,
+            job.circuit.fingerprint(),
+            self.engine.status(),
+        )
     }
 
     /// Drains the service for a backend failure: every unfinished job —
@@ -506,7 +510,7 @@ impl<'a> Service<'a> {
         let jobs = std::mem::take(&mut self.pending);
         let first = self.injected;
         self.injected += jobs.len();
-        self.engine.inject(jobs, first, self.cache.is_some());
+        self.engine.inject(jobs, first);
         self.engine
             .advance(&mut self.online, &mut self.cache, deadline)?;
         let (outcomes, rejected) = self.engine.take_window();
@@ -530,7 +534,7 @@ mod tests {
     use cloudqc_circuit::generators::catalog;
     use cloudqc_cloud::CloudBuilder;
 
-    fn pool() -> Vec<cloudqc_circuit::Circuit> {
+    fn pool() -> Vec<Circuit> {
         vec![
             catalog::by_name("qugan_n39").unwrap(),
             catalog::by_name("qft_n29").unwrap(),
@@ -685,7 +689,7 @@ mod tests {
         let builder = || {
             ServiceBuilder::new(&cloud, &placement, &CloudQcScheduler, 9)
                 .admission(AdmissionPolicy::ShortestJobFirst)
-                .cache_quantum(2)
+                .placement_repair(true)
         };
         let direct = builder().run(&w).unwrap();
         let mut svc = builder().build();

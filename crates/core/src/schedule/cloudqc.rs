@@ -6,8 +6,8 @@
 //! eventually receives at least one pair.
 
 use super::{
-    allocate_prioritized, allocate_sharded_prioritized, allocate_sharded_prioritized_iter,
-    Allocation, PriorityPolicy, RemoteRequest, Scheduler,
+    allocate_prioritized, allocate_sharded_prioritized_iter, Allocation, PriorityPolicy,
+    RemoteRequest, Scheduler,
 };
 use rand::rngs::StdRng;
 
@@ -21,8 +21,8 @@ use rand::rngs::StdRng;
 ///    (redundancy for critical-path gates).
 ///
 /// The global entry point sorts and walks (`allocate_prioritized`);
-/// the sharded one merges the pre-sorted shards' grantable heads
-/// directly (`allocate_sharded_prioritized`).
+/// the shard-iterator one merges the pre-sorted shards' grantable
+/// heads directly (`allocate_sharded_prioritized_iter`).
 #[derive(Clone, Debug, Default)]
 pub struct CloudQcScheduler;
 
@@ -49,20 +49,10 @@ impl Scheduler for CloudQcScheduler {
     }
 
     /// The sharded entry point walks the pre-sorted shards through the
-    /// grantable-heads merge (`allocate_sharded_prioritized`): no
-    /// sort, and work bounded by grants rather than pending requests.
-    fn allocate_sharded(
-        &self,
-        shards: &[&[RemoteRequest]],
-        available: &[usize],
-        _rng: &mut StdRng,
-    ) -> Vec<Allocation> {
-        allocate_sharded_prioritized(shards, available, PriorityPolicy::FloorThenRedundancy)
-    }
-
-    /// Streaming variant of the same merge: cursors build directly off
-    /// the iterator, so the executor's serial pass never collects a
-    /// slice list.
+    /// grantable-heads merge (`allocate_sharded_prioritized_iter`): no
+    /// sort, work bounded by grants rather than pending requests, and
+    /// cursors built directly off the iterator, so the executor's
+    /// serial pass never collects a slice list.
     fn allocate_shard_iter(
         &self,
         shards: &mut dyn Iterator<Item = &[RemoteRequest]>,
@@ -162,7 +152,8 @@ mod tests {
         let s2 = [req(2, 1, 2, 7), req(3, 1, 2, 7)];
         let available = vec![4, 6, 3];
         let flat: Vec<RemoteRequest> = s1.iter().chain(s2.iter()).copied().collect();
-        let sharded = CloudQcScheduler.allocate_sharded(&[&s1, &s2], &available, &mut rng());
+        let mut shards = [&s1[..], &s2].into_iter();
+        let sharded = CloudQcScheduler.allocate_shard_iter(&mut shards, &available, &mut rng());
         let global = CloudQcScheduler.allocate(&flat, &available, &mut rng());
         assert_eq!(sharded, global);
         validate_allocations(&flat, &available, &sharded).unwrap();

@@ -6,8 +6,8 @@
 //! paper finds this has the *worst* job completion time.
 
 use super::{
-    allocate_prioritized, allocate_sharded_prioritized, allocate_sharded_prioritized_iter,
-    Allocation, PriorityPolicy, RemoteRequest, Scheduler,
+    allocate_prioritized, allocate_sharded_prioritized_iter, Allocation, PriorityPolicy,
+    RemoteRequest, Scheduler,
 };
 use rand::rngs::StdRng;
 
@@ -15,8 +15,8 @@ use rand::rngs::StdRng;
 /// still allow, leaving possibly nothing for the rest.
 ///
 /// The global entry point sorts and walks (`allocate_prioritized`);
-/// the sharded one merges the pre-sorted shards' grantable heads
-/// directly (`allocate_sharded_prioritized`).
+/// the shard-iterator one merges the pre-sorted shards' grantable
+/// heads directly (`allocate_sharded_prioritized_iter`).
 #[derive(Clone, Debug, Default)]
 pub struct GreedyScheduler;
 
@@ -41,20 +41,10 @@ impl Scheduler for GreedyScheduler {
     }
 
     /// The sharded entry point walks the pre-sorted shards through the
-    /// grantable-heads merge (`allocate_sharded_prioritized`): no
-    /// sort, and work bounded by grants rather than pending requests.
-    fn allocate_sharded(
-        &self,
-        shards: &[&[RemoteRequest]],
-        available: &[usize],
-        _rng: &mut StdRng,
-    ) -> Vec<Allocation> {
-        allocate_sharded_prioritized(shards, available, PriorityPolicy::MaxPerRequest)
-    }
-
-    /// Streaming variant of the same merge: cursors build directly off
-    /// the iterator, so the executor's serial pass never collects a
-    /// slice list.
+    /// grantable-heads merge (`allocate_sharded_prioritized_iter`): no
+    /// sort, work bounded by grants rather than pending requests, and
+    /// cursors built directly off the iterator, so the executor's
+    /// serial pass never collects a slice list.
     fn allocate_shard_iter(
         &self,
         shards: &mut dyn Iterator<Item = &[RemoteRequest]>,
@@ -114,7 +104,8 @@ mod tests {
         let available = vec![4, 4, 4];
         let mut rng = StdRng::seed_from_u64(0);
         let flat: Vec<RemoteRequest> = s1.iter().chain(s2.iter()).copied().collect();
-        let sharded = GreedyScheduler.allocate_sharded(&[&s1, &s2], &available, &mut rng);
+        let mut shards = [&s1[..], &s2].into_iter();
+        let sharded = GreedyScheduler.allocate_shard_iter(&mut shards, &available, &mut rng);
         let global = GreedyScheduler.allocate(&flat, &available, &mut rng);
         assert_eq!(sharded, global);
         validate_allocations(&flat, &available, &sharded).unwrap();

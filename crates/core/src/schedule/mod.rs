@@ -91,7 +91,7 @@ pub trait Scheduler {
     /// re-run would provably grant nothing again. They also enable the
     /// executor's *sharded* front layer, where a round only visits the
     /// shards whose QPU pair was affected (see
-    /// [`Scheduler::allocate_sharded`]). Schedulers that consume
+    /// [`Scheduler::allocate_shard_iter`]). Schedulers that consume
     /// randomness must return `false` (the default): eliding a call
     /// would shift their RNG stream and change seeded schedules.
     fn is_pure(&self) -> bool {
@@ -110,11 +110,9 @@ pub trait Scheduler {
     /// behaviourally identical to a global pass over the same requests
     /// for every scheduler whose allocation does not depend on input
     /// order (all the pure ones — they sort their input by a total
-    /// order first). Pure schedulers can override it to exploit the
-    /// per-shard structure: [`CloudQcScheduler`] and
-    /// [`GreedyScheduler`] merge the shards' *grantable heads* directly
-    /// (`allocate_sharded_prioritized`), bounding work by grants
-    /// instead of pending requests.
+    /// order first). The executor's sharded pass calls
+    /// [`Scheduler::allocate_shard_iter`] instead, which is where
+    /// schedulers exploit the per-shard structure.
     fn allocate_sharded(
         &self,
         shards: &[&[RemoteRequest]],
@@ -140,8 +138,9 @@ pub trait Scheduler {
     /// allocations for any slicing of the same request set. The
     /// default collects the iterator and delegates, so every scheduler
     /// keeps its existing sharded behaviour; [`CloudQcScheduler`] and
-    /// [`GreedyScheduler`] override it to build their grantable-heads
-    /// merge cursors directly from the stream.
+    /// [`GreedyScheduler`] override it to merge the shards' *grantable
+    /// heads* directly from the stream, bounding work by grants instead
+    /// of pending requests.
     fn allocate_shard_iter(
         &self,
         shards: &mut dyn Iterator<Item = &[RemoteRequest]>,
@@ -254,20 +253,12 @@ pub(crate) fn allocate_prioritized<'r>(
 /// pays O(requests) before the first decision. The grant sequence is
 /// identical: each pop takes the highest-priority head among live
 /// shards, which is the next request the global walk would grant.
-pub(crate) fn allocate_sharded_prioritized(
-    shards: &[&[RemoteRequest]],
-    available: &[usize],
-    policy: PriorityPolicy,
-) -> Vec<Allocation> {
-    allocate_sharded_prioritized_iter(&mut shards.iter().copied(), available, policy)
-}
-
-/// The iterator-fed core of [`allocate_sharded_prioritized`]: builds
-/// the merge cursors straight off the shard stream, so callers that
-/// already iterate an index (the executor's grant-ordered serial pass
-/// via [`Scheduler::allocate_shard_iter`]) skip the slice-list
-/// collection entirely. Shard order is irrelevant to the output — the
-/// merge pops the globally best live head under a strict total order.
+///
+/// The shards arrive as an iterator, so the executor's grant-ordered
+/// serial pass (via [`Scheduler::allocate_shard_iter`]) builds the
+/// merge cursors without collecting a slice list. Shard order is
+/// irrelevant to the output: the merge pops the globally best live
+/// head under a strict total order.
 pub(crate) fn allocate_sharded_prioritized_iter(
     shards: &mut dyn Iterator<Item = &[RemoteRequest]>,
     available: &[usize],
@@ -478,14 +469,14 @@ mod tests {
             PriorityPolicy::FloorThenRedundancy,
             PriorityPolicy::MaxPerRequest,
         ] {
-            let sharded = allocate_sharded_prioritized(&[&s1, &s2, &s3], &available, policy);
+            let mut shards = [&s1[..], &s2, &s3].into_iter();
+            let sharded = allocate_sharded_prioritized_iter(&mut shards, &available, policy);
             let global = allocate_prioritized(flat.iter().copied(), &available, policy);
             assert_eq!(sharded, global, "{policy:?}");
         }
-        assert!(
-            allocate_sharded_prioritized(&[], &available, PriorityPolicy::FloorThenRedundancy)
-                .is_empty()
-        );
+        let mut none = std::iter::empty();
+        let policy = PriorityPolicy::FloorThenRedundancy;
+        assert!(allocate_sharded_prioritized_iter(&mut none, &available, policy).is_empty());
     }
 
     #[test]

@@ -167,7 +167,9 @@ proptest! {
     /// for every pure scheduler, a contended multi-job run produces
     /// the exact same schedule whether allocation rounds scan only the
     /// dirty shards or, through the [`Impure`] wrapper, the whole
-    /// global request set on every tick.
+    /// global request set on every tick. Under path reservation both
+    /// arms run the global layer, and the pure arm's elided passes must
+    /// match the wrapper's never-elided ones.
     #[test]
     fn sharded_and_global_front_layers_agree(
         qubits in 4usize..20,
@@ -175,6 +177,7 @@ proptest! {
         shape in 0u8..3,
         seed in any::<u64>(),
         jobs in 1usize..4,
+        reserve in any::<bool>(),
     ) {
         let cloud = small_cloud(seed);
         let placed: Vec<(Circuit, _)> = (0..jobs)
@@ -191,19 +194,26 @@ proptest! {
         let scheds: [&dyn Scheduler; 3] = [&GreedyScheduler, &AverageScheduler, &CloudQcScheduler];
         for sched in scheds {
             let run = |sched: &dyn Scheduler| {
-                let mut exec = Executor::new(&cloud, sched, seed);
-                let ids: Vec<usize> = placed
+                let mut exec = Executor::new(&cloud, sched, seed).with_path_reservation(reserve);
+                // Path reservation rejects a job whose gate has no route.
+                let ids: Vec<Option<usize>> = placed
                     .iter()
-                    .map(|(c, p)| exec.try_add_job(c, p).expect("job admitted"))
+                    .map(|(c, p)| exec.try_add_job(c, p).ok())
                     .collect();
                 exec.run_to_completion();
                 let results: Vec<_> = ids
                     .into_iter()
-                    .map(|id| exec.job_result(id).expect("job finished"))
+                    .map(|id| id.map(|id| exec.job_result(id).expect("job finished")))
                     .collect();
                 (results, exec.now(), exec.comm_free().to_vec())
             };
-            prop_assert_eq!(run(sched), run(&Impure(sched)), "{} diverged under sharding", sched.name());
+            prop_assert_eq!(
+                run(sched),
+                run(&Impure(sched)),
+                "{} diverged (path reservation {})",
+                sched.name(),
+                reserve
+            );
         }
     }
 

@@ -1,20 +1,11 @@
 //! Golden seed-equivalence for the unified runtime.
 //!
-//! Two generations of pinned schedules:
-//!
-//! * The *current* goldens (batch / FIFO / incoming tests below) were
-//!   re-pinned when fingerprint-derived placement seeding became the
-//!   runtime default: each job's placement seed is now a function
-//!   of its circuit's structural fingerprint instead of its workload
-//!   index, so repeated shapes share placement-cache entries. Any
-//!   drift in these means the runtime, placement pipeline, or
-//!   executor changed observable behaviour.
-//! * The *legacy* golden (`legacy_index_seeding_opt_out_...`) pins the
-//!   pre-default per-job completion times — originally captured from
-//!   the seed implementation at commit `37af50c` — under
-//!   `fingerprint_seeding(false)`. It proves the seeding default
-//!   is the only thing that moved: the legacy derivation still
-//!   reproduces the pre-refactor execution stack's outcomes exactly.
+//! The batch, FIFO and incoming goldens below pin per-job schedules
+//! under the runtime's one seed rule: each job's placement seed is the
+//! run seed XOR its circuit's structural fingerprint, so repeated
+//! shapes share placement-cache entries. Any drift in these means the
+//! runtime, placement pipeline, or executor changed observable
+//! behaviour.
 //!
 //! The A/B tests below additionally pin that the placement cache, the
 //! change-driven allocation elision, and the per-QPU-pair sharded front
@@ -28,13 +19,14 @@ use cloudqc::circuit::Circuit;
 use cloudqc::cloud::CloudBuilder;
 use cloudqc::core::config::BatchWeights;
 use cloudqc::core::placement::PlacementAlgorithm;
-use cloudqc::core::placement::{CloudQcBfsPlacement, CloudQcPlacement, RandomPlacement};
+use cloudqc::core::placement::{CloudQcBfsPlacement, CloudQcPlacement, Placement, RandomPlacement};
 use cloudqc::core::runtime::{AdmissionPolicy, RunReport, ServiceBuilder};
 use cloudqc::core::schedule::{
-    Allocation, AverageScheduler, CloudQcScheduler, GreedyScheduler, RemoteRequest, Scheduler,
+    Allocation, AverageScheduler, CloudQcScheduler, GreedyScheduler, RandomScheduler,
+    RemoteRequest, Scheduler,
 };
 use cloudqc::core::workload::Workload;
-use cloudqc::core::Executor;
+use cloudqc::core::{AllocStats, Executor};
 use cloudqc::sim::Tick;
 use rand::rngs::StdRng;
 
@@ -109,43 +101,11 @@ fn batch_mode_reproduces_pinned_outcomes() {
 }
 
 #[test]
-fn legacy_index_seeding_opt_out_reproduces_seed_outcomes() {
-    // The pre-default seed derivation (placement seed from the
-    // workload index) must still reproduce the original goldens —
-    // captured from the seed implementation at commit `37af50c` —
-    // exactly. This pins that flipping the fingerprint-seeding default
-    // moved nothing else.
-    let cloud = CloudBuilder::paper_default(1).build();
-    let jobs = big_batch();
-    let expected: [(u64, [u64; 8]); 3] = [
-        (3, [2250, 33332, 26120, 10503, 7398, 6254, 35907, 45962]),
-        (7, [2217, 22290, 23760, 11285, 8385, 7041, 22439, 42431]),
-        (42, [2418, 20946, 36602, 11067, 7957, 6513, 26829, 48698]),
-    ];
-    for (seed, times) in expected {
-        let placement = CloudQcPlacement::default();
-        let run = ServiceBuilder::new(&cloud, &placement, &CloudQcScheduler, seed)
-            .admission(AdmissionPolicy::PriorityBackfill(BatchWeights::default()))
-            .fingerprint_seeding(false)
-            .run(&Workload::batch(jobs.clone()))
-            .unwrap();
-        assert!(run.rejected.is_empty(), "seed {seed}");
-        let got: Vec<u64> = run
-            .outcomes
-            .iter()
-            .map(|o| o.completion_time.as_ticks())
-            .collect();
-        assert_eq!(got, times, "legacy seeding, seed {seed}");
-    }
-}
-
-#[test]
 fn fifo_contended_batch_reproduces_pinned_outcomes() {
     // A cloud that serializes these 30-qubit jobs: queueing delay is
     // part of the golden times. The three jobs share one fingerprint,
-    // so under fingerprint seeding they are placed identically whenever
-    // the free vector recurs (seed 5's times happen to coincide with
-    // the legacy pin; seed 11's differ).
+    // and so one placement seed: they are placed identically whenever
+    // the free vector recurs.
     let cloud = CloudBuilder::new(4)
         .computing_qubits(10)
         .ring_topology()
@@ -262,12 +222,11 @@ fn all_policies() -> [AdmissionPolicy; 6] {
 
 #[test]
 fn cached_and_uncached_placement_are_byte_identical() {
-    // The placement cache (default signature: exact free vector + per
-    // job seed) memoizes a deterministic function, so enabling it must
-    // not move a single tick — under the fingerprint-seeding default
-    // and under the legacy per-index opt-out alike, and under every
-    // admission policy: FCFS's blocked head, backfill past waiters
-    // that cannot fit, and SLA pruning ahead of the lookup.
+    // The placement cache (signature: exact free vector + per-shape
+    // seed) memoizes a deterministic function, so enabling it must not
+    // move a single tick under any admission policy: FCFS's blocked
+    // head, backfill past waiters that cannot fit, and SLA pruning
+    // ahead of the lookup.
     let (cloud, workload) = contended_setup();
     let workload = workload
         .assign_round_robin_tenants(&[1.0, 3.0, 0.7])
@@ -275,43 +234,34 @@ fn cached_and_uncached_placement_are_byte_identical() {
     let placement = CloudQcPlacement::default();
     for policy in all_policies() {
         for seed in [3u64, 7, 42] {
-            for fingerprint_seeding in [false, true] {
-                let run = |cached: bool| {
-                    ServiceBuilder::new(&cloud, &placement, &CloudQcScheduler, seed)
-                        .admission(policy)
-                        .fingerprint_seeding(fingerprint_seeding)
-                        .placement_cache(cached)
-                        .run(&workload)
-                        .expect("contended run completes")
-                };
-                let cached = run(true);
-                let uncached = run(false);
-                let case =
-                    format!("{policy:?}, seed {seed}, fingerprint_seeding {fingerprint_seeding}");
-                assert_eq!(observable(&cached), observable(&uncached), "{case}");
-                let expected_rejections = match policy {
-                    AdmissionPolicy::DeadlineAware => 2,
-                    _ => 0,
-                };
-                assert_eq!(cached.rejected.len(), expected_rejections, "{case}");
-                assert_eq!(
-                    cached.outcomes.len() + cached.rejected.len(),
-                    workload.len(),
-                    "{case}"
-                );
-                let stats = cached.placement_cache;
-                assert!(stats.misses > 0, "{case}: cache was never consulted");
-                assert_eq!(uncached.placement_cache.hits, 0);
-                assert_eq!(uncached.placement_cache.misses, 0);
-                if fingerprint_seeding {
-                    // Repeated shapes over a recurring free vector must
-                    // actually hit, or the A/B proves nothing.
-                    assert!(
-                        stats.hits > 0,
-                        "{case}: no cache hits under fingerprint seeding"
-                    );
-                }
-            }
+            let run = |cached: bool| {
+                ServiceBuilder::new(&cloud, &placement, &CloudQcScheduler, seed)
+                    .admission(policy)
+                    .placement_cache(cached)
+                    .run(&workload)
+                    .expect("contended run completes")
+            };
+            let cached = run(true);
+            let uncached = run(false);
+            let case = format!("{policy:?}, seed {seed}");
+            assert_eq!(observable(&cached), observable(&uncached), "{case}");
+            let expected_rejections = match policy {
+                AdmissionPolicy::DeadlineAware => 2,
+                _ => 0,
+            };
+            assert_eq!(cached.rejected.len(), expected_rejections, "{case}");
+            assert_eq!(
+                cached.outcomes.len() + cached.rejected.len(),
+                workload.len(),
+                "{case}"
+            );
+            let stats = cached.placement_cache;
+            assert!(stats.misses > 0, "{case}: cache was never consulted");
+            assert_eq!(uncached.placement_cache.hits, 0);
+            assert_eq!(uncached.placement_cache.misses, 0);
+            // Repeated shapes over a recurring free vector must
+            // actually hit, or the A/B proves nothing.
+            assert!(stats.hits > 0, "{case}: no cache hits");
         }
     }
 }
@@ -389,6 +339,90 @@ fn sharded_and_global_front_layers_are_byte_identical_in_executor() {
             let global = run(&Impure(scheduler));
             assert_eq!(run(scheduler), global, "{} seed {seed}", scheduler.name());
         }
+    }
+}
+
+#[test]
+fn executor_front_layers_reproduce_pinned_schedules() {
+    // Pins the executor's allocation passes directly, the global front
+    // layer included. The sharded-vs-global A/B tests above compare two
+    // layers with each other, so they cannot see a change that moves
+    // both, and the global layer alone serves `RandomScheduler` (which
+    // draws from the RNG) and path reservation (whose swapping-station
+    // holds couple QPU pairs). Four jobs per run, each spread over all
+    // six QPUs of a ring or a line with scarce pairs and a low EPR
+    // success probability, so multi-hop gates contend for stations.
+    use cloudqc::cloud::QpuId;
+    let circuits = batch(&["qugan_n39", "qft_n29", "adder_n64", "knn_n67"]);
+    let placed: Vec<(&Circuit, Placement)> = circuits
+        .iter()
+        .map(|c| {
+            let spread = (0..c.num_qubits()).map(|q| QpuId::new(q % 6)).collect();
+            (c, Placement::new(spread))
+        })
+        .collect();
+    let clouds = [
+        CloudBuilder::new(6).ring_topology(),
+        CloudBuilder::new(6).line_topology(),
+    ]
+    .map(|b| {
+        b.computing_qubits(40)
+            .communication_qubits(2)
+            .epr_success_prob(0.2)
+            .build()
+    });
+    let schedulers: [&dyn Scheduler; 4] = [
+        &CloudQcScheduler,
+        &GreedyScheduler,
+        &AverageScheduler,
+        &RandomScheduler,
+    ];
+    let mut got = Vec::new();
+    for scheduler in schedulers {
+        for reserve in [false, true] {
+            let mut digest = 0xcbf2_9ce4_8422_2325u64;
+            let mut work = AllocStats::default();
+            for cloud in &clouds {
+                for seed in [1u64, 9, 27] {
+                    let mut exec =
+                        Executor::new(cloud, scheduler, seed).with_path_reservation(reserve);
+                    let ids: Vec<usize> = placed
+                        .iter()
+                        .map(|(c, p)| exec.try_add_job(c, p).expect("job admitted"))
+                        .collect();
+                    exec.run_to_completion();
+                    for id in ids {
+                        let r = exec.job_result(id).expect("job finished");
+                        for word in [r.finished_at.as_ticks(), r.epr_rounds, r.epr_wait] {
+                            fnv1a(&mut digest, word);
+                        }
+                    }
+                    work.merge(exec.alloc_stats());
+                }
+            }
+            let work = [work.rounds, work.shards_visited, work.requests_scanned];
+            got.push((scheduler.name(), (reserve, digest, work)));
+        }
+    }
+    // Per scheduler, without and with path reservation: (reservation,
+    // digest, [rounds, shards visited, requests scanned]).
+    let expected = [
+        // CloudQC
+        (false, 0x7c8c_ddc9_e3dc_e1fe, [39_488, 139_073, 402_919]),
+        (true, 0x82de_2894_08d8_7347, [69_341, 69_341, 1_934_152]),
+        // Greedy
+        (false, 0x11a4_1604_c055_e1e4, [21_345, 117_252, 337_096]),
+        (true, 0x79e2_a277_d16c_cfac, [62_969, 62_969, 1_676_129]),
+        // Average
+        (false, 0x0e55_a773_5d5a_9756, [39_000, 91_952, 237_768]),
+        (true, 0x1b72_9f84_4fb8_6e90, [60_980, 60_980, 1_144_307]),
+        // Random
+        (false, 0x6791_920c_8c0d_8198, [52_458, 52_458, 318_785]),
+        (true, 0x7588_c9fd_fa4e_c33e, [64_104, 64_104, 441_957]),
+    ];
+    assert_eq!(got.len(), expected.len());
+    for ((name, got), expected) in got.iter().zip(&expected) {
+        assert_eq!(got, expected, "{name}: digest {:#018x}", got.1);
     }
 }
 
