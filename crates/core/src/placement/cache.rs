@@ -17,24 +17,18 @@
 //! failure entries answer a key that already failed against the same
 //! free vector.
 //!
-//! Entries are keyed by a signature of everything the algorithm can
-//! observe beyond that pair:
+//! Entries are keyed by everything the algorithm can observe beyond
+//! that pair:
 //!
 //! * the circuit's structural [`Fingerprint`] (name-independent, so
 //!   identical circuits submitted by different tenants share entries),
-//! * the cloud's free-computing-capacity vector, quantized by
-//!   [`PlacementCache::quantum`] (bucket size in qubits), and
+//! * the cloud's exact free-computing-capacity vector, and
 //! * the placement seed.
 //!
-//! With the default quantum of 1 the signature captures the exact free
-//! vector, so a hit replays a computation with identical inputs and the
-//! cached result is *provably* what the algorithm would return —
-//! cached and uncached runs produce byte-identical schedules (pinned in
-//! `tests/runtime_golden.rs`). A service's cache always uses it.
-//! Coarser quanta ([`PlacementCache::with_quantum`], for code that uses
-//! a cache directly) trade fidelity for hit rate: capacity drifts
-//! within a bucket reuse the old result, which can shift schedules
-//! (never correctness — see below).
+//! A hit therefore replays a computation with identical inputs, and the
+//! cached result is *provably* what the algorithm would return: cached
+//! and uncached runs produce byte-identical schedules (pinned in
+//! `tests/runtime_golden.rs`).
 //!
 //! The cache is **bounded**: entries are held in least-recently-used
 //! order and capped at [`PlacementCache::with_capacity`] (default, and
@@ -45,27 +39,25 @@
 //! recomputes the same pure function — and are counted in
 //! [`CacheStats::evictions`].
 //!
-//! Feasibility is never compromised: a cached placement is only reused
-//! after [`Placement::fits`] re-validates it against the *actual*
-//! status; a stale entry is recomputed and replaced. Capacity changes
-//! below the quantization threshold therefore cannot cause an
-//! infeasible reuse (property-tested in `tests/properties.rs`).
+//! Feasibility is never taken on trust: a cached placement is only
+//! reused after [`Placement::fits`] re-validates it against the
+//! *actual* status; a stale entry is recomputed and replaced.
 //!
 //! # The incremental-repair tier
 //!
 //! With [`PlacementCache::with_repair`] enabled (default off), an
-//! exact-signature miss gets one more chance before the full pipeline
-//! runs: a *near-miss* lookup for an entry with the same fingerprint
-//! and seed whose quantized free signature is within one bucket per
-//! QPU — the "same circuit, free vector drifted by a job" case. The
-//! candidate is patched by [`crate::placement::repair::repair`] (only
-//! the qubits on now-overloaded QPUs move) and reused **only** if the
-//! patched placement passes the same [`Placement::fits`] guard exact
-//! hits are re-validated with; otherwise the lookup falls through to
-//! the normal miss path. Successes count in
-//! [`CacheStats::repair_hits`] and are memoized under the exact
-//! current signature (the next identical lookup is an exact hit);
-//! failed patches count in [`CacheStats::repair_fallbacks`]. The tier
+//! exact-key miss gets one more chance before the full pipeline runs:
+//! a *near-miss* lookup for an entry with the same fingerprint and seed
+//! whose free vector is within one qubit per QPU — the "same circuit,
+//! slightly drifted free vector" case. The candidate is patched by
+//! [`crate::placement::repair::repair`] (only the qubits on
+//! now-overloaded QPUs move) and reused **only** if the patched
+//! placement passes the same [`Placement::fits`] guard exact hits are
+//! re-validated with; otherwise the lookup falls through to the normal
+//! miss path. Successes count in [`CacheStats::repair_hits`] and are
+//! memoized under the current key (the next identical lookup is an
+//! exact hit); failed patches count in
+//! [`CacheStats::repair_fallbacks`]. The tier
 //! never consults an RNG and picks its candidate by a deterministic
 //! total order, so schedules stay reproducible — but a repaired
 //! placement is generally *not* what the full pipeline would have
@@ -85,7 +77,7 @@ use std::collections::HashMap;
 /// lookup and counts nowhere.
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub struct CacheStats {
-    /// Lookups answered from the cache with an exact-signature entry.
+    /// Lookups answered from the cache with an exact-key entry.
     pub hits: u64,
     /// Lookups that ran the placement algorithm (including
     /// re-validations that found a stale entry, and near-miss repairs
@@ -156,7 +148,7 @@ impl CacheStats {
 #[derive(Clone, PartialEq, Eq, Hash)]
 struct CacheKey {
     fingerprint: Fingerprint,
-    free_signature: Vec<usize>,
+    free: Vec<usize>,
     seed: u64,
 }
 
@@ -194,7 +186,6 @@ struct Slot {
 /// ```
 #[derive(Clone)]
 pub struct PlacementCache {
-    quantum: usize,
     capacity: usize,
     /// Whether an exact miss may be answered by patching a near-miss
     /// entry (the incremental-repair tier; default off).
@@ -229,22 +220,10 @@ impl PlacementCache {
     /// signatures stays bounded.
     pub const DEFAULT_CAPACITY: usize = 8192;
 
-    /// An empty cache with the exact (quantum 1) signature and the
-    /// default capacity.
+    /// An empty cache with the default capacity and the repair tier
+    /// off.
     pub fn new() -> Self {
-        Self::with_quantum(1)
-    }
-
-    /// An empty cache whose free-capacity signature buckets each QPU's
-    /// free qubits by `quantum` (1 = exact), with the default capacity.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `quantum == 0`.
-    pub fn with_quantum(quantum: usize) -> Self {
-        assert!(quantum > 0, "quantization bucket must be positive");
         PlacementCache {
-            quantum,
             capacity: Self::DEFAULT_CAPACITY,
             repair: false,
             map: HashMap::new(),
@@ -275,9 +254,9 @@ impl PlacementCache {
     }
 
     /// Enables (or disables) the incremental-repair tier: an
-    /// exact-signature miss may be answered by patching a near-miss
-    /// entry (same fingerprint and seed, free signature within one
-    /// bucket per QPU) through [`crate::placement::repair::repair`],
+    /// exact-key miss may be answered by patching a near-miss entry
+    /// (same fingerprint and seed, free vector within one qubit per
+    /// QPU) through [`crate::placement::repair::repair`],
     /// guarded by [`Placement::fits`]. Default off — repaired
     /// placements can differ from what the full pipeline would return,
     /// so the tier is opt-in (see the module docs).
@@ -289,11 +268,6 @@ impl PlacementCache {
     /// Whether the incremental-repair tier is enabled.
     pub fn repair_enabled(&self) -> bool {
         self.repair
-    }
-
-    /// The free-capacity bucket size of this cache's signature.
-    pub fn quantum(&self) -> usize {
-        self.quantum
     }
 
     /// The entry cap.
@@ -314,12 +288,6 @@ impl PlacementCache {
     /// Whether the cache holds no entries.
     pub fn is_empty(&self) -> bool {
         self.map.is_empty()
-    }
-
-    fn free_signature(&self, status: &CloudStatus) -> Vec<usize> {
-        (0..status.qpu_count())
-            .map(|i| status.free_computing(QpuId::new(i)) / self.quantum)
-            .collect()
     }
 
     /// Detaches `slot` from the recency list.
@@ -440,7 +408,7 @@ impl PlacementCache {
     /// Memoized [`PlacementAlgorithm::place`] with a precomputed
     /// `fingerprint` (must be `circuit.fingerprint()`).
     ///
-    /// A hit requires signature equality *and*, for successes, that the
+    /// A hit requires key equality *and*, for successes, that the
     /// cached placement still [`Placement::fits`] the actual `status`;
     /// stale entries are recomputed and replaced.
     ///
@@ -504,7 +472,9 @@ impl PlacementCache {
         );
         let key = CacheKey {
             fingerprint,
-            free_signature: self.free_signature(status),
+            free: (0..status.qpu_count())
+                .map(|i| status.free_computing(QpuId::new(i)))
+                .collect(),
             seed,
         };
         if let Some(&slot) = self.map.get(&key) {
@@ -523,8 +493,8 @@ impl PlacementCache {
                 if let Some(patched) = repair(&candidate, status) {
                     self.stats.repair_hits += 1;
                     let result = Ok(patched);
-                    // Memoized under the exact current signature: the
-                    // next identical lookup is an exact hit.
+                    // Memoized under the current key: the next
+                    // identical lookup is an exact hit.
                     self.insert(key, result.clone());
                     return result;
                 }
@@ -538,17 +508,14 @@ impl PlacementCache {
     }
 
     /// The best near-miss candidate for `key`: a memoized *success*
-    /// with the same fingerprint and seed whose quantized free
-    /// signature is within one bucket of `key`'s on every QPU. A stale
-    /// exact entry (same signature, no longer fitting) qualifies at
-    /// distance zero — with a coarse quantum that is the
-    /// drifted-within-a-bucket case.
+    /// with the same fingerprint and seed whose free vector is within
+    /// one qubit of `key`'s on every QPU.
     ///
     /// The scan walks the whole map (O(len) — cheap next to the full
     /// pipeline the tier is trying to skip) and the map's iteration
     /// order is unspecified, so the winner is chosen by a
-    /// deterministic total order: minimal total bucket distance, then
-    /// lexicographically smallest signature (unique per fingerprint ×
+    /// deterministic total order: minimal total drift, then the
+    /// lexicographically smallest free vector (unique per fingerprint ×
     /// seed, so the order is total and the scan order cannot leak into
     /// schedules).
     fn best_near_miss(&self, key: &CacheKey) -> Option<Placement> {
@@ -556,14 +523,14 @@ impl PlacementCache {
         for (candidate, &slot) in &self.map {
             if candidate.fingerprint != key.fingerprint
                 || candidate.seed != key.seed
-                || candidate.free_signature.len() != key.free_signature.len()
+                || candidate.free.len() != key.free.len()
             {
                 continue;
             }
             let adjacent = candidate
-                .free_signature
+                .free
                 .iter()
-                .zip(&key.free_signature)
+                .zip(&key.free)
                 .all(|(&a, &b)| a.abs_diff(b) <= 1);
             if !adjacent {
                 continue;
@@ -572,14 +539,14 @@ impl PlacementCache {
                 continue;
             };
             let distance: usize = candidate
-                .free_signature
+                .free
                 .iter()
-                .zip(&key.free_signature)
+                .zip(&key.free)
                 .map(|(&a, &b)| a.abs_diff(b))
                 .sum();
             let better = match &best {
                 None => true,
-                Some((d, k, _)) => (distance, &candidate.free_signature) < (*d, &k.free_signature),
+                Some((d, k, _)) => (distance, &candidate.free) < (*d, &k.free),
             };
             if better {
                 best = Some((distance, candidate, placement));
@@ -667,27 +634,6 @@ mod tests {
     }
 
     #[test]
-    fn coarse_quantum_guard_recomputes_instead_of_infeasible_reuse() {
-        // Quantum 8 lumps free counts 16..=23 together. Cache a
-        // placement at 20 free per QPU, then shrink to 16: the
-        // signature matches but the old placement may not fit — the
-        // guard must force a recompute, and the fresh result must fit.
-        let cloud = cloud();
-        let algo = CloudQcPlacement::default();
-        let circuit = catalog::by_name("ghz_n127").unwrap();
-        let mut cache = PlacementCache::with_quantum(8);
-        let full = cloud.status();
-        let cached = cache.place(&algo, &circuit, &cloud, &full, 5).unwrap();
-        assert!(cached.fits(&full));
-        let mut tight = cloud.status();
-        for i in 0..tight.qpu_count() {
-            tight.allocate_computing(QpuId::new(i), 4).unwrap();
-        }
-        let reused = cache.place(&algo, &circuit, &cloud, &tight, 5).unwrap();
-        assert!(reused.fits(&tight), "reuse must never be infeasible");
-    }
-
-    #[test]
     fn hit_rate_reporting() {
         let stats = CacheStats {
             hits: 3,
@@ -697,12 +643,6 @@ mod tests {
         };
         assert!((stats.hit_rate() - 0.75).abs() < 1e-12);
         assert_eq!(CacheStats::default().hit_rate(), 0.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "positive")]
-    fn zero_quantum_rejected() {
-        PlacementCache::with_quantum(0);
     }
 
     #[test]
@@ -833,8 +773,8 @@ mod tests {
     #[test]
     fn repair_tier_patches_a_near_miss() {
         // The stub parks both qubits on QPU 0. Cache that at full
-        // capacity, then take one qubit of QPU 0 away: the signature
-        // moves one bucket, the cached placement no longer fits, and
+        // capacity, then take one qubit of QPU 0 away: the free vector
+        // moves by one qubit, the cached placement no longer fits, and
         // the repair tier must reseat exactly one qubit onto QPU 1 —
         // without running the supplier.
         let cloud = CloudBuilder::new(2).computing_qubits(2).build();
@@ -865,8 +805,8 @@ mod tests {
                 ..CacheStats::default()
             }
         );
-        // The repaired result was memoized under the exact signature:
-        // the same lookup again is a plain hit.
+        // The repaired result was memoized under the drifted key: the
+        // same lookup again is a plain hit.
         let warm = cache
             .place_fingerprinted(fp, &algo, &circuit, &cloud, &tight, 1)
             .unwrap();

@@ -37,7 +37,7 @@
 //!                          infeasible qubits)
 //! ```
 //!
-//! Given a placement cached under a *nearby* free-capacity signature
+//! Given a placement cached under a *nearby* free-capacity vector
 //! and the current [`CloudStatus`], it relocates only the qubits
 //! sitting on now-overloaded QPUs (ascending qubit order, cyclic
 //! first-fit target scan — no RNG, so the result is a pure function of
@@ -50,7 +50,7 @@
 //! Repair trades placement *quality* for latency: the patched
 //! placement keeps the cached communication structure for every qubit
 //! it does not touch, which is exactly the near-miss bet — the free
-//! vector moved by a bucket, not the circuit.
+//! vector moved by a qubit, not the circuit.
 //!
 //! [`AnnealingPlacement`]: super::AnnealingPlacement
 //! [`GeneticPlacement`]: super::GeneticPlacement

@@ -957,11 +957,12 @@ mod tests {
     #[test]
     fn preemption_parks_the_elephant_for_a_critical_mouse() {
         // Two QPUs with one communication pair each and slow EPR
-        // generation: a deadline-free elephant splits across both and
-        // monopolizes the fabric, then a deadline-carrying mouse lands
-        // mid-flight and must also split. Without preemption the
-        // mouse's remote gates queue behind the elephant's; with it the
-        // elephant's gates are parked until the mouse clears.
+        // generation: deadline-free elephants split across both and
+        // monopolize the fabric, then deadline-carrying mice land
+        // mid-flight and must also split. Without preemption the mice's
+        // remote gates queue behind the elephants'; with it the
+        // elephants' gates are parked until the mice clear. Two inputs:
+        // one elephant and one mouse, then 4 elephants and 12 mice.
         let cloud = CloudBuilder::new(2)
             .computing_qubits(16)
             .communication_qubits(1)
@@ -969,44 +970,50 @@ mod tests {
             .line_topology()
             .build();
         let placement = CloudQcPlacement::default();
-        let elephant = Workload::trace(vec![(catalog::by_name("ghz_n20").unwrap(), Tick::new(0))]);
-        let mouse = Workload::trace(vec![(catalog::by_name("ghz_n12").unwrap(), Tick::new(200))])
-            .with_uniform_sla(1_000_000);
-        let run = |preempt: bool| {
-            let mut svc = ServiceBuilder::new(&cloud, &placement, &CloudQcScheduler, 9)
-                .preemption(preempt)
-                .build();
-            svc.submit_workload(&elephant);
-            svc.submit_workload(&mouse);
-            let report = svc.drive().unwrap();
-            let preemptions = svc.report().preemptions;
-            (report, preemptions)
+        let stream = |name: &str, count: u64, first: u64, gap: u64| {
+            let circuit = catalog::by_name(name).unwrap();
+            Workload::trace((0..count).map(|i| (circuit.clone(), Tick::new(first + i * gap))))
         };
-        let (plain, none) = run(false);
-        let (preempted, some) = run(true);
-        assert_eq!(none, 0, "preemption off must never suspend");
-        assert!(some > 0, "the elephant was never suspended");
-        assert_eq!(
-            plain.outcomes.len(),
-            2,
-            "both jobs complete without preemption"
-        );
-        assert_eq!(
-            preempted.outcomes.len(),
-            2,
-            "preemption defers, never kills"
-        );
-        let mouse_of = |r: &RunReport| r.outcomes.iter().find(|o| o.job == 1).unwrap().clone();
-        assert!(
-            mouse_of(&preempted).remote_gates > 0,
-            "the mouse must contend for the fabric for the A/B to mean anything"
-        );
-        assert!(
-            mouse_of(&preempted).completion_time < mouse_of(&plain).completion_time,
-            "preemption must speed up the critical mouse: {:?} vs {:?}",
-            mouse_of(&preempted).completion_time,
-            mouse_of(&plain).completion_time
-        );
+        for (elephants, mice) in [(1, 1), (4, 12)] {
+            let elephant = stream("ghz_n20", elephants, 0, 12_000);
+            let mouse = stream("ghz_n12", mice, 200, 2_500).with_uniform_sla(1_000_000);
+            let run = |preempt: bool| {
+                let mut svc = ServiceBuilder::new(&cloud, &placement, &CloudQcScheduler, 9)
+                    .preemption(preempt)
+                    .build();
+                svc.submit_workload(&elephant);
+                svc.submit_workload(&mouse);
+                let report = svc.drive().unwrap();
+                let preemptions = svc.report().preemptions;
+                (report, preemptions)
+            };
+            let (plain, none) = run(false);
+            let (preempted, some) = run(true);
+            assert_eq!(none, 0, "preemption off must never suspend");
+            assert!(some > 0, "the elephants were never suspended");
+            let jobs = (elephants + mice) as usize;
+            assert_eq!(plain.outcomes.len(), jobs, "every job completes");
+            assert_eq!(preempted.outcomes.len(), jobs, "preemption defers");
+            let mice_of = |r: &RunReport| -> Vec<JobRecord> {
+                let mice = r.outcomes.iter().filter(|o| o.job >= elephants as usize);
+                mice.cloned().collect()
+            };
+            assert!(
+                mice_of(&preempted).iter().any(|o| o.remote_gates > 0),
+                "the mice must contend for the fabric for the A/B to mean anything"
+            );
+            let p99 = |r: &RunReport| {
+                let jcts = mice_of(r).into_iter().map(|o| o.completion_time.as_ticks());
+                let mut jcts: Vec<u64> = jcts.collect();
+                jcts.sort_unstable();
+                jcts[(jcts.len() * 99).div_ceil(100) - 1]
+            };
+            let (fast, slow) = (p99(&preempted), p99(&plain));
+            assert!(
+                fast < slow,
+                "preemption must speed up the critical mice's p99: {fast} vs {slow}"
+            );
+        }
     }
 
     #[test]

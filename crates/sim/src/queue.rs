@@ -7,7 +7,8 @@
 //! original implementation was a `BinaryHeap<(Tick, seq)>` — `O(log n)`
 //! per operation with a comparison-heavy inner loop. It is kept, byte
 //! for byte, as [`ReferenceEventQueue`]: the reference model the
-//! proptests and the `event_loop` bench compare against.
+//! proptests and the timing test in `tests/event_loop.rs` compare
+//! against.
 //!
 //! The production queue is a **hierarchical bucket (calendar) queue**,
 //! laid out as a radix ladder over the 64-bit tick value:
@@ -297,9 +298,9 @@ impl<E> PartialOrd for RefEntry<E> {
 /// executable specification of [`EventQueue`]'s ordering contract.
 ///
 /// The calendar queue is proptested against this model over random
-/// interleaved push/pop sequences (`tests/event_loop.rs`), and the
-/// gated `event_loop` bench uses it as the A-side of the heap-vs-ladder
-/// comparison. Not used on any production path.
+/// interleaved push/pop sequences (`tests/event_loop.rs`), which also
+/// times both on one churn kernel and requires the calendar queue to
+/// be at least twice as fast. Not used on any production path.
 pub struct ReferenceEventQueue<E> {
     heap: BinaryHeap<RefEntry<E>>,
     next_seq: u64,

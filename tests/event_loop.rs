@@ -13,14 +13,20 @@
 //! tick gaps (multi-level cascades), and pushes at or below the last
 //! popped time (rewind).
 //!
+//! A timing test also checks the calendar queue's reason to exist: it
+//! must beat the heap at least 2× on the churn kernel.
+//!
 //! Run directly with:
 //!
 //! ```text
 //! cargo test --release -q --test event_loop
 //! ```
 
+mod churn;
+
 use cloudqc::sim::{EventQueue, ReferenceEventQueue, Tick};
 use proptest::prelude::*;
+use std::time::{Duration, Instant};
 
 /// One scripted queue operation. Pop scripts carry no payload; push
 /// times are deltas so scripts stay meaningful as the queue drains.
@@ -134,4 +140,35 @@ proptest! {
         }
         prop_assert!(calendar.is_empty());
     }
+}
+
+#[test]
+fn calendar_queue_is_at_least_twice_as_fast_as_the_heap() {
+    // Both arms run in this process, so host drift cancels; each is the
+    // minimum of 6 samples, and the arm that runs first alternates.
+    let time = |kernel: fn() -> u64| {
+        let start = Instant::now();
+        let sum = kernel();
+        (start.elapsed(), sum)
+    };
+    let calendar_arm = churn::churn::<EventQueue<u64>>;
+    let heap_arm = churn::churn::<ReferenceEventQueue<u64>>;
+    let (mut calendar, mut heap) = (Duration::MAX, Duration::MAX);
+    for round in 0..6 {
+        let ((c, c_sum), (h, h_sum)) = if round % 2 == 0 {
+            let c = time(calendar_arm);
+            (c, time(heap_arm))
+        } else {
+            let h = time(heap_arm);
+            (time(calendar_arm), h)
+        };
+        assert_eq!(c_sum, h_sum, "the kernels replay one schedule");
+        calendar = calendar.min(c);
+        heap = heap.min(h);
+    }
+    assert!(
+        heap >= calendar.mul_f64(2.0),
+        "calendar queue ({calendar:?}) must be at least 2x faster than the \
+         binary heap ({heap:?}) at 10^5 pending events"
+    );
 }

@@ -299,8 +299,8 @@ fn sharded_and_global_front_layers_are_byte_identical_in_runtime() {
 
 #[test]
 fn sharded_and_global_front_layers_are_byte_identical_in_executor() {
-    // The executor-level A/B, under the bench's contention profile
-    // (scarce pairs, low EPR success, random placements), across every
+    // The executor-level A/B, under a contended profile (scarce
+    // pairs, low EPR success, random placements), across every
     // pure scheduler: the dirty-shard fast path against the global,
     // never-elided layer of the scheduler's impure wrapper.
     let cloud = CloudBuilder::new(6)
