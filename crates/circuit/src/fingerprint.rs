@@ -14,9 +14,15 @@
 //! The digest is FNV-1a, computed gate by gate over a fixed byte
 //! encoding — no dependence on `std::hash`'s unspecified hasher, so
 //! values are reproducible across runs, platforms and toolchains.
+//!
+//! A circuit computes its fingerprint once, on the first read, and
+//! memoizes it in the gate body its clones share (see [`Circuit`]), so
+//! the many submissions of one shape pay for one O(gates) pass between
+//! them. A mutation copies the body and clears the memo, so the next
+//! read digests the new gates.
 
 use crate::circuit::Circuit;
-use crate::gate::GateKind;
+use crate::gate::{Gate, GateKind};
 use std::fmt;
 
 /// A stable structural digest of a [`Circuit`].
@@ -60,8 +66,8 @@ impl Fnv {
 
     fn write_f64(&mut self, v: f64) {
         // Bit pattern, not value: 0.0 and -0.0 are distinct angles as
-        // far as reproducibility is concerned, and NaN never appears in
-        // validated circuits.
+        // far as reproducibility is concerned. The QASM parser rejects
+        // non-finite angles; a NaN built in code digests by its bits.
         self.write_u64(v.to_bits());
     }
 }
@@ -91,30 +97,37 @@ fn kind_tag(kind: GateKind) -> u64 {
     }
 }
 
-impl Fingerprint {
-    /// Computes the structural fingerprint of `circuit`.
-    pub fn of(circuit: &Circuit) -> Self {
-        let mut h = Fnv(FNV_OFFSET);
-        h.write_u64(circuit.num_qubits() as u64);
-        for gate in circuit.gates() {
-            h.write_u64(kind_tag(gate.kind()));
-            match gate.kind() {
-                GateKind::Rx(t) | GateKind::Ry(t) | GateKind::Rz(t) | GateKind::Cp(t) => {
-                    h.write_f64(t);
-                }
-                GateKind::U(t, p, l) => {
-                    h.write_f64(t);
-                    h.write_f64(p);
-                    h.write_f64(l);
-                }
-                _ => {}
+/// The fingerprint of `gates` over `num_qubits` qubits: one pass over
+/// the gates. [`Circuit`] calls this once per body and memoizes it.
+pub(crate) fn digest(num_qubits: usize, gates: &[Gate]) -> Fingerprint {
+    let mut h = Fnv(FNV_OFFSET);
+    h.write_u64(num_qubits as u64);
+    for gate in gates {
+        h.write_u64(kind_tag(gate.kind()));
+        match gate.kind() {
+            GateKind::Rx(t) | GateKind::Ry(t) | GateKind::Rz(t) | GateKind::Cp(t) => {
+                h.write_f64(t);
             }
-            h.write_u64(gate.qubit0().index() as u64);
-            if let Some(q1) = gate.qubit1() {
-                h.write_u64(q1.index() as u64 + 1);
+            GateKind::U(t, p, l) => {
+                h.write_f64(t);
+                h.write_f64(p);
+                h.write_f64(l);
             }
+            _ => {}
         }
-        Fingerprint(h.0)
+        h.write_u64(gate.qubit0().index() as u64);
+        if let Some(q1) = gate.qubit1() {
+            h.write_u64(q1.index() as u64 + 1);
+        }
+    }
+    Fingerprint(h.0)
+}
+
+impl Fingerprint {
+    /// The structural fingerprint of `circuit`: the same memoized value
+    /// as [`Circuit::fingerprint`].
+    pub fn of(circuit: &Circuit) -> Self {
+        circuit.fingerprint()
     }
 
     /// The raw 64-bit digest.
@@ -126,14 +139,6 @@ impl Fingerprint {
 impl fmt::Display for Fingerprint {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{:016x}", self.0)
-    }
-}
-
-impl Circuit {
-    /// The circuit's structural [`Fingerprint`] (name-independent; see
-    /// [`crate::fingerprint`]).
-    pub fn fingerprint(&self) -> Fingerprint {
-        Fingerprint::of(self)
     }
 }
 

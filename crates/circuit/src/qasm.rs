@@ -92,8 +92,9 @@ impl Error for ParseError {}
 ///
 /// Returns [`ParseError`] on unknown statements/gates, malformed
 /// operands, out-of-range indices, bad angle expressions (including
-/// ones nesting parentheses and unary signs more than 256 deep), or
-/// more than 65 536 declared qubits.
+/// ones nesting parentheses and unary signs more than 256 deep, and
+/// ones whose literal or value is not finite), or more than 65 536
+/// declared qubits.
 pub fn parse(source: &str) -> Result<Circuit, ParseError> {
     let mut qregs: Vec<(String, usize, usize)> = Vec::new(); // (name, offset, size)
     let mut total_qubits = 0usize;
@@ -386,7 +387,9 @@ fn emit_gate(
 }
 
 /// Evaluates an angle expression: numbers, `pi`, `+ - * /`, unary minus,
-/// parentheses.
+/// parentheses. A literal that overflows to infinity, or a result that
+/// is not finite (`1e300*1e300`, `1e308*10-1e308*10`), is an error: a
+/// NaN angle would make a circuit unequal to its own copy.
 fn eval_expr(text: &str, line: usize) -> Result<f64, ParseError> {
     let tokens = tokenize(text, line)?;
     let mut pos = 0;
@@ -395,6 +398,12 @@ fn eval_expr(text: &str, line: usize) -> Result<f64, ParseError> {
         return Err(ParseError::new(
             line,
             format!("trailing tokens in `{text}`"),
+        ));
+    }
+    if !value.is_finite() {
+        return Err(ParseError::new(
+            line,
+            format!("angle `{}` is not finite", text.trim()),
         ));
     }
     Ok(value)
@@ -468,6 +477,12 @@ fn tokenize(text: &str, line: usize) -> Result<Vec<Token>, ParseError> {
                 let num: f64 = lit
                     .parse()
                     .map_err(|_| ParseError::new(line, format!("bad number `{lit}`")))?;
+                if !num.is_finite() {
+                    return Err(ParseError::new(
+                        line,
+                        format!("number `{lit}` is not finite"),
+                    ));
+                }
                 tokens.push(Token::Num(num));
             }
             _ => {
@@ -623,7 +638,8 @@ pub fn write(circuit: &Circuit) -> String {
 ///
 /// # Errors
 ///
-/// Returns [`ParseError`] (line 0) on malformed expressions.
+/// Returns [`ParseError`] (line 0) on malformed expressions and on
+/// non-finite literals or results.
 pub fn eval_angle(expr: &str) -> Result<f64, ParseError> {
     eval_expr(expr, 0)
 }
@@ -661,6 +677,25 @@ mod tests {
         assert!((eval_angle("1.5e-3").unwrap() - 0.0015).abs() < 1e-15);
         assert!(eval_angle("pi/0").is_err());
         assert!(eval_angle("foo").is_err());
+    }
+
+    #[test]
+    fn non_finite_angles_are_rejected() {
+        let inf = eval_angle("1e999").unwrap_err();
+        assert_eq!(inf.message(), "number `1e999` is not finite");
+        let nan = eval_angle("1e308*10-1e308*10").unwrap_err();
+        assert_eq!(nan.message(), "angle `1e308*10-1e308*10` is not finite");
+        assert!(eval_angle("1e999-1e999").is_err());
+        assert!(eval_angle("-1e308*10").is_err());
+        assert_eq!(eval_angle("1e308").unwrap(), 1e308);
+        for (angle, message) in [
+            ("1e999-1e999", "number `1e999` is not finite"),
+            ("1e300*1e300", "angle `1e300*1e300` is not finite"),
+        ] {
+            let src = format!("OPENQASM 2.0;\nqreg q[1];\nh q[0];\nrz({angle}) q[0];\n");
+            let err = parse(&src).unwrap_err();
+            assert_eq!((err.line(), err.message()), (4, message), "{angle}");
+        }
     }
 
     #[test]

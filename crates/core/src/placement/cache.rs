@@ -21,7 +21,10 @@
 //! that pair:
 //!
 //! * the circuit's structural [`Fingerprint`] (name-independent, so
-//!   identical circuits submitted by different tenants share entries),
+//!   identical circuits submitted by different tenants share entries;
+//!   the circuit memoizes it in the gate body its clones share, so
+//!   keying a lookup costs one O(gates) pass per shape, not per
+//!   lookup),
 //! * the cloud's exact free-computing-capacity vector, and
 //! * the placement seed.
 //!
@@ -379,34 +382,10 @@ impl PlacementCache {
         self.push_front(slot);
     }
 
-    /// Memoized [`PlacementAlgorithm::place`], computing the circuit's
-    /// fingerprint on the fly. Prefer
-    /// [`PlacementCache::place_fingerprinted`] when the fingerprint is
-    /// already known (the runtime computes each job's once).
-    ///
-    /// # Errors
-    ///
-    /// Exactly the algorithm's errors; failures are memoized too.
-    pub fn place(
-        &mut self,
-        algorithm: &dyn PlacementAlgorithm,
-        circuit: &Circuit,
-        cloud: &Cloud,
-        status: &CloudStatus,
-        seed: u64,
-    ) -> Result<Placement, PlacementError> {
-        self.place_fingerprinted(
-            circuit.fingerprint(),
-            algorithm,
-            circuit,
-            cloud,
-            status,
-            seed,
-        )
-    }
-
-    /// Memoized [`PlacementAlgorithm::place`] with a precomputed
-    /// `fingerprint` (must be `circuit.fingerprint()`).
+    /// Memoized [`PlacementAlgorithm::place`], keyed by
+    /// `circuit.fingerprint()`. The circuit memoizes its fingerprint in
+    /// the gate body its clones share, so the key costs one O(gates)
+    /// pass per shape, not one per lookup.
     ///
     /// A hit requires key equality *and*, for successes, that the
     /// cached placement still [`Placement::fits`] the actual `status`;
@@ -423,9 +402,8 @@ impl PlacementCache {
     /// # Errors
     ///
     /// Exactly the algorithm's errors; failures are memoized too.
-    pub fn place_fingerprinted(
+    pub fn place(
         &mut self,
-        fingerprint: Fingerprint,
         algorithm: &dyn PlacementAlgorithm,
         circuit: &Circuit,
         cloud: &Cloud,
@@ -433,7 +411,7 @@ impl PlacementCache {
         seed: u64,
     ) -> Result<Placement, PlacementError> {
         self.place_with(
-            fingerprint,
+            circuit.fingerprint(),
             algorithm.name(),
             cloud.qpu_count(),
             status,
@@ -442,8 +420,8 @@ impl PlacementCache {
         )
     }
 
-    /// The lookup/insert core behind [`PlacementCache::place_fingerprinted`],
-    /// with the miss-path computation abstracted into `compute`.
+    /// The lookup/insert core behind [`PlacementCache::place`], with the
+    /// miss-path computation abstracted into `compute`.
     ///
     /// `compute` **must** return exactly what
     /// `algorithm.place(circuit, cloud, status, seed)` would — the
@@ -680,13 +658,12 @@ mod tests {
         let cloud = CloudBuilder::new(2).computing_qubits(8).build();
         let algo = StubPlacement;
         let circuit = Circuit::new(2);
-        let fingerprint = circuit.fingerprint();
         const CAPACITY: usize = 512;
         const LOOKUPS: u64 = 2_000_000;
         let mut cache = PlacementCache::new().with_capacity(CAPACITY);
         for seed in 0..LOOKUPS {
             cache
-                .place_fingerprinted(fingerprint, &algo, &circuit, &cloud, &cloud.status(), seed)
+                .place(&algo, &circuit, &cloud, &cloud.status(), seed)
                 .unwrap();
         }
         assert_eq!(cache.len(), CAPACITY, "cache exceeded its capacity");
@@ -696,20 +673,13 @@ mod tests {
         assert_eq!(stats.evictions, LOOKUPS - CAPACITY as u64);
         // The hottest (most recent) signatures are retained…
         cache
-            .place_fingerprinted(
-                fingerprint,
-                &algo,
-                &circuit,
-                &cloud,
-                &cloud.status(),
-                LOOKUPS - 1,
-            )
+            .place(&algo, &circuit, &cloud, &cloud.status(), LOOKUPS - 1)
             .unwrap();
         assert_eq!(cache.stats().hits, 1);
         // …and the cold ones were evicted (a re-lookup recomputes —
         // same pure function, so correctness is unaffected).
         cache
-            .place_fingerprinted(fingerprint, &algo, &circuit, &cloud, &cloud.status(), 0)
+            .place(&algo, &circuit, &cloud, &cloud.status(), 0)
             .unwrap();
         assert_eq!(cache.stats().misses, LOOKUPS + 1);
     }
@@ -719,11 +689,10 @@ mod tests {
         let cloud = CloudBuilder::new(2).computing_qubits(8).build();
         let algo = StubPlacement;
         let circuit = Circuit::new(2);
-        let fp = circuit.fingerprint();
         let mut cache = PlacementCache::new().with_capacity(2);
         let place = |cache: &mut PlacementCache, seed: u64| {
             cache
-                .place_fingerprinted(fp, &algo, &circuit, &cloud, &cloud.status(), seed)
+                .place(&algo, &circuit, &cloud, &cloud.status(), seed)
                 .unwrap()
         };
         place(&mut cache, 1); // miss: {1}
@@ -743,11 +712,10 @@ mod tests {
         let cloud = CloudBuilder::new(2).computing_qubits(8).build();
         let algo = StubPlacement;
         let circuit = Circuit::new(2);
-        let fp = circuit.fingerprint();
         let mut cache = PlacementCache::new().with_capacity(8);
         for seed in 0..8 {
             cache
-                .place_fingerprinted(fp, &algo, &circuit, &cloud, &cloud.status(), seed)
+                .place(&algo, &circuit, &cloud, &cloud.status(), seed)
                 .unwrap();
         }
         assert_eq!(cache.len(), 8);
@@ -758,13 +726,13 @@ mod tests {
         // without exceeding the new cap.
         for seed in 5..8 {
             cache
-                .place_fingerprinted(fp, &algo, &circuit, &cloud, &cloud.status(), seed)
+                .place(&algo, &circuit, &cloud, &cloud.status(), seed)
                 .unwrap();
         }
         assert_eq!(cache.stats().hits, 3);
         for seed in 100..110 {
             cache
-                .place_fingerprinted(fp, &algo, &circuit, &cloud, &cloud.status(), seed)
+                .place(&algo, &circuit, &cloud, &cloud.status(), seed)
                 .unwrap();
         }
         assert_eq!(cache.len(), 3);
@@ -784,9 +752,7 @@ mod tests {
         let mut cache = PlacementCache::new().with_repair(true);
         assert!(cache.repair_enabled());
         let full = cloud.status();
-        let cold = cache
-            .place_fingerprinted(fp, &algo, &circuit, &cloud, &full, 1)
-            .unwrap();
+        let cold = cache.place(&algo, &circuit, &cloud, &full, 1).unwrap();
         assert_eq!(cold.qpu_demand(2), vec![2, 0]);
         let mut tight = cloud.status();
         tight.allocate_computing(QpuId::new(0), 1).unwrap();
@@ -807,19 +773,13 @@ mod tests {
         );
         // The repaired result was memoized under the drifted key: the
         // same lookup again is a plain hit.
-        let warm = cache
-            .place_fingerprinted(fp, &algo, &circuit, &cloud, &tight, 1)
-            .unwrap();
+        let warm = cache.place(&algo, &circuit, &cloud, &tight, 1).unwrap();
         assert_eq!(warm, repaired);
         assert_eq!(cache.stats().hits, 1);
         // Deterministic: an identical cache answers identically.
         let mut replay = PlacementCache::new().with_repair(true);
-        replay
-            .place_fingerprinted(fp, &algo, &circuit, &cloud, &full, 1)
-            .unwrap();
-        let again = replay
-            .place_fingerprinted(fp, &algo, &circuit, &cloud, &tight, 1)
-            .unwrap();
+        replay.place(&algo, &circuit, &cloud, &full, 1).unwrap();
+        let again = replay.place(&algo, &circuit, &cloud, &tight, 1).unwrap();
         assert_eq!(again, repaired);
     }
 
@@ -830,17 +790,12 @@ mod tests {
         let cloud = CloudBuilder::new(1).computing_qubits(2).build();
         let algo = StubPlacement;
         let circuit = Circuit::new(2);
-        let fp = circuit.fingerprint();
         let mut cache = PlacementCache::new().with_repair(true);
         let full = cloud.status();
-        cache
-            .place_fingerprinted(fp, &algo, &circuit, &cloud, &full, 4)
-            .unwrap();
+        cache.place(&algo, &circuit, &cloud, &full, 4).unwrap();
         let mut tight = cloud.status();
         tight.allocate_computing(QpuId::new(0), 1).unwrap();
-        cache
-            .place_fingerprinted(fp, &algo, &circuit, &cloud, &tight, 4)
-            .unwrap();
+        cache.place(&algo, &circuit, &cloud, &tight, 4).unwrap();
         assert_eq!(
             cache.stats(),
             CacheStats {
@@ -856,17 +811,14 @@ mod tests {
         let cloud = CloudBuilder::new(2).computing_qubits(2).build();
         let algo = StubPlacement;
         let circuit = Circuit::new(2);
-        let fp = circuit.fingerprint();
         let mut cache = PlacementCache::new();
         assert!(!cache.repair_enabled());
         cache
-            .place_fingerprinted(fp, &algo, &circuit, &cloud, &cloud.status(), 1)
+            .place(&algo, &circuit, &cloud, &cloud.status(), 1)
             .unwrap();
         let mut tight = cloud.status();
         tight.allocate_computing(QpuId::new(0), 1).unwrap();
-        cache
-            .place_fingerprinted(fp, &algo, &circuit, &cloud, &tight, 1)
-            .unwrap();
+        cache.place(&algo, &circuit, &cloud, &tight, 1).unwrap();
         let stats = cache.stats();
         assert_eq!(stats.misses, 2);
         assert_eq!(stats.repair_hits, 0);

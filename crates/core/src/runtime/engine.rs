@@ -58,6 +58,9 @@ use cloudqc_sim::Tick;
 
 /// One injected job, in the engine's era-local frame.
 struct EngineJob {
+    /// A handle on the submitted circuit: it shares the submission's
+    /// gates and memoized fingerprint, so the table costs a few words
+    /// per job.
     circuit: Circuit,
     /// Arrival on the era-local clock (lifetime arrivals earlier than
     /// the era's base land at local tick 0 — "submitted in the past"
@@ -66,8 +69,6 @@ struct EngineJob {
     /// Whether the job carries an SLA deadline — the preemption
     /// trigger's definition of "critical".
     critical: bool,
-    /// Structural fingerprint: the placement seed and cache key.
-    fingerprint: Fingerprint,
     /// The index this job is reported under: its lifetime submission
     /// index.
     record_index: usize,
@@ -207,6 +208,12 @@ impl<'a> Engine<'a> {
         (self.exec.alloc_stats(), self.exec.batch_stats().clone())
     }
 
+    /// The circuits of this era's jobs, in injection order.
+    #[cfg(test)]
+    pub(crate) fn circuits(&self) -> impl Iterator<Item = &Circuit> {
+        self.jobs.iter().map(|job| &job.circuit)
+    }
+
     /// Free computing qubits per QPU right now.
     pub(crate) fn free_computing(&self) -> Vec<usize> {
         (0..self.cfg.cloud.qpu_count())
@@ -288,13 +295,11 @@ impl<'a> Engine<'a> {
             .extend(&mut self.ctx, &jobs, self.cfg.cloud);
         let base = self.jobs.len();
         for (offset, job) in jobs.into_iter().enumerate() {
-            let fingerprint = job.circuit.fingerprint();
             let arrival = Tick::new(job.arrival.as_ticks().saturating_sub(self.clock_base));
             self.jobs.push(EngineJob {
                 circuit: job.circuit,
                 arrival,
                 critical: job.deadline.is_some(),
-                fingerprint,
                 record_index: first_record_index + offset,
             });
             self.upcoming.push(base + offset);
@@ -481,17 +486,14 @@ impl<'a> Engine<'a> {
                 self.waiting.remove(i);
                 continue;
             }
-            let fingerprint = self.jobs[job_idx].fingerprint;
+            let fingerprint = self.jobs[job_idx].circuit.fingerprint();
             if cache.is_some() && failed.contains(&fingerprint) {
                 i += 1;
                 continue;
             }
-            let placed = self.cfg.place(
-                cache.as_mut(),
-                &self.jobs[job_idx].circuit,
-                fingerprint,
-                &self.status,
-            );
+            let placed = self
+                .cfg
+                .place(cache.as_mut(), &self.jobs[job_idx].circuit, &self.status);
             match placed {
                 Ok(p) => {
                     let demand = p.qpu_demand(self.cfg.cloud.qpu_count());

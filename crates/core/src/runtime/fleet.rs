@@ -621,6 +621,7 @@ mod tests {
     use super::*;
     use crate::placement::CloudQcPlacement;
     use crate::schedule::CloudQcScheduler;
+    use cloudqc_circuit::generators::catalog;
     use cloudqc_cloud::CloudBuilder;
 
     #[test]
@@ -637,5 +638,26 @@ mod tests {
         assert!(!fleet.is_up(usize::MAX));
         fleet.fail_backend(1);
         assert!(!fleet.is_up(1));
+    }
+
+    #[test]
+    fn job_table_and_routed_copy_share_the_submitted_gates() {
+        let cloud = CloudBuilder::paper_default(2).build();
+        let placement = CloudQcPlacement::default();
+        let backend = || ServiceBuilder::new(&cloud, &placement, &CloudQcScheduler, 1);
+        let mut fleet = FleetBuilder::new()
+            .backend(backend())
+            .backend(backend())
+            .build();
+        let circuit = catalog::by_name("qft_n29").unwrap();
+        let id = fleet.submit(circuit.clone(), Tick::new(100));
+        let gates = circuit.gates().as_ptr();
+        assert_eq!(fleet.jobs[id].job.circuit.gates().as_ptr(), gates);
+        let JobState::Queued(b) = fleet.jobs[id].state else {
+            panic!("two healthy backends: the job is routed");
+        };
+        let routed = fleet.backends[b].service.pending_jobs();
+        assert_eq!(routed.len(), 1);
+        assert_eq!(routed[0].circuit.gates().as_ptr(), gates);
     }
 }

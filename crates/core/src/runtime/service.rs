@@ -67,7 +67,7 @@ use crate::runtime::report::{JobRecord, RunReport};
 use crate::runtime::{AdmissionPolicy, LoadShedPolicy};
 use crate::schedule::Scheduler;
 use crate::workload::{Workload, WorkloadJob};
-use cloudqc_circuit::{Circuit, Fingerprint};
+use cloudqc_circuit::Circuit;
 use cloudqc_cloud::{Cloud, CloudStatus};
 use cloudqc_sim::online::OnlineReport;
 use cloudqc_sim::series::BatchStats;
@@ -99,26 +99,20 @@ pub(crate) struct RuntimeConfig<'a> {
 
 impl RuntimeConfig<'_> {
     /// Places one circuit against `status` with the seed
-    /// `seed ^ fingerprint`, through `cache` when it is on. Admission
-    /// and the fleet router's probes both place through here, so a
-    /// probe looks up exactly the key the admission will.
+    /// `seed ^ circuit.fingerprint()`, through `cache` when it is on.
+    /// Admission and the fleet router's probes both place through
+    /// here, so a probe looks up exactly the key the admission will.
+    /// The fingerprint is memoized in the circuit's shared body, so
+    /// every job of one shape reads the same once-computed value.
     pub(crate) fn place(
         &self,
         cache: Option<&mut PlacementCache>,
         circuit: &Circuit,
-        fingerprint: Fingerprint,
         status: &CloudStatus,
     ) -> Result<Placement, PlacementError> {
-        let seed = self.seed ^ fingerprint.as_u64();
+        let seed = self.seed ^ circuit.fingerprint().as_u64();
         match cache {
-            Some(cache) => cache.place_fingerprinted(
-                fingerprint,
-                self.placement,
-                circuit,
-                self.cloud,
-                status,
-                seed,
-            ),
+            Some(cache) => cache.place(self.placement, circuit, self.cloud, status, seed),
             None => self.placement.place(circuit, self.cloud, status, seed),
         }
     }
@@ -269,6 +263,12 @@ impl<'a> Service<'a> {
         self.pending.len()
     }
 
+    /// The jobs buffered and not yet handed to the engine.
+    #[cfg(test)]
+    pub(crate) fn pending_jobs(&self) -> &[WorkloadJob] {
+        &self.pending
+    }
+
     /// Epochs driven to completion so far.
     pub fn epochs(&self) -> u64 {
         self.epochs
@@ -310,12 +310,8 @@ impl<'a> Service<'a> {
     /// the eventual admission; probe lookups count in
     /// [`Service::cache_stats`] like any other.
     pub(crate) fn probe_place(&mut self, job: &WorkloadJob) -> Result<Placement, PlacementError> {
-        self.cfg.place(
-            self.cache.as_mut(),
-            &job.circuit,
-            job.circuit.fingerprint(),
-            self.engine.status(),
-        )
+        self.cfg
+            .place(self.cache.as_mut(), &job.circuit, self.engine.status())
     }
 
     /// Drains the service for a backend failure: every unfinished job —
@@ -841,6 +837,27 @@ mod tests {
                 "1 500-tick slices of this light stream reproduce the uninterrupted run"
             );
         }
+    }
+
+    #[test]
+    fn pending_buffer_and_engine_share_the_submitted_gates() {
+        let cloud = CloudBuilder::paper_default(3).build();
+        let placement = CloudQcPlacement::default();
+        let mut svc = ServiceBuilder::new(&cloud, &placement, &CloudQcScheduler, 5).build();
+        let p = pool();
+        svc.submit_workload(&Workload::poisson(&p, 6, 1_000.0, 2));
+        svc.submit(p[0].clone(), Tick::new(50_000));
+        let shares = |i: usize, c: &Circuit| c.gates().as_ptr() == p[i % p.len()].gates().as_ptr();
+        let pending = svc.pending_jobs();
+        assert_eq!(pending.len(), 7);
+        assert!(pending
+            .iter()
+            .enumerate()
+            .all(|(i, j)| shares(i, &j.circuit)));
+        svc.drive_until(Tick::new(1)).unwrap();
+        assert_eq!(svc.pending(), 0);
+        assert_eq!(svc.engine.circuits().count(), 7);
+        assert!(svc.engine.circuits().enumerate().all(|(i, c)| shares(i, c)));
     }
 
     #[test]

@@ -452,6 +452,18 @@ mod tests {
     }
 
     #[test]
+    fn poisson_jobs_share_their_pool_circuits_gates() {
+        let p = pool();
+        let w = Workload::poisson(&p, 6, 300.0, 11);
+        for (i, job) in w.jobs().iter().enumerate() {
+            assert_eq!(
+                job.circuit.gates().as_ptr(),
+                p[i % p.len()].gates().as_ptr()
+            );
+        }
+    }
+
+    #[test]
     fn poisson_matches_legacy_arrival_stream() {
         // Workload::poisson must replay the exact arrival process of
         // the standalone sampler, so experiments keep their numbers.
