@@ -119,10 +119,9 @@ pub enum ExecError {
         /// When the rejection decision was made.
         now: Tick,
     },
-    /// Admission-time load shedding: the service was over its configured
-    /// overload threshold (waiting-queue depth or streaming p99) when
-    /// the job arrived, so it was turned away at the door instead of
-    /// deepening the backlog.
+    /// Admission-time load shedding: the waiting queue was at its
+    /// configured depth cap when the job arrived, so it was turned away
+    /// at the door instead of deepening the backlog.
     LoadShed {
         /// Waiting jobs at the instant the job was shed.
         queue_depth: usize,

@@ -3,8 +3,8 @@
 //! the qubits allocation in distributed quantum computing").
 
 use super::cost::communication_cost;
+use super::moves::MoveKernel;
 use super::random::RandomPlacement;
-use super::repair::MoveKernel;
 use super::{check_total_capacity, Placement, PlacementAlgorithm};
 use crate::error::PlacementError;
 use cloudqc_circuit::Circuit;

@@ -1,8 +1,8 @@
 //! The genetic-algorithm baseline (paper §VI.B, citing Holland).
 
 use super::cost::communication_cost;
+use super::moves::MoveKernel;
 use super::random::RandomPlacement;
-use super::repair::MoveKernel;
 use super::{check_total_capacity, Placement, PlacementAlgorithm};
 use crate::error::PlacementError;
 use cloudqc_circuit::Circuit;

@@ -24,8 +24,8 @@ pub mod cost;
 pub mod estimate;
 mod find_placement;
 mod genetic;
+mod moves;
 mod random;
-pub mod repair;
 pub mod score;
 
 pub use annealing::AnnealingPlacement;
@@ -34,8 +34,8 @@ pub use cache::{CacheStats, PlacementCache};
 pub use cloudqc::CloudQcPlacement;
 pub use find_placement::{find_placement, CandidateSets, FindPlacementMode};
 pub use genetic::GeneticPlacement;
+pub use moves::MoveKernel;
 pub use random::RandomPlacement;
-pub use repair::{repair, MoveKernel};
 
 use crate::error::PlacementError;
 use cloudqc_circuit::Circuit;

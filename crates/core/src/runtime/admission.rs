@@ -31,7 +31,6 @@ use crate::placement::estimate::estimate_execution_time;
 use crate::placement::Placement;
 use crate::workload::WorkloadJob;
 use cloudqc_cloud::{Cloud, QpuId};
-use cloudqc_sim::online::OnlineReport;
 use cloudqc_sim::Tick;
 
 /// How waiting jobs are ordered, admitted, and (for SLA policies)
@@ -109,52 +108,27 @@ impl QueueContext {
 }
 
 /// Admission-time load shedding for the continuous-clock service: a job
-/// arriving while the service is over any configured threshold is
-/// rejected with [`crate::error::ExecError::LoadShed`] at the door
-/// instead of joining (and deepening) the waiting queue. Signals come
-/// from the service's own state: the waiting-queue depth and the
-/// streaming report's p99 completion time.
-#[derive(Copy, Clone, Debug, PartialEq)]
+/// arriving while the waiting queue is at the depth cap is rejected
+/// with [`crate::error::ExecError::LoadShed`] at the door instead of
+/// joining (and deepening) the queue.
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub struct LoadShedPolicy {
     /// Shed while at least this many jobs are already waiting.
-    pub max_queue_depth: Option<usize>,
-    /// Shed while the streaming p99 completion time exceeds this many
-    /// ticks.
-    pub max_p99_jct: Option<f64>,
+    pub max_queue_depth: usize,
 }
 
 impl LoadShedPolicy {
     /// Shed arrivals while `limit` jobs are already waiting.
     pub fn queue_depth(limit: usize) -> Self {
         LoadShedPolicy {
-            max_queue_depth: Some(limit),
-            max_p99_jct: None,
+            max_queue_depth: limit,
         }
-    }
-
-    /// Shed arrivals while the streaming p99 completion time is above
-    /// `limit` ticks.
-    pub fn p99_jct(limit: f64) -> Self {
-        LoadShedPolicy {
-            max_queue_depth: None,
-            max_p99_jct: Some(limit),
-        }
-    }
-
-    /// Adds a p99 threshold to an existing policy.
-    pub fn and_p99_jct(mut self, limit: f64) -> Self {
-        self.max_p99_jct = Some(limit);
-        self
     }
 
     /// Whether a job arriving now must be shed, given the current
-    /// waiting-queue depth and streaming metrics.
-    pub(crate) fn should_shed(&self, queue_depth: usize, online: &OnlineReport) -> bool {
-        if self.max_queue_depth.is_some_and(|cap| queue_depth >= cap) {
-            return true;
-        }
-        self.max_p99_jct
-            .is_some_and(|cap| online.quantile(0.99).is_some_and(|p99| p99 > cap))
+    /// waiting-queue depth.
+    pub(crate) fn should_shed(&self, queue_depth: usize) -> bool {
+        queue_depth >= self.max_queue_depth
     }
 }
 

@@ -6,8 +6,7 @@
 //! drives one epoch of a fresh service. A [`crate::runtime::Fleet`]
 //! needs a *per-backend* configuration value it can hold, pass around,
 //! and build services from, and this builder is that value: every
-//! option, the placement cache's repair tier included, is set per
-//! backend here.
+//! option is set per backend here.
 //!
 //! ```
 //! use cloudqc_cloud::CloudBuilder;
@@ -19,7 +18,6 @@
 //! let placement = CloudQcPlacement::default();
 //! let service = ServiceBuilder::new(&cloud, &placement, &CloudQcScheduler, 7)
 //!     .admission(AdmissionPolicy::ShortestJobFirst)
-//!     .placement_repair(true)
 //!     .preemption(true)
 //!     .build();
 //! assert_eq!(service.pending(), 0);
@@ -99,7 +97,6 @@ impl<'a> ServiceBuilder<'a> {
                 admission: AdmissionPolicy::default(),
                 path_reservation: false,
                 placement_cache: true,
-                placement_repair: false,
                 preemption: false,
                 aging_rate: 0.0,
                 load_shed: None,
@@ -130,25 +127,6 @@ impl<'a> ServiceBuilder<'a> {
     /// cache or when a placement algorithm violates seeded determinism.
     pub fn placement_cache(mut self, enabled: bool) -> Self {
         self.cfg.placement_cache = enabled;
-        self
-    }
-
-    /// Enables the placement cache's incremental-repair tier (off by
-    /// default; see [`crate::placement::PlacementCache::with_repair`]).
-    /// On an exact-key miss, the cache looks for a placement of the
-    /// same circuit and seed cached under an *adjacent* free-capacity
-    /// vector (every QPU's free count within ±1) and patches it with
-    /// [`crate::placement::repair()`] — relocating only the qubits on
-    /// now-overloaded QPUs — instead of re-running the full placement
-    /// pipeline. Every repaired placement passes the same
-    /// [`crate::placement::Placement::fits`] guard as an exact hit, and
-    /// an unpatchable near-miss falls through to a full placement, so
-    /// feasibility is never weakened. Reuse under a *shifted* capacity
-    /// vector can pick different (never infeasible) placements than a
-    /// cold run, which is why the tier is opt-in. Repairs and fallbacks
-    /// are counted separately in [`crate::placement::CacheStats`].
-    pub fn placement_repair(mut self, enabled: bool) -> Self {
-        self.cfg.placement_repair = enabled;
         self
     }
 
@@ -183,10 +161,9 @@ impl<'a> ServiceBuilder<'a> {
 
     /// Enables admission-time load shedding (off by default): arrivals
     /// are rejected with [`crate::error::ExecError::LoadShed`] while
-    /// the service is over the policy's waiting-queue-depth or
-    /// streaming-p99 threshold. In a fleet, a shed is also the router's
-    /// per-backend backpressure signal: shed jobs re-route to another
-    /// backend instead of being dropped.
+    /// the waiting queue is at the policy's depth cap. In a fleet, a
+    /// shed is also the router's per-backend backpressure signal: shed
+    /// jobs re-route to another backend instead of being dropped.
     pub fn load_shedding(mut self, policy: LoadShedPolicy) -> Self {
         self.cfg.load_shed = Some(policy);
         self

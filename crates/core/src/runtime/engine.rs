@@ -38,10 +38,9 @@
 //! communication pairs to the fabric until no critical job remains),
 //! **aging** (waiting jobs gain priority linearly with queueing time,
 //! bounding SJF/EDF starvation), and **load shedding** (arrivals are
-//! turned away with [`ExecError::LoadShed`] while the waiting queue or
-//! the streaming p99 is over its configured limit). A job that can
-//! never be placed, even on an idle cloud, is rejected with
-//! [`ExecError::Unplaceable`].
+//! turned away with [`ExecError::LoadShed`] while the waiting queue is
+//! at its configured depth cap). A job that can never be placed, even
+//! on an idle cloud, is rejected with [`ExecError::Unplaceable`].
 
 use crate::error::{ExecError, PlacementError};
 use crate::exec::{AllocStats, Executor};
@@ -580,11 +579,10 @@ impl<'a> Engine<'a> {
     }
 
     /// Admits one arrival into the waiting queue — or sheds it at the
-    /// door when the load-shedding policy says the service is over its
-    /// overload threshold.
+    /// door when the waiting queue is at the load-shedding depth cap.
     fn enqueue(&mut self, online: &mut OnlineReport, job_idx: usize) {
         if let Some(shed) = self.cfg.load_shed {
-            if shed.should_shed(self.waiting.len(), online) {
+            if shed.should_shed(self.waiting.len()) {
                 self.rejections.push((
                     self.jobs[job_idx].record_index,
                     ExecError::LoadShed {

@@ -127,11 +127,9 @@ impl<'f, 'a> RouteContext<'f, 'a> {
     /// communication-cost objective. `None` when the backend cannot
     /// place the job right now.
     ///
-    /// A *repaired* near-miss counts as a probe hit like any other
-    /// cache reuse: when the backend's cache runs the incremental
-    /// repair tier (see `ServiceBuilder::placement_repair`), a probe
-    /// whose exact signature misses but whose neighbour patches cleanly
-    /// scores the repaired placement without re-running the pipeline.
+    /// The probe looks up exactly the cache key the backend's admission
+    /// will, so a hit costs no pipeline run and a miss warms the entry
+    /// the admission then reads.
     pub fn placement_cost(&mut self, id: usize, job: &WorkloadJob) -> Option<f64> {
         let svc = self
             .candidates
@@ -167,9 +165,7 @@ pub trait RoutingPolicy {
 /// The probe per candidate runs the backend's real placement pipeline
 /// through its [`crate::placement::PlacementCache`], so the decision
 /// pays the pipeline cost only on cache-cold (shape, free-capacity)
-/// signatures — and with the cache's repair tier on, a near-miss
-/// signature patches instead of recomputing (see
-/// [`RouteContext::placement_cost`]).
+/// signatures (see [`RouteContext::placement_cost`]).
 #[derive(Clone, Debug, Default)]
 pub struct CheapestPlacement;
 

@@ -84,11 +84,6 @@ pub(crate) struct RuntimeConfig<'a> {
     pub(crate) admission: AdmissionPolicy,
     pub(crate) path_reservation: bool,
     pub(crate) placement_cache: bool,
-    /// Whether the placement cache's incremental-repair tier is on:
-    /// near-miss lookups (same circuit and seed, adjacent free-capacity
-    /// vector) are patched with `placement::repair` instead of falling
-    /// straight through to a full placement run.
-    pub(crate) placement_repair: bool,
     pub(crate) preemption: bool,
     pub(crate) aging_rate: f64,
     pub(crate) load_shed: Option<LoadShedPolicy>,
@@ -224,9 +219,7 @@ pub struct Service<'a> {
 
 impl<'a> Service<'a> {
     pub(crate) fn from_config(cfg: RuntimeConfig<'a>) -> Self {
-        let cache = cfg
-            .placement_cache
-            .then(|| PlacementCache::new().with_repair(cfg.placement_repair));
+        let cache = cfg.placement_cache.then(PlacementCache::new);
         Service {
             cache,
             online: OnlineReport::with_reservoir(cfg.reservoir_capacity, cfg.seed),
@@ -685,7 +678,6 @@ mod tests {
         let builder = || {
             ServiceBuilder::new(&cloud, &placement, &CloudQcScheduler, 9)
                 .admission(AdmissionPolicy::ShortestJobFirst)
-                .placement_repair(true)
         };
         let direct = builder().run(&w).unwrap();
         let mut svc = builder().build();

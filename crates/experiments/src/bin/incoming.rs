@@ -121,7 +121,7 @@ fn main() {
 fn service_mode(pool: &[cloudqc_circuit::Circuit], jobs_n: usize, seed: u64) {
     const EPOCHS: usize = 4;
     println!(
-        "\nService mode: one resident Service, {EPOCHS} epochs of the same Poisson workload\n(persistent cache with the incremental-repair tier: per-epoch hit% warms\nup, outcomes never move across epochs)\n"
+        "\nService mode: one resident Service, {EPOCHS} epochs of the same Poisson workload\n(persistent cache: per-epoch hit% warms up, outcomes never move across\nepochs)\n"
     );
     let cloud = CloudBuilder::paper_default(SimRng::new(seed).fork("svc-topo").seed()).build();
     let placement = CloudQcPlacement::default();
@@ -129,16 +129,13 @@ fn service_mode(pool: &[cloudqc_circuit::Circuit], jobs_n: usize, seed: u64) {
     let workload = Workload::poisson(pool, jobs_n, 5_000.0, run_seed);
     let mut svc = ServiceBuilder::new(&cloud, &placement, &CloudQcScheduler, run_seed)
         .admission(AdmissionPolicy::Backfill)
-        .placement_repair(true)
         .build();
     let mut t = Table::new(vec![
         "epoch".to_string(),
         "mean JCT".to_string(),
         "cache hit%".to_string(),
         "hits".to_string(),
-        "repairs".to_string(),
         "misses".to_string(),
-        "fallbacks".to_string(),
         "evictions".to_string(),
         "scan/round".to_string(),
     ]);
@@ -158,9 +155,7 @@ fn service_mode(pool: &[cloudqc_circuit::Circuit], jobs_n: usize, seed: u64) {
             fmt_num(jct),
             format!("{:.0}%", 100.0 * cache.hit_rate()),
             cache.hits.to_string(),
-            cache.repair_hits.to_string(),
             cache.misses.to_string(),
-            cache.repair_fallbacks.to_string(),
             cache.evictions.to_string(),
             format!("{:.2}", report.allocation.mean_scan()),
         ]);
@@ -168,14 +163,12 @@ fn service_mode(pool: &[cloudqc_circuit::Circuit], jobs_n: usize, seed: u64) {
     t.print();
     let total = svc.report();
     println!(
-        "\nLifetime: {} epochs, {} jobs completed, {} rejected; cache {} hits / {} repaired near-misses / {} misses ({} repair fallbacks) / {} evictions ({} entries resident); allocation {} rounds, {} shards visited, {} requests scanned; online mean JCT {}, p95 {}, throughput {:.5} jobs/tick.",
+        "\nLifetime: {} epochs, {} jobs completed, {} rejected; cache {} hits / {} misses / {} evictions ({} entries resident); allocation {} rounds, {} shards visited, {} requests scanned; online mean JCT {}, p95 {}, throughput {:.5} jobs/tick.",
         total.epochs,
         total.completed,
         total.rejected,
         total.placement_cache.hits,
-        total.placement_cache.repair_hits,
         total.placement_cache.misses,
-        total.placement_cache.repair_fallbacks,
         total.placement_cache.evictions,
         total.cache_entries,
         total.allocation.rounds,
@@ -230,7 +223,6 @@ fn fleet_mode(pool: &[cloudqc_circuit::Circuit], jobs_n: usize, seed: u64) {
         "mean JCT".to_string(),
         "p95 JCT".to_string(),
         "cache hit%".to_string(),
-        "repairs".to_string(),
         "big/ring/edge".to_string(),
         "reroutes".to_string(),
         "spills".to_string(),
@@ -239,12 +231,7 @@ fn fleet_mode(pool: &[cloudqc_circuit::Circuit], jobs_n: usize, seed: u64) {
     ]);
     for policy in policies {
         let placement = CloudQcPlacement::default();
-        // Routing probes are where cache near-misses concentrate, so
-        // every backend runs the incremental-repair tier.
-        let backend = |cloud| {
-            ServiceBuilder::new(cloud, &placement, &CloudQcScheduler, run_seed)
-                .placement_repair(true)
-        };
+        let backend = |cloud| ServiceBuilder::new(cloud, &placement, &CloudQcScheduler, run_seed);
         let mut fleet = FleetBuilder::new()
             .backend(backend(&big))
             .backend(backend(&ring))
@@ -269,7 +256,6 @@ fn fleet_mode(pool: &[cloudqc_circuit::Circuit], jobs_n: usize, seed: u64) {
             fmt_num(report.online.mean_completion_time()),
             fmt_num(report.online.quantile(0.95).unwrap_or(0.0)),
             format!("{:.0}%", 100.0 * report.placement_cache.hit_rate()),
-            report.placement_cache.repair_hits.to_string(),
             report
                 .backends
                 .iter()
@@ -284,7 +270,7 @@ fn fleet_mode(pool: &[cloudqc_circuit::Circuit], jobs_n: usize, seed: u64) {
     }
     t.print();
     println!(
-        "\nEvery row survives the same mid-stream failure of the big backend:\n\"evacuated\" jobs are suspended in flight, re-routed to the survivors,\nand counted exactly once in the totals. \"reroutes\" are load-shed\nbackpressure signals honored fleet-side; \"spills\" are typed starvation\nrejections (e.g. the 2-comm-qubit edge refusing a wide split) retried\non a backend that can. \"repairs\" counts near-miss cache lookups the\nincremental-repair tier patched instead of re-running placement\n(merged over all backends; routing probes are the main source)."
+        "\nEvery row survives the same mid-stream failure of the big backend:\n\"evacuated\" jobs are suspended in flight, re-routed to the survivors,\nand counted exactly once in the totals. \"reroutes\" are load-shed\nbackpressure signals honored fleet-side; \"spills\" are typed starvation\nrejections (e.g. the 2-comm-qubit edge refusing a wide split) retried\non a backend that can."
     );
 }
 
