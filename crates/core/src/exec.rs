@@ -40,20 +40,15 @@
 //!
 //! # Hot path
 //!
-//! The allocation front layer is maintained *incrementally*: the
-//! request set (one [`RemoteRequest`] per pending remote gate, sorted
-//! by priority descending then key ascending — the order the
-//! priority-aware schedulers sort into, so their sorts hit the
-//! pre-sorted fast path) is updated when a gate enters or leaves the
-//! front layer instead of being rebuilt from every job's pending list
-//! on every event round. Routes and swapping-station indices are
+//! The allocation front layer is one request vector, maintained
+//! *incrementally*: it holds one [`RemoteRequest`] per pending remote
+//! gate, sorted by priority descending then key ascending (the order
+//! the priority-aware schedulers sort into, so their sorts hit the
+//! pre-sorted fast path), and is updated when a gate enters or leaves
+//! the front layer instead of being rebuilt from every job's pending
+//! list on every event round. Routes and swapping-station indices are
 //! resolved once at admission and cached per remote gate; the
 //! path-reservation filter reuses one scratch buffer across rounds.
-//! The incremental set is byte-for-byte equivalent to the rebuild for
-//! every order-insensitive scheduler (all but
-//! [`crate::schedule::RandomScheduler`], whose shuffle consumes its
-//! input order), so seeded runs reproduce the pre-optimization
-//! schedules exactly.
 //!
 //! Events are processed in *same-tick batches*: [`Executor::step`]
 //! drains every event sharing the head timestamp, applies them in one
@@ -65,46 +60,20 @@
 //! nothing, the pass is elided outright — re-running a pure scheduler
 //! on identical inputs would provably grant nothing again. Ticks whose
 //! batch contains only local-gate completions therefore skip the
-//! scheduler entirely. Both layers leave seeded schedules byte
-//! identical (see `tests/runtime_golden.rs`). The per-tick batch-size
-//! distribution is tracked in [`Executor::batch_stats`].
+//! scheduler entirely. Non-pure schedulers
+//! ([`crate::schedule::RandomScheduler`], whose elided calls would
+//! shift its RNG stream) run a pass at every event tick. Batching and
+//! elision both leave seeded schedules byte identical:
+//! `tests/runtime_golden.rs` pins this and `tests/properties.rs`
+//! property-tests it, both against a scheduler wrapper that reports
+//! itself impure and so is never elided. The per-tick batch-size
+//! distribution is tracked in [`Executor::batch_stats`], and per-run
+//! pass and request counters in [`Executor::alloc_stats`] (surfaced in
+//! [`crate::runtime::RunReport`]).
 //!
-//! ## The sharded front layer
-//!
-//! With a pure scheduler the front layer goes one step further: it is
-//! *sharded per QPU pair*. Requests live in one sorted list per
-//! unordered communication edge `(a, b)`, and a *dirty-shard set*
-//! tracks which shards an event round actually affected — a shard is
-//! dirtied when a request enters or leaves it, or when the free
-//! communication count of either endpoint QPU changes. An allocation
-//! round hands only the dirty shards to the scheduler
-//! ([`Scheduler::allocate_shard_iter`]) and then marks every visited
-//! shard clean unless the round's own grants re-dirtied it, so
-//! allocation cost scales with the requests *affected* by a tick
-//! instead of with every pending request.
-//!
-//! Skipping clean shards is exact, not approximate: a shard can only
-//! settle clean when a pass granted it nothing while no grant touched
-//! its endpoints — which (for schedulers with a starvation-freedom
-//! floor or max-grant per request, i.e. every pure scheduler here)
-//! means one of its endpoints has **zero** free communication qubits.
-//! Until that capacity changes (which re-dirties the shard), a valid
-//! scheduler cannot allocate the shard anything, and its zero-granted
-//! requests do not perturb the grants of the other shards. Sharded and
-//! global front layers therefore produce byte-identical seeded
-//! schedules. `tests/runtime_golden.rs` pins this and
-//! `tests/properties.rs` property-tests it, both against a scheduler
-//! wrapper that reports itself impure and so forces the global,
-//! never-elided layer.
-//!
-//! The executor picks the layer from what it observes: it shards when
-//! the scheduler is pure and path reservation is off. Non-pure
-//! schedulers ([`crate::schedule::RandomScheduler`], whose elided calls
-//! would shift its RNG stream) and path reservation (whose
-//! swapping-station holds couple shards through *intermediate* QPUs)
-//! keep the global layer. Per-run pass/shard/request counters are
-//! reported in [`Executor::alloc_stats`] and surfaced in
-//! [`crate::runtime::RunReport`].
+//! One vector is enough because fronts stay shallow: on the
+//! benchmark's workloads the whole layer peaks at a few dozen
+//! requests, so a pass over all of it is cheap.
 
 use crate::error::ExecError;
 use crate::placement::Placement;
@@ -113,7 +82,6 @@ use cloudqc_circuit::{Circuit, GateKind};
 use cloudqc_cloud::{Cloud, QpuId};
 use cloudqc_sim::{BatchStats, EventQueue, SimRng, Tick};
 use rand::rngs::StdRng;
-use std::collections::{HashMap, VecDeque};
 
 /// Outcome of one job's execution.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -136,21 +104,14 @@ pub struct JobResult {
 
 /// Per-run allocation-pass counters (surfaced in
 /// [`crate::runtime::RunReport`]): how much front-layer work the
-/// scheduler actually did.
-///
-/// With the sharded front layer, `shards_visited` and
-/// `requests_scanned` count only the *dirty* shards each pass handed
-/// to the scheduler; with the global layer (impure schedulers, path
-/// reservation) every pass counts as one shard covering the whole
-/// front layer.
+/// scheduler actually did. Each pass hands the scheduler the whole
+/// front layer (under path reservation, the requests whose swapping
+/// stations all have a free communication qubit).
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub struct AllocStats {
     /// Allocation passes that actually invoked the scheduler (elided
     /// and empty-front passes are not counted).
     pub rounds: u64,
-    /// Front-layer shards handed to the scheduler, summed over all
-    /// rounds (global mode: 1 per round).
-    pub shards_visited: u64,
     /// Requests handed to the scheduler, summed over all rounds.
     pub requests_scanned: u64,
 }
@@ -169,193 +130,7 @@ impl AllocStats {
     /// totals.
     pub fn merge(&mut self, other: AllocStats) {
         self.rounds += other.rounds;
-        self.shards_visited += other.shards_visited;
         self.requests_scanned += other.requests_scanned;
-    }
-}
-
-/// One front-layer shard: the pending requests over a single unordered
-/// QPU pair, kept in the same (priority desc, key asc) order as the
-/// global layer — but stored as *priority buckets* so a membership
-/// change memmoves only its own priority's (usually small) bucket, not
-/// the whole shard. A hot pair with 10⁴+ pending requests pays O(log
-/// buckets + bucket len) per insert/remove instead of O(shard len).
-///
-/// The allocation pass streams the buckets themselves to the scheduler
-/// (each bucket is a valid shard under the sharded input contract), so
-/// it never concatenates anything.
-struct Shard {
-    /// The unordered communication edge (lower QPU first).
-    pair: (QpuId, QpuId),
-    /// `(priority, requests)` buckets: priorities strictly descending,
-    /// keys ascending within a bucket, empty buckets removed eagerly.
-    /// Each bucket is a `VecDeque` because the hot membership changes
-    /// all happen at its ends: a grant removes the bucket's *head*
-    /// (lowest key), a failed round re-inserts that same head, and
-    /// newly admitted jobs carry monotonically increasing keys that
-    /// append at the *tail* — all O(1), where a `Vec` would memmove
-    /// the whole bucket per grant/retry cycle.
-    buckets: Vec<(usize, VecDeque<RemoteRequest>)>,
-    /// Pending requests across all buckets.
-    len: usize,
-    /// Whether the shard is already queued in `ShardedFront::dirty`.
-    dirty: bool,
-    /// The shard's *best head* — `(priority, key)` of the request the
-    /// grantable-heads merge would pop first (max priority, min key
-    /// within it), or `None` when the shard is empty. Maintained O(1)
-    /// on every membership change (`ShardedFront::insert`/`remove`;
-    /// `touch_qpu` changes no membership, so it needs no upkeep), so
-    /// the allocation pass can order dirty shards by grant order and
-    /// skip drained shards without touching their request lists.
-    head: Option<(usize, u64)>,
-}
-
-impl Shard {
-    /// Recomputes the cached best head from the buckets: the first
-    /// bucket holds the highest priority, its first request the lowest
-    /// key. O(1).
-    fn recompute_head(&mut self) {
-        self.head = self
-            .buckets
-            .first()
-            .map(|(priority, bucket)| (*priority, bucket[0].key));
-    }
-}
-
-/// The per-QPU-pair sharded front layer (see the module docs): one
-/// sorted request list per communication edge plus the dirty-shard set
-/// that drives change-driven allocation rounds.
-struct ShardedFront {
-    /// Unordered endpoint pair → shard index. Lookup only — iteration
-    /// order is never observed, so the map cannot perturb determinism.
-    by_pair: HashMap<(QpuId, QpuId), usize>,
-    shards: Vec<Shard>,
-    /// Shard indices incident to each QPU (each shard appears in
-    /// exactly its two endpoints' lists).
-    by_qpu: Vec<Vec<usize>>,
-    /// Dirty shard indices, deduplicated via [`Shard::dirty`].
-    dirty: Vec<usize>,
-    /// Total pending requests across all shards.
-    len: usize,
-}
-
-impl ShardedFront {
-    fn new(qpu_count: usize) -> Self {
-        ShardedFront {
-            by_pair: HashMap::new(),
-            shards: Vec::new(),
-            by_qpu: vec![Vec::new(); qpu_count],
-            dirty: Vec::new(),
-            len: 0,
-        }
-    }
-
-    fn pair(a: QpuId, b: QpuId) -> (QpuId, QpuId) {
-        if a <= b {
-            (a, b)
-        } else {
-            (b, a)
-        }
-    }
-
-    fn mark_dirty(&mut self, shard: usize) {
-        if !self.shards[shard].dirty {
-            self.shards[shard].dirty = true;
-            self.dirty.push(shard);
-        }
-    }
-
-    /// QPU `q`'s free communication count changed: every incident shard
-    /// must be revisited next round.
-    fn touch_qpu(&mut self, q: usize) {
-        for i in 0..self.by_qpu[q].len() {
-            let shard = self.by_qpu[q][i];
-            self.mark_dirty(shard);
-        }
-    }
-
-    /// The shard for edge `(a, b)`, created (and registered with both
-    /// endpoints) on first use. Shards persist once created — an empty
-    /// shard costs one skipped slice in a dirty round.
-    fn shard_for(&mut self, a: QpuId, b: QpuId) -> usize {
-        let pair = Self::pair(a, b);
-        if let Some(&shard) = self.by_pair.get(&pair) {
-            return shard;
-        }
-        let shard = self.shards.len();
-        self.shards.push(Shard {
-            pair,
-            buckets: Vec::new(),
-            len: 0,
-            dirty: false,
-            head: None,
-        });
-        self.by_pair.insert(pair, shard);
-        self.by_qpu[pair.0.index()].push(shard);
-        if pair.1 != pair.0 {
-            self.by_qpu[pair.1.index()].push(shard);
-        }
-        shard
-    }
-
-    /// Inserts into `shard` (the request's admission-resolved shard).
-    fn insert(&mut self, shard: usize, req: RemoteRequest) {
-        let s = &mut self.shards[shard];
-        let slot = match s.buckets.binary_search_by(|&(p, _)| req.priority.cmp(&p)) {
-            Ok(slot) => slot,
-            Err(slot) => {
-                s.buckets.insert(slot, (req.priority, VecDeque::new()));
-                slot
-            }
-        };
-        let bucket = &mut s.buckets[slot].1;
-        let pos = bucket
-            .binary_search_by(|r| r.key.cmp(&req.key))
-            .expect_err("request keys are unique while pending");
-        bucket.insert(pos, req);
-        s.len += 1;
-        s.recompute_head();
-        self.len += 1;
-        self.mark_dirty(shard);
-    }
-
-    /// Removes from `shard` (the request's admission-resolved shard).
-    fn remove(&mut self, shard: usize, priority: usize, key: u64) {
-        let s = &mut self.shards[shard];
-        let slot = s
-            .buckets
-            .binary_search_by(|&(p, _)| priority.cmp(&p))
-            .expect("allocated request was pending");
-        let bucket = &mut s.buckets[slot].1;
-        let pos = bucket
-            .binary_search_by(|r| r.key.cmp(&key))
-            .expect("allocated request was pending");
-        bucket.remove(pos);
-        if bucket.is_empty() {
-            s.buckets.remove(slot);
-        }
-        s.len -= 1;
-        s.recompute_head();
-        self.len -= 1;
-        self.mark_dirty(shard);
-    }
-}
-
-/// The allocation front layer: global (one sorted request vector, used
-/// for non-pure schedulers and path reservation) or sharded per QPU
-/// pair.
-enum FrontLayer {
-    Global(Vec<RemoteRequest>),
-    Sharded(ShardedFront),
-}
-
-impl FrontLayer {
-    /// Pending requests across the whole layer.
-    fn len(&self) -> usize {
-        match self {
-            FrontLayer::Global(requests) => requests.len(),
-            FrontLayer::Sharded(front) => front.len,
-        }
     }
 }
 
@@ -548,12 +323,8 @@ struct JobState {
     /// of the Fig. 4 "Selected paths"); resolved once at admission and
     /// only populated in path-reservation mode.
     stations: Vec<Vec<usize>>,
-    /// Front-layer shard index per remote node; resolved once at
-    /// admission (sharded mode only) so re-inserts after a failed EPR
-    /// round skip the pair→shard map lookup.
-    shard_ids: Vec<usize>,
     /// Remote nodes currently pending in the front layer, so a
-    /// suspension can retract them without scanning every shard.
+    /// suspension can retract them without scanning the layer.
     pending_nodes: Vec<usize>,
     /// Remote nodes retracted by a suspension, re-inserted on resume.
     parked: Vec<usize>,
@@ -590,27 +361,18 @@ pub struct Executor<'a> {
     unfinished: usize,
     path_reservation: bool,
     /// The allocation front layer: one request per pending remote gate,
-    /// kept in (priority desc, key asc) order — globally, or within
-    /// per-QPU-pair shards (see the module docs).
-    front: FrontLayer,
+    /// kept in (priority desc, key asc) order (see the module docs).
+    front: Vec<RemoteRequest>,
     /// Reused buffer for the path-reservation round filter.
     round_scratch: Vec<RemoteRequest>,
-    /// Reused buffer the sharded pass swaps with the dirty list, so
-    /// taking the round's dirty shards allocates nothing.
-    visited_scratch: Vec<usize>,
-    /// Reused buffer holding the round's surviving shards in grant
-    /// order (best-head priority desc, key asc) — the sharded pass's
-    /// priority index over the dirty set.
-    order_scratch: Vec<usize>,
     /// Jobs finished since the last drain, in completion-event order.
     newly_finished: Vec<usize>,
-    /// Cached [`Scheduler::is_pure`] — elision and sharding are only
-    /// sound for pure schedulers.
+    /// Cached [`Scheduler::is_pure`] — elision is only sound for pure
+    /// schedulers.
     scheduler_pure: bool,
     /// True when the last allocation pass ran on the current front
     /// layer and capacities and granted nothing: until something
-    /// changes, a pure scheduler would grant nothing again. (Global
-    /// layer only — the sharded layer's dirty set subsumes it.)
+    /// changes, a pure scheduler would grant nothing again.
     front_settled: bool,
     /// Events drained per tick (same-tick batch sizes).
     batch_stats: BatchStats,
@@ -623,7 +385,7 @@ pub struct Executor<'a> {
 impl<'a> Executor<'a> {
     /// Creates an idle executor.
     pub fn new(cloud: &'a Cloud, scheduler: &'a dyn Scheduler, seed: u64) -> Self {
-        let mut exec = Executor {
+        Executor {
             cloud,
             scheduler,
             rng: SimRng::new(seed).fork("executor").into_std(),
@@ -635,32 +397,15 @@ impl<'a> Executor<'a> {
             now: Tick::ZERO,
             unfinished: 0,
             path_reservation: false,
-            front: FrontLayer::Global(Vec::new()),
+            front: Vec::new(),
             round_scratch: Vec::new(),
-            visited_scratch: Vec::new(),
-            order_scratch: Vec::new(),
             newly_finished: Vec::new(),
             scheduler_pure: scheduler.is_pure(),
             front_settled: false,
             batch_stats: BatchStats::default(),
             alloc_stats: AllocStats::default(),
             preemptions: 0,
-        };
-        exec.rebuild_front();
-        exec
-    }
-
-    /// (Re)chooses the front-layer representation: sharded when the
-    /// scheduler is pure and path reservation is off, global otherwise.
-    /// Only legal before jobs are admitted (the builders assert that),
-    /// when the layer is empty either way.
-    fn rebuild_front(&mut self) {
-        debug_assert!(self.jobs.is_empty(), "front layer is fixed at admission");
-        self.front = if self.scheduler_pure && !self.path_reservation {
-            FrontLayer::Sharded(ShardedFront::new(self.cloud.qpu_count()))
-        } else {
-            FrontLayer::Global(Vec::new())
-        };
+        }
     }
 
     /// Enables *path reservation*: a multi-hop remote gate also holds
@@ -672,14 +417,13 @@ impl<'a> Executor<'a> {
     /// # Panics
     ///
     /// Panics if jobs were already admitted (the mode must be fixed
-    /// up front).
+    /// up front: stations are resolved at admission).
     pub fn with_path_reservation(mut self, enabled: bool) -> Self {
         assert!(
             self.jobs.is_empty(),
             "path reservation must be set before admitting jobs"
         );
         self.path_reservation = enabled;
-        self.rebuild_front();
         self
     }
 
@@ -707,9 +451,9 @@ impl<'a> Executor<'a> {
         &self.batch_stats
     }
 
-    /// Allocation-pass work counters so far: scheduler rounds run,
-    /// shards handed to the scheduler, and requests scanned across
-    /// them (see [`AllocStats`]).
+    /// Allocation-pass work counters so far: scheduler rounds run and
+    /// the requests handed to the scheduler across them (see
+    /// [`AllocStats`]).
     pub fn alloc_stats(&self) -> AllocStats {
         self.alloc_stats
     }
@@ -757,22 +501,11 @@ impl<'a> Executor<'a> {
         let remaining_hops: Vec<u32> = plan.nodes.iter().map(|n| n.hops.max(1)).collect();
         let id = self.jobs.len();
         let sources: Vec<usize> = plan.sources().collect();
-        // Resolve each remote gate's shard once, so the hot-path
-        // insert/remove skip the pair→shard map.
-        let shard_ids: Vec<usize> = match &mut self.front {
-            FrontLayer::Sharded(front) => plan
-                .nodes
-                .iter()
-                .map(|n| front.shard_for(n.a, n.b))
-                .collect(),
-            FrontLayer::Global(_) => Vec::new(),
-        };
         self.jobs.push(JobState {
             remote_gates: plan.nodes.len(),
             plan,
             remaining_hops,
             stations,
-            shard_ids,
             pending_nodes: Vec::new(),
             parked: Vec::new(),
             suspended: false,
@@ -804,7 +537,6 @@ impl<'a> Executor<'a> {
         state.plan = JobPlan::default();
         state.remaining_hops = Vec::new();
         state.stations = Vec::new();
-        state.shard_ids = Vec::new();
         state.pending_nodes = Vec::new();
         state.parked = Vec::new();
         self.unfinished -= 1;
@@ -827,31 +559,26 @@ impl<'a> Executor<'a> {
     /// Adds the request for remote gate `node` of `job` to the front
     /// layer, keeping its list sorted by (priority desc, key asc) — the
     /// order the priority-aware schedulers sort into, so their sorts
-    /// hit the pre-sorted fast path (and the sharded merge applies).
+    /// hit the pre-sorted fast path.
     fn insert_request(&mut self, job: usize, node: usize) {
         if self.jobs[job].suspended {
             // The job is preempted: hold the request back until resume.
             self.jobs[job].parked.push(node);
             return;
         }
-        let state = &self.jobs[job];
-        let PlanNode { a, b, priority, .. } = state.plan.nodes[node];
+        let PlanNode { a, b, priority, .. } = self.jobs[job].plan.nodes[node];
         let req = RemoteRequest {
             key: encode_key(job, node),
             a,
             b,
             priority: priority as usize,
         };
-        match &mut self.front {
-            FrontLayer::Global(requests) => {
-                let pos = requests
-                    .binary_search_by(|r| request_order(r, req.priority, req.key))
-                    .expect_err("request keys are unique while pending");
-                requests.insert(pos, req);
-                self.front_settled = false;
-            }
-            FrontLayer::Sharded(front) => front.insert(state.shard_ids[node], req),
-        }
+        let pos = self
+            .front
+            .binary_search_by(|r| request_order(r, req.priority, req.key))
+            .expect_err("request keys are unique while pending");
+        self.front.insert(pos, req);
+        self.front_settled = false;
         self.jobs[job].pending_nodes.push(node);
     }
 
@@ -861,18 +588,12 @@ impl<'a> Executor<'a> {
     fn retract(&mut self, job: usize, node: usize) {
         let key = encode_key(job, node);
         let priority = self.jobs[job].plan.nodes[node].priority as usize;
-        match &mut self.front {
-            FrontLayer::Global(requests) => {
-                let pos = requests
-                    .binary_search_by(|r| request_order(r, priority, key))
-                    .expect("retracted request was pending");
-                requests.remove(pos);
-                self.front_settled = false;
-            }
-            FrontLayer::Sharded(front) => {
-                front.remove(self.jobs[job].shard_ids[node], priority, key);
-            }
-        }
+        let pos = self
+            .front
+            .binary_search_by(|r| request_order(r, priority, key))
+            .expect("retracted request was pending");
+        self.front.remove(pos);
+        self.front_settled = false;
     }
 
     /// Removes a request from the front layer (its round started).
@@ -949,87 +670,43 @@ impl<'a> Executor<'a> {
         self.preemptions
     }
 
-    /// Records that QPU `q`'s free communication count changed: wakes
-    /// the global layer's elision flag, or dirties the shards incident
-    /// to `q`.
-    fn note_capacity_change(&mut self, q: QpuId) {
-        match &mut self.front {
-            FrontLayer::Global(_) => self.front_settled = false,
-            FrontLayer::Sharded(front) => front.touch_qpu(q.index()),
-        }
-    }
-
     /// Runs the network scheduler over the pending remote gates.
     ///
     /// Change-driven elision: with a pure scheduler, a pass whose
     /// inputs (front layer + free communication qubits) are unchanged
     /// since a pass that granted nothing is skipped — it would grant
-    /// nothing again. The sharded layer refines this per shard: only
-    /// the dirty shards are handed to the scheduler at all.
+    /// nothing again.
     fn try_allocate(&mut self) {
-        match self.front {
-            FrontLayer::Global(_) => self.try_allocate_global(),
-            FrontLayer::Sharded(_) => self.try_allocate_sharded(),
-        }
-    }
-
-    /// The global-layer pass: the whole front layer in one scheduler
-    /// call, elided outright while it is settled.
-    fn try_allocate_global(&mut self) {
-        let FrontLayer::Global(requests) = &self.front else {
-            unreachable!("global pass on a sharded front layer")
-        };
-        if requests.is_empty() {
+        if self.front.is_empty() || (self.scheduler_pure && self.front_settled) {
             return;
         }
-        if self.scheduler_pure && self.front_settled {
-            return;
-        }
-        let scheduler = self.scheduler;
-        let allocations = if self.path_reservation {
+        let requests = if self.path_reservation {
             // Gates whose swapping stations are saturated cannot start
             // a round; filter them out (into a reused buffer).
-            let jobs = &self.jobs;
-            let comm_free = &self.comm_free;
+            let (jobs, comm_free) = (&self.jobs, &self.comm_free);
             self.round_scratch.clear();
-            self.round_scratch.extend(
-                requests
-                    .iter()
-                    .filter(|r| {
-                        let (job, node) = decode_key(r.key);
-                        jobs[job].stations[node].iter().all(|&q| comm_free[q] > 0)
-                    })
-                    .copied(),
-            );
+            self.round_scratch.extend(self.front.iter().filter(|r| {
+                let (job, node) = decode_key(r.key);
+                jobs[job].stations[node].iter().all(|&q| comm_free[q] > 0)
+            }));
             if self.round_scratch.is_empty() {
                 self.front_settled = true;
                 return;
             }
-            self.alloc_stats.rounds += 1;
-            self.alloc_stats.shards_visited += 1;
-            self.alloc_stats.requests_scanned += self.round_scratch.len() as u64;
-            let allocations =
-                scheduler.allocate(&self.round_scratch, &self.comm_free, &mut self.rng);
-            debug_assert!(
-                validate_allocations(&self.round_scratch, &self.comm_free, &allocations).is_ok(),
-                "scheduler {} violated its contract: {:?}",
-                scheduler.name(),
-                validate_allocations(&self.round_scratch, &self.comm_free, &allocations)
-            );
-            allocations
+            &self.round_scratch
         } else {
-            self.alloc_stats.rounds += 1;
-            self.alloc_stats.shards_visited += 1;
-            self.alloc_stats.requests_scanned += requests.len() as u64;
-            let allocations = scheduler.allocate(requests, &self.comm_free, &mut self.rng);
-            debug_assert!(
-                validate_allocations(requests, &self.comm_free, &allocations).is_ok(),
-                "scheduler {} violated its contract: {:?}",
-                scheduler.name(),
-                validate_allocations(requests, &self.comm_free, &allocations)
-            );
-            allocations
+            &self.front
         };
+        self.alloc_stats.rounds += 1;
+        self.alloc_stats.requests_scanned += requests.len() as u64;
+        let scheduler = self.scheduler;
+        let allocations = scheduler.allocate(requests, &self.comm_free, &mut self.rng);
+        debug_assert!(
+            validate_allocations(requests, &self.comm_free, &allocations).is_ok(),
+            "scheduler {} violated its contract: {:?}",
+            scheduler.name(),
+            validate_allocations(requests, &self.comm_free, &allocations)
+        );
         let epr_latency = self.cloud.latency().epr_attempt();
         let mut granted = false;
         for alloc in allocations {
@@ -1076,142 +753,6 @@ impl<'a> Executor<'a> {
         self.front_settled = !granted;
     }
 
-    /// The sharded pass: only the dirty shards reach the scheduler.
-    /// Every visited shard settles clean unless this round's grants (or
-    /// later events) re-dirty it — the per-shard refinement of the
-    /// barren-round elision (see the module docs for why skipping clean
-    /// shards is exact).
-    fn try_allocate_sharded(&mut self) {
-        let visited = {
-            let FrontLayer::Sharded(front) = &mut self.front else {
-                unreachable!("sharded pass on a global front layer")
-            };
-            if front.dirty.is_empty() {
-                return;
-            }
-            // Ping-pong with the scratch buffer (emptied at the end of
-            // the previous pass) so neither list reallocates per round.
-            debug_assert!(self.visited_scratch.is_empty());
-            let visited =
-                std::mem::replace(&mut front.dirty, std::mem::take(&mut self.visited_scratch));
-            for &shard in &visited {
-                front.shards[shard].dirty = false;
-            }
-            visited
-        };
-        // The best-head index pass: keep only visited shards that are
-        // nonempty (cached head present) with both endpoints free — a
-        // shard with an endpoint at zero capacity cannot receive a
-        // grant from any valid scheduler, and its zero-granted requests
-        // would not perturb the others, so it settles clean *without*
-        // scanning its request list, and is re-dirtied the moment that
-        // endpoint frees. Survivors are sorted by their cached head
-        // (priority desc, key asc): grant order, the order the
-        // grantable-heads merge pops them in. Keys are unique, so the
-        // order is total and the unstable sort deterministic;
-        // order-insensitive schedulers (every pure one) emit identical
-        // allocations either way.
-        debug_assert!(self.order_scratch.is_empty());
-        let mut order = std::mem::take(&mut self.order_scratch);
-        {
-            let FrontLayer::Sharded(front) = &mut self.front else {
-                unreachable!("sharded pass on a global front layer")
-            };
-            order.extend(visited.iter().copied().filter(|&shard| {
-                let s = &front.shards[shard];
-                s.head.is_some()
-                    && self.comm_free[s.pair.0.index()] > 0
-                    && self.comm_free[s.pair.1.index()] > 0
-            }));
-            let shards = &front.shards;
-            order.sort_unstable_by(|&x, &y| {
-                let (px, kx) = shards[x].head.expect("survivors are nonempty");
-                let (py, ky) = shards[y].head.expect("survivors are nonempty");
-                py.cmp(&px).then(kx.cmp(&ky))
-            });
-        }
-        let allocations = if order.is_empty() {
-            // Every visited shard drained or starved: settled.
-            Vec::new()
-        } else {
-            let FrontLayer::Sharded(front) = &self.front else {
-                unreachable!("sharded pass on a global front layer")
-            };
-            let comm_free = &self.comm_free;
-            self.alloc_stats.rounds += 1;
-            self.alloc_stats.shards_visited += order.len() as u64;
-            self.alloc_stats.requests_scanned += order
-                .iter()
-                .map(|&shard| front.shards[shard].len as u64)
-                .sum::<u64>();
-            // Each grant-ordered shard's priority buckets stream straight
-            // out of the index as individual merge inputs — a bucket is
-            // itself a valid shard under the sharded contract (one QPU
-            // pair, sorted, keys unique), so no per-pass slice list is
-            // collected.
-            let allocations = self.scheduler.allocate_shard_iter(
-                &mut order.iter().flat_map(|&shard| {
-                    front.shards[shard].buckets.iter().flat_map(|(_, bucket)| {
-                        // A deque exposes up to two contiguous runs; each
-                        // is a sorted single-pair segment, i.e. a valid
-                        // shard slice of its own (empties are dropped by
-                        // the merge's cursor builder).
-                        let (head, tail) = bucket.as_slices();
-                        [head, tail].into_iter()
-                    })
-                }),
-                comm_free,
-                &mut self.rng,
-            );
-            #[cfg(debug_assertions)]
-            {
-                let flat: Vec<RemoteRequest> = order
-                    .iter()
-                    .flat_map(|&shard| front.shards[shard].buckets.iter())
-                    .flat_map(|(_, bucket)| bucket.iter().copied())
-                    .collect();
-                debug_assert!(
-                    validate_allocations(&flat, &self.comm_free, &allocations).is_ok(),
-                    "scheduler {} violated its contract: {:?}",
-                    self.scheduler.name(),
-                    validate_allocations(&flat, &self.comm_free, &allocations)
-                );
-            }
-            allocations
-        };
-        let epr_latency = self.cloud.latency().epr_attempt();
-        for alloc in allocations {
-            let (job, node) = decode_key(alloc.key);
-            let PlanNode { a, b, .. } = self.jobs[job].plan.nodes[node];
-            self.comm_free[a.index()] -= alloc.pairs;
-            self.comm_free[b.index()] -= alloc.pairs;
-            self.remove_request(alloc.key);
-            // The grant changed both endpoints' capacities: their
-            // incident shards must be revisited next round.
-            self.note_capacity_change(a);
-            self.note_capacity_change(b);
-            let state = &mut self.jobs[job];
-            state.epr_rounds += 1;
-            if state.active_rounds == 0 {
-                state.epr_busy_since = self.now;
-            }
-            state.active_rounds += 1;
-            self.queue.push(
-                self.now + epr_latency,
-                Event::RoundDone {
-                    job,
-                    node,
-                    pairs: alloc.pairs,
-                },
-            );
-        }
-        let mut visited = visited;
-        visited.clear();
-        self.visited_scratch = visited;
-        order.clear();
-        self.order_scratch = order;
-    }
-
     fn handle(&mut self, event: Event) {
         match event {
             Event::GateDone { job, gate } => {
@@ -1232,12 +773,8 @@ impl<'a> Executor<'a> {
                         self.comm_free[q] += 1;
                     }
                 }
-                // Freed capacity may unblock pending requests at
-                // either endpoint (stations only exist in
-                // path-reservation mode, which uses the global layer —
-                // its settled flag is already woken by these calls).
-                self.note_capacity_change(a);
-                self.note_capacity_change(b);
+                // Freed capacity may unblock pending requests.
+                self.front_settled = false;
                 {
                     let state = &mut self.jobs[job];
                     state.active_rounds -= 1;
@@ -1913,7 +1450,6 @@ mod tests {
         let state = &exec.jobs[id];
         assert!(state.plan.gates.is_empty() && state.plan.nodes.is_empty());
         assert_eq!(state.remaining_hops.capacity(), 0);
-        assert_eq!(state.shard_ids.capacity(), 0);
         assert_eq!(state.pending_nodes.capacity(), 0);
         // The same job run alone reports the same result from the
         // scalars that outlive the plan.
@@ -2058,105 +1594,6 @@ mod tests {
                     prop_assert_eq!(got, expected, "completing gate {}", gate);
                 }
                 prop_assert!(plan.is_done());
-            }
-        }
-    }
-
-    /// Property coverage for the cached best-head shard index: after
-    /// any sequence of membership changes, every shard's `head` must
-    /// agree with a from-scratch scan of its pending requests. Run
-    /// directly with `cargo test -p cloudqc-core shard_head_index`.
-    mod shard_head_index {
-        use super::super::{RemoteRequest, ShardedFront};
-        use cloudqc_cloud::QpuId;
-        use proptest::prelude::*;
-
-        const QPUS: usize = 5;
-
-        /// One scripted front-layer operation; endpoint / pick values
-        /// are reduced modulo whatever is legal when applied.
-        #[derive(Debug, Clone)]
-        enum Op {
-            Insert { a: u8, b: u8, priority: u8 },
-            Remove { pick: u8 },
-            Touch { qpu: u8 },
-        }
-
-        fn op_strategy() -> impl Strategy<Value = Op> {
-            prop_oneof![
-                // Inserts weighted heaviest so shards actually fill.
-                4 => (0..QPUS as u8, 0..QPUS as u8, 0u8..4).prop_map(|(a, b, priority)| {
-                    Op::Insert { a, b, priority }
-                }),
-                2 => any::<u8>().prop_map(|pick| Op::Remove { pick }),
-                1 => (0..QPUS as u8).prop_map(|qpu| Op::Touch { qpu }),
-            ]
-        }
-
-        /// The head a from-scratch scan of `pending` predicts for
-        /// `shard`: max priority, min key within it.
-        fn expected_head(pending: &[(usize, RemoteRequest)], shard: usize) -> Option<(usize, u64)> {
-            pending
-                .iter()
-                .filter(|(s, _)| *s == shard)
-                .map(|(_, r)| (r.priority, r.key))
-                // Grant order: priority descending, then key ascending —
-                // min over (Reverse(priority), key) without the import.
-                .min_by(|x, y| y.0.cmp(&x.0).then(x.1.cmp(&y.1)))
-        }
-
-        proptest! {
-            #![proptest_config(ProptestConfig::with_cases(64))]
-
-            #[test]
-            fn cached_head_matches_from_scratch_scan(ops in prop::collection::vec(op_strategy(), 1..120)) {
-                let mut front = ShardedFront::new(QPUS);
-                // Mirror of every pending request: (shard, request).
-                let mut pending: Vec<(usize, RemoteRequest)> = Vec::new();
-                let mut next_key = 0u64;
-                for op in ops {
-                    match op {
-                        Op::Insert { a, b, priority } => {
-                            if a == b {
-                                continue; // remote gates span distinct QPUs
-                            }
-                            let (a, b) = (QpuId::new(a as usize), QpuId::new(b as usize));
-                            let shard = front.shard_for(a, b);
-                            let req = RemoteRequest {
-                                key: next_key,
-                                a,
-                                b,
-                                priority: priority as usize,
-                            };
-                            next_key += 1;
-                            front.insert(shard, req);
-                            pending.push((shard, req));
-                        }
-                        Op::Remove { pick } => {
-                            if pending.is_empty() {
-                                continue;
-                            }
-                            let (shard, req) = pending.remove(pick as usize % pending.len());
-                            front.remove(shard, req.priority, req.key);
-                        }
-                        Op::Touch { qpu } => {
-                            // Changes no membership: the cached heads
-                            // must survive it untouched.
-                            front.touch_qpu(qpu as usize);
-                        }
-                    }
-                    for (shard_id, shard) in front.shards.iter().enumerate() {
-                        prop_assert_eq!(
-                            shard.head,
-                            expected_head(&pending, shard_id),
-                            "shard {} head diverged from a from-scratch scan",
-                            shard_id
-                        );
-                    }
-                }
-                let live: usize = front.shards.iter().map(|s| s.len).sum();
-                prop_assert_eq!(live, pending.len());
-                prop_assert_eq!(front.len, pending.len());
             }
         }
     }

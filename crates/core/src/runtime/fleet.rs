@@ -125,7 +125,8 @@ pub struct FleetReport {
     /// Jobs spilled over after a communication-starvation or
     /// unplaceability rejection.
     pub spillovers: u64,
-    /// Backend failures handled ([`Fleet::fail_backend`] calls).
+    /// Backend failures handled ([`Fleet::fail_backend`] calls that
+    /// took an up backend down).
     pub failovers: u64,
     /// The routing policy's [`RoutingPolicy::name`].
     pub policy: &'static str,
@@ -542,16 +543,15 @@ impl<'a> Fleet<'a> {
     /// running (suspended through the preemption machinery, progress
     /// lost), waiting, or not yet arrived — is withdrawn and re-routed
     /// to the surviving backends (or orphaned when none is eligible).
-    /// Returns how many jobs were evacuated.
+    /// Returns how many jobs were evacuated: 0, with nothing changed,
+    /// when `id` names no backend or one that is already down.
     ///
     /// A failure is not a rejection: evacuated jobs may route back to
     /// this backend after [`Fleet::recover_backend`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the backend is already down.
     pub fn fail_backend(&mut self, id: usize) -> usize {
-        assert!(self.backends[id].up, "backend {id} is already down");
+        if !self.is_up(id) {
+            return 0;
+        }
         self.backends[id].up = false;
         self.failovers += 1;
         let evacuated = self.backends[id].service.evacuate();
@@ -570,15 +570,15 @@ impl<'a> Fleet<'a> {
     /// Brings backend `id` back up (empty — restart-from-scratch
     /// recovery keeps its cache, clock, and streaming metrics, but no
     /// jobs) and immediately re-routes any orphans onto the restored
-    /// capacity.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the backend is not down.
-    pub fn recover_backend(&mut self, id: usize) {
-        assert!(!self.backends[id].up, "backend {id} is not down");
-        self.backends[id].up = true;
+    /// capacity. Returns `false`, with nothing changed, when `id` names
+    /// no backend or one that is already up.
+    pub fn recover_backend(&mut self, id: usize) -> bool {
+        match self.backends.get_mut(id) {
+            Some(backend) if !backend.up => backend.up = true,
+            _ => return false,
+        }
         self.flush_orphans();
+        true
     }
 
     /// Federation-wide lifetime report: per-backend totals plus their
@@ -638,6 +638,35 @@ mod tests {
         assert!(!fleet.is_up(usize::MAX));
         fleet.fail_backend(1);
         assert!(!fleet.is_up(1));
+    }
+
+    #[test]
+    fn misplaced_failover_calls_change_nothing() {
+        let cloud = CloudBuilder::paper_default(2).build();
+        let placement = CloudQcPlacement::default();
+        let backend = || ServiceBuilder::new(&cloud, &placement, &CloudQcScheduler, 1);
+        let mut fleet = FleetBuilder::new()
+            .backend(backend())
+            .backend(backend())
+            .build();
+        fleet.submit(catalog::by_name("qft_n29").unwrap(), Tick::new(100));
+        let state = |f: &Fleet| (f.is_up(0), f.is_up(1), f.unresolved(), f.orphans());
+        let before = state(&fleet);
+        assert!(!fleet.recover_backend(0), "backend 0 is up");
+        assert_eq!(fleet.fail_backend(2), 0, "no backend 2");
+        assert!(!fleet.recover_backend(usize::MAX));
+        assert_eq!(state(&fleet), before);
+        assert_eq!(fleet.report().failovers, 0);
+        fleet.fail_backend(1);
+        let down = state(&fleet);
+        assert_eq!(fleet.fail_backend(1), 0, "backend 1 is already down");
+        assert_eq!(state(&fleet), down);
+        assert!(fleet.recover_backend(1));
+        assert!(!fleet.recover_backend(1), "backend 1 is up again");
+        assert_eq!(state(&fleet), before);
+        assert_eq!(fleet.report().failovers, 1);
+        let window = fleet.drive_to_quiescence().unwrap();
+        assert_eq!(window.outcomes.len(), 1);
     }
 
     #[test]

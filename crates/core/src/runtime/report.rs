@@ -66,8 +66,8 @@ pub struct RunReport {
     /// Distribution of same-tick event batch sizes the executor
     /// processed.
     pub event_batches: BatchStats,
-    /// Allocation-pass work counters: scheduler rounds run, front-layer
-    /// shards visited, requests scanned (see [`AllocStats`]).
+    /// Allocation-pass work counters: scheduler rounds run and
+    /// requests scanned (see [`AllocStats`]).
     pub allocation: AllocStats,
 }
 

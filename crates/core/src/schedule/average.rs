@@ -8,11 +8,6 @@ use rand::rngs::StdRng;
 
 /// Even split: repeatedly grant one pair to each front-layer gate in
 /// key order (round-robin) until no gate can take another pair.
-///
-/// The sharded entry point ([`Scheduler::allocate_sharded`]) keeps the
-/// default flatten-and-delegate implementation: the round-robin runs in
-/// *key* order, not the shards' (priority desc, key asc) order, so the
-/// sort is re-done either way and a merge would buy nothing.
 #[derive(Clone, Debug, Default)]
 pub struct AverageScheduler;
 
@@ -27,25 +22,29 @@ impl Scheduler for AverageScheduler {
         available: &[usize],
         _rng: &mut StdRng,
     ) -> Vec<Allocation> {
-        let mut ordered: Vec<&RemoteRequest> = requests.iter().collect();
-        ordered.sort_by_key(|r| r.key);
+        // A request with an endpoint at zero free pairs gets nothing this
+        // round, so dropping it before the sort changes no grant.
+        let mut ordered: Vec<&RemoteRequest> = requests
+            .iter()
+            .filter(|r| available[r.a.index()] > 0 && available[r.b.index()] > 0)
+            .collect();
+        // Keys are unique, so the unstable sort is deterministic.
+        ordered.sort_unstable_by_key(|r| r.key);
         let mut remaining = available.to_vec();
-        let mut allocations = grant_one_each(&ordered, &mut remaining);
-        // Keep rounding while anyone can still take a pair.
+        let (mut allocations, granted) = grant_one_each(&ordered, &mut remaining);
+        // Keep rounding, in key order over the floor's grants, while
+        // anyone can still take a pair.
         loop {
-            let mut granted = false;
-            for req in &ordered {
-                let Some(slot) = allocations.iter_mut().find(|a| a.key == req.key) else {
-                    continue;
-                };
+            let mut any = false;
+            for (slot, req) in allocations.iter_mut().zip(&granted) {
                 if remaining[req.a.index()] >= 1 && remaining[req.b.index()] >= 1 {
                     remaining[req.a.index()] -= 1;
                     remaining[req.b.index()] -= 1;
                     slot.pairs += 1;
-                    granted = true;
+                    any = true;
                 }
             }
-            if !granted {
+            if !any {
                 return allocations;
             }
         }
@@ -87,8 +86,8 @@ mod tests {
 
     #[test]
     fn sharded_entry_point_is_shard_order_insensitive() {
-        // Key-ordered round-robin: however the dirty shards are listed,
-        // the allocations match the global pass.
+        // Key-ordered round-robin: however the request slices are
+        // listed, the allocations match the flat pass.
         let s1 = [req(4, 0, 1, 9), req(1, 0, 1, 2)];
         let s2 = [req(3, 1, 2, 5), req(2, 1, 2, 1)];
         let available = vec![5, 7, 5];

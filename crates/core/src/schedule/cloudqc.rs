@@ -5,10 +5,7 @@
 //! backlog the DAG — and **starvation freedom** — every front-layer gate
 //! eventually receives at least one pair.
 
-use super::{
-    allocate_prioritized, allocate_sharded_prioritized_iter, Allocation, PriorityPolicy,
-    RemoteRequest, Scheduler,
-};
+use super::{allocate_prioritized, Allocation, PriorityPolicy, RemoteRequest, Scheduler};
 use rand::rngs::StdRng;
 
 /// Priority-proportional allocation with a one-pair floor:
@@ -19,10 +16,6 @@ use rand::rngs::StdRng;
 /// 3. Spend remaining capacity top-down: the highest-priority gate takes
 ///    as many extra pairs as its endpoints allow, then the next, …
 ///    (redundancy for critical-path gates).
-///
-/// The global entry point sorts and walks (`allocate_prioritized`);
-/// the shard-iterator one merges the pre-sorted shards' grantable
-/// heads directly (`allocate_sharded_prioritized_iter`).
 #[derive(Clone, Debug, Default)]
 pub struct CloudQcScheduler;
 
@@ -46,20 +39,6 @@ impl Scheduler for CloudQcScheduler {
             available,
             PriorityPolicy::FloorThenRedundancy,
         )
-    }
-
-    /// The sharded entry point walks the pre-sorted shards through the
-    /// grantable-heads merge (`allocate_sharded_prioritized_iter`): no
-    /// sort, work bounded by grants rather than pending requests, and
-    /// cursors built directly off the iterator, so the executor's
-    /// serial pass never collects a slice list.
-    fn allocate_shard_iter(
-        &self,
-        shards: &mut dyn Iterator<Item = &[RemoteRequest]>,
-        available: &[usize],
-        _rng: &mut StdRng,
-    ) -> Vec<Allocation> {
-        allocate_sharded_prioritized_iter(shards, available, PriorityPolicy::FloorThenRedundancy)
     }
 
     fn is_pure(&self) -> bool {
@@ -141,21 +120,5 @@ mod tests {
         let available = vec![3, 5];
         let allocs = CloudQcScheduler.allocate(&requests, &available, &mut rng());
         assert_eq!(allocs, vec![Allocation { key: 7, pairs: 3 }]);
-    }
-
-    #[test]
-    fn sharded_entry_point_matches_global_allocate() {
-        // Two shards over overlapping QPUs, each pre-sorted by
-        // (priority desc, key asc); the merged pass must reproduce the
-        // global sort-based pass exactly.
-        let s1 = [req(1, 0, 1, 9), req(4, 0, 1, 2)];
-        let s2 = [req(2, 1, 2, 7), req(3, 1, 2, 7)];
-        let available = vec![4, 6, 3];
-        let flat: Vec<RemoteRequest> = s1.iter().chain(s2.iter()).copied().collect();
-        let mut shards = [&s1[..], &s2].into_iter();
-        let sharded = CloudQcScheduler.allocate_shard_iter(&mut shards, &available, &mut rng());
-        let global = CloudQcScheduler.allocate(&flat, &available, &mut rng());
-        assert_eq!(sharded, global);
-        validate_allocations(&flat, &available, &sharded).unwrap();
     }
 }

@@ -88,31 +88,17 @@ pub trait Scheduler {
     ///
     /// Pure schedulers let the executor elide allocation rounds whose
     /// inputs are unchanged since a round that granted nothing — the
-    /// re-run would provably grant nothing again. They also enable the
-    /// executor's *sharded* front layer, where a round only visits the
-    /// shards whose QPU pair was affected (see
-    /// [`Scheduler::allocate_shard_iter`]). Schedulers that consume
-    /// randomness must return `false` (the default): eliding a call
-    /// would shift their RNG stream and change seeded schedules.
+    /// re-run would provably grant nothing again. Schedulers that
+    /// consume randomness must return `false` (the default): eliding a
+    /// call would shift their RNG stream and change seeded schedules.
     fn is_pure(&self) -> bool {
         false
     }
 
-    /// [`Scheduler::allocate`] over the union of several front-layer
-    /// *shards* — the executor's per-QPU-pair request lists.
-    ///
-    /// Contract on the input (the executor upholds it): each shard is
-    /// sorted by (priority descending, key ascending), holds requests
-    /// of **one** unordered QPU pair — so a shard's head names its
-    /// endpoints — and the shards are pairwise disjoint (every request
-    /// key appears once). The default implementation flattens the
-    /// shards and delegates to [`Scheduler::allocate`], so it is
-    /// behaviourally identical to a global pass over the same requests
-    /// for every scheduler whose allocation does not depend on input
-    /// order (all the pure ones — they sort their input by a total
-    /// order first). The executor's sharded pass calls
-    /// [`Scheduler::allocate_shard_iter`] instead, which is where
-    /// schedulers exploit the per-shard structure.
+    /// Inert (the executor never calls it); kept because `e2ebench`
+    /// implements it. Flattens `shards` and delegates to
+    /// [`Scheduler::allocate`].
+    #[doc(hidden)]
     fn allocate_sharded(
         &self,
         shards: &[&[RemoteRequest]],
@@ -123,24 +109,10 @@ pub trait Scheduler {
         self.allocate(&flat, available, rng)
     }
 
-    /// [`Scheduler::allocate_sharded`] fed by a shard *iterator*
-    /// instead of a pre-collected slice list.
-    ///
-    /// This is the executor's sharded hot path: it streams the
-    /// grant-ordered dirty shards straight out of its persistent index
-    /// scratch, so no per-pass `Vec<&[RemoteRequest]>` is built — and
-    /// it may split one QPU pair's requests across *several*
-    /// consecutive slices (the executor streams its priority buckets
-    /// as-is; each is sorted, single-pair, and key-disjoint, so each
-    /// is a valid shard on its own). The input contract is otherwise
-    /// [`Scheduler::allocate_sharded`]'s; order-insensitive
-    /// implementations (every pure scheduler) emit identical
-    /// allocations for any slicing of the same request set. The
-    /// default collects the iterator and delegates, so every scheduler
-    /// keeps its existing sharded behaviour; [`CloudQcScheduler`] and
-    /// [`GreedyScheduler`] override it to merge the shards' *grantable
-    /// heads* directly from the stream, bounding work by grants instead
-    /// of pending requests.
+    /// Inert (the executor never calls it); kept because `e2ebench`
+    /// implements it. Collects `shards` and delegates to
+    /// [`Scheduler::allocate_sharded`].
+    #[doc(hidden)]
     fn allocate_shard_iter(
         &self,
         shards: &mut dyn Iterator<Item = &[RemoteRequest]>,
@@ -158,7 +130,7 @@ pub trait Scheduler {
     }
 }
 
-/// How the priority-ordered allocation walks spend capacity.
+/// How the priority-ordered allocation walk spends capacity.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub(crate) enum PriorityPolicy {
     /// One-pair floor for every request while capacity lasts, then the
@@ -169,28 +141,9 @@ pub(crate) enum PriorityPolicy {
     MaxPerRequest,
 }
 
-/// The redundancy phase of [`PriorityPolicy::FloorThenRedundancy`]:
-/// spend what remains top-down over the granted subsequence. The floor
-/// allocations line up 1:1 with `granted`, so the pass is a straight
-/// zip.
-fn grant_redundancy(
-    allocations: &mut [Allocation],
-    granted: &[&RemoteRequest],
-    remaining: &mut [usize],
-) {
-    for (alloc, req) in allocations.iter_mut().zip(granted) {
-        let extra = remaining[req.a.index()].min(remaining[req.b.index()]);
-        if extra > 0 {
-            alloc.pairs += extra;
-            remaining[req.a.index()] -= extra;
-            remaining[req.b.index()] -= extra;
-        }
-    }
-}
-
 /// The priority-ordered allocation walk shared by the CloudQC and
-/// Greedy schedulers' *global* entry points, over a (priority desc,
-/// key asc)-sorted request list.
+/// Greedy schedulers, over a (priority desc, key asc)-sorted request
+/// list.
 ///
 /// Early exit: a grant needs **two** distinct QPUs with free pairs, so
 /// once fewer than two remain positive no later request can receive
@@ -234,118 +187,17 @@ pub(crate) fn allocate_prioritized<'r>(
             }
         }
     }
-    grant_redundancy(&mut allocations, &granted, &mut remaining);
-    allocations
-}
-
-/// The *sharded* priority-ordered allocation walk shared by the CloudQC
-/// and Greedy schedulers: a k-way merge over the per-QPU-pair shards
-/// (each sorted by priority desc, key asc) that only ever advances
-/// through *grantable* requests.
-///
-/// The trick that makes every merge pop a grant: all requests of a
-/// shard share one QPU pair, so the instant either endpoint runs out of
-/// pairs the shard's entire remainder is denied — exactly as the global
-/// walk would deny it element by element — and its cursor is dropped
-/// from the merge on the spot. Work per pass is therefore
-/// O(shards + grants × live-shards), independent of how many pending
-/// requests the dirty shards hold; the global walk's sort-then-scan
-/// pays O(requests) before the first decision. The grant sequence is
-/// identical: each pop takes the highest-priority head among live
-/// shards, which is the next request the global walk would grant.
-///
-/// The shards arrive as an iterator, so the executor's grant-ordered
-/// serial pass (via [`Scheduler::allocate_shard_iter`]) builds the
-/// merge cursors without collecting a slice list. Shard order is
-/// irrelevant to the output: the merge pops the globally best live
-/// head under a strict total order.
-pub(crate) fn allocate_sharded_prioritized_iter(
-    shards: &mut dyn Iterator<Item = &[RemoteRequest]>,
-    available: &[usize],
-    policy: PriorityPolicy,
-) -> Vec<Allocation> {
-    /// One live shard's walk position, with the head cached so the
-    /// selection loop compares through one pointer, and the shard's
-    /// (uniform) endpoint indices alongside.
-    struct Cursor<'r> {
-        head: &'r RemoteRequest,
-        rest: &'r [RemoteRequest],
-        a: usize,
-        b: usize,
-    }
-    let mut remaining = available.to_vec();
-    let mut cursors: Vec<Cursor> = shards
-        .filter(|s| !s.is_empty())
-        .map(|s| Cursor {
-            head: &s[0],
-            rest: &s[1..],
-            a: s[0].a.index(),
-            b: s[0].b.index(),
-        })
-        .collect();
-    let mut allocations = Vec::new();
-    let mut granted: Vec<&RemoteRequest> = Vec::new();
-    while !cursors.is_empty() {
-        // Select the highest-priority head among live shards, shedding
-        // dead ones (an endpoint at zero) as the scan meets them. The
-        // sets are small, so a linear scan beats a binary heap.
-        let mut best: Option<usize> = None;
-        let mut i = 0;
-        while i < cursors.len() {
-            let cursor = &cursors[i];
-            if remaining[cursor.a] == 0 || remaining[cursor.b] == 0 {
-                // `best` (if set) is below `i`, so the swap cannot
-                // disturb it; re-examine the element swapped into `i`.
-                cursors.swap_remove(i);
-                continue;
-            }
-            best = match best {
-                Some(j) => {
-                    let leader = cursors[j].head;
-                    let ahead = cursor
-                        .head
-                        .priority
-                        .cmp(&leader.priority)
-                        .then(leader.key.cmp(&cursor.head.key))
-                        .is_gt();
-                    Some(if ahead { i } else { j })
-                }
-                None => Some(i),
-            };
-            i += 1;
-        }
-        let Some(best) = best else {
-            break;
-        };
-        let cursor = &mut cursors[best];
-        let req = cursor.head;
-        let (a, b) = (cursor.a, cursor.b);
-        match cursor.rest.split_first() {
-            Some((head, rest)) => {
-                cursor.head = head;
-                cursor.rest = rest;
-            }
-            None => {
-                cursors.swap_remove(best);
-            }
-        }
-        // Both endpoints are ≥ 1 (the cursor survived the scan), so
-        // the head is grantable by construction.
-        let pairs = match policy {
-            PriorityPolicy::FloorThenRedundancy => 1,
-            PriorityPolicy::MaxPerRequest => remaining[a].min(remaining[b]),
-        };
-        remaining[a] -= pairs;
-        remaining[b] -= pairs;
-        allocations.push(Allocation {
-            key: req.key,
-            pairs,
-        });
-        if policy == PriorityPolicy::FloorThenRedundancy {
-            granted.push(req);
+    // The redundancy phase of `FloorThenRedundancy`: spend what remains
+    // top-down over the granted subsequence, which lines up 1:1 with
+    // the floor allocations.
+    for (alloc, req) in allocations.iter_mut().zip(&granted) {
+        let extra = remaining[req.a.index()].min(remaining[req.b.index()]);
+        if extra > 0 {
+            alloc.pairs += extra;
+            remaining[req.a.index()] -= extra;
+            remaining[req.b.index()] -= extra;
         }
     }
-    grant_redundancy(&mut allocations, &granted, &mut remaining);
     allocations
 }
 
@@ -380,13 +232,15 @@ pub fn validate_allocations(
 }
 
 /// Shared helper: grants every request one pair in the given order while
-/// endpoint capacity lasts — the starvation-freedom floor.
-pub(crate) fn grant_one_each(
-    ordered: &[&RemoteRequest],
+/// endpoint capacity lasts — the starvation-freedom floor. Returns the
+/// allocations and, aligned with them, the requests they grant.
+pub(crate) fn grant_one_each<'r>(
+    ordered: &[&'r RemoteRequest],
     remaining: &mut [usize],
-) -> Vec<Allocation> {
+) -> (Vec<Allocation>, Vec<&'r RemoteRequest>) {
     let mut out = Vec::new();
-    for req in ordered {
+    let mut granted = Vec::new();
+    for &req in ordered {
         if remaining[req.a.index()] >= 1 && remaining[req.b.index()] >= 1 {
             remaining[req.a.index()] -= 1;
             remaining[req.b.index()] -= 1;
@@ -394,9 +248,10 @@ pub(crate) fn grant_one_each(
                 key: req.key,
                 pairs: 1,
             });
+            granted.push(req);
         }
     }
-    out
+    (out, granted)
 }
 
 #[cfg(test)]
@@ -455,43 +310,29 @@ mod tests {
     }
 
     #[test]
-    fn sharded_walk_equals_sorted_walk() {
-        // Shards sorted by (priority desc, key asc), one QPU pair each;
-        // the grantable-heads merge must grant exactly what the global
-        // sort-then-walk grants, for both policies.
-        let s1 = [req(1, 0, 1, 9), req(5, 0, 1, 9), req(2, 0, 1, 3)];
-        let s2 = [req(4, 1, 2, 7), req(3, 1, 2, 2)];
-        let s3: [RemoteRequest; 0] = [];
-        let available = vec![3, 4, 2];
-        let mut flat: Vec<&RemoteRequest> = s1.iter().chain(s2.iter()).collect();
-        flat.sort_by(|x, y| y.priority.cmp(&x.priority).then(x.key.cmp(&y.key)));
-        for policy in [
-            PriorityPolicy::FloorThenRedundancy,
-            PriorityPolicy::MaxPerRequest,
-        ] {
-            let mut shards = [&s1[..], &s2, &s3].into_iter();
-            let sharded = allocate_sharded_prioritized_iter(&mut shards, &available, policy);
-            let global = allocate_prioritized(flat.iter().copied(), &available, policy);
-            assert_eq!(sharded, global, "{policy:?}");
-        }
-        let mut none = std::iter::empty();
-        let policy = PriorityPolicy::FloorThenRedundancy;
-        assert!(allocate_sharded_prioritized_iter(&mut none, &available, policy).is_empty());
-    }
-
-    #[test]
     fn default_allocate_sharded_matches_global_allocate() {
-        use crate::schedule::AverageScheduler;
+        // The two inert entry points kept for `e2ebench` flatten their
+        // input and delegate, so they grant exactly what `allocate`
+        // grants over the same requests.
+        use crate::schedule::{AverageScheduler, CloudQcScheduler, GreedyScheduler};
         use rand::SeedableRng;
-        let s1 = [req(1, 0, 1, 9), req(3, 0, 2, 1)];
-        let s2 = [req(2, 1, 2, 5)];
-        let available = vec![4, 4, 4];
+        let s1 = [req(1, 0, 1, 9), req(4, 0, 1, 2)];
+        let s2 = [req(2, 1, 2, 7), req(3, 1, 2, 7)];
+        let s3 = [req(5, 0, 2, 1)];
+        let available = vec![4, 6, 3];
+        let flat: Vec<RemoteRequest> = [&s1[..], &s2, &s3].concat();
         let mut rng = StdRng::seed_from_u64(0);
-        let sharded = AverageScheduler.allocate_sharded(&[&s1, &s2], &available, &mut rng);
-        let flat: Vec<RemoteRequest> = s1.iter().chain(s2.iter()).copied().collect();
-        let global = AverageScheduler.allocate(&flat, &available, &mut rng);
-        assert_eq!(sharded, global);
-        validate_allocations(&flat, &available, &sharded).unwrap();
+        let schedulers: [&dyn Scheduler; 3] =
+            [&CloudQcScheduler, &GreedyScheduler, &AverageScheduler];
+        for scheduler in schedulers {
+            let global = scheduler.allocate(&flat, &available, &mut rng);
+            let sharded = scheduler.allocate_sharded(&[&s1, &s2, &s3], &available, &mut rng);
+            let mut shards = [&s1[..], &s2, &s3].into_iter();
+            let streamed = scheduler.allocate_shard_iter(&mut shards, &available, &mut rng);
+            assert_eq!(sharded, global, "{}", scheduler.name());
+            assert_eq!(streamed, global, "{}", scheduler.name());
+            validate_allocations(&flat, &available, &global).unwrap();
+        }
     }
 
     #[test]
@@ -501,11 +342,12 @@ mod tests {
         let r3 = req(3, 0, 1, 1);
         let ordered = [&r1, &r2, &r3];
         let mut remaining = vec![2, 2];
-        let allocs = grant_one_each(&ordered, &mut remaining);
+        let (allocs, granted) = grant_one_each(&ordered, &mut remaining);
         // Only two fit on the shared endpoints.
         assert_eq!(allocs.len(), 2);
         assert_eq!(allocs[0].key, 1);
         assert_eq!(allocs[1].key, 2);
+        assert_eq!(granted, [&r1, &r2]);
         assert_eq!(remaining, vec![0, 0]);
     }
 }

@@ -28,25 +28,19 @@ impl Scheduler for RandomScheduler {
         let mut ordered: Vec<&RemoteRequest> = requests.iter().collect();
         ordered.shuffle(rng);
         let mut remaining = available.to_vec();
-        let mut allocations = grant_one_each(&ordered, &mut remaining);
+        let (mut allocations, granted) = grant_one_each(&ordered, &mut remaining);
         loop {
-            let eligible: Vec<usize> = allocations
-                .iter()
-                .enumerate()
-                .filter(|(_, a)| {
-                    let req = requests.iter().find(|r| r.key == a.key).expect("known key");
+            let eligible: Vec<usize> = (0..granted.len())
+                .filter(|&i| {
+                    let req = granted[i];
                     remaining[req.a.index()] >= 1 && remaining[req.b.index()] >= 1
                 })
-                .map(|(i, _)| i)
                 .collect();
             if eligible.is_empty() {
                 return allocations;
             }
             let pick = eligible[rng.random_range(0..eligible.len())];
-            let req = requests
-                .iter()
-                .find(|r| r.key == allocations[pick].key)
-                .expect("known key");
+            let req = granted[pick];
             remaining[req.a.index()] -= 1;
             remaining[req.b.index()] -= 1;
             allocations[pick].pairs += 1;

@@ -106,7 +106,7 @@ fn main() {
         }
     }
     t.print();
-    println!("\nShorter inter-arrival = heavier load: queueing delay should dominate JCT\nas the cloud saturates (EPR wait stays roughly constant per job).\n\"cache hit%\" is the placement cache's hit rate over its lookups (a\nwaiter whose key already failed in the same admission pass is not\nlooked up); \"batch mean/max\" is the executor's same-tick event batch\nsize (events drained per allocation round); \"scan/round\" is the mean\nfront-layer requests the sharded scheduler actually scanned per\nallocation round (dirty shards only).");
+    println!("\nShorter inter-arrival = heavier load: queueing delay should dominate JCT\nas the cloud saturates (EPR wait stays roughly constant per job).\n\"cache hit%\" is the placement cache's hit rate over its lookups (a\nwaiter whose key already failed in the same admission pass is not\nlooked up); \"batch mean/max\" is the executor's same-tick event batch\nsize (events drained per allocation round); \"scan/round\" is the mean\nfront-layer requests handed to the scheduler per allocation round.");
 
     service_mode(&pool, jobs_n, args.seed);
     continuous_mode(&pool, jobs_n, args.seed);
@@ -163,7 +163,7 @@ fn service_mode(pool: &[cloudqc_circuit::Circuit], jobs_n: usize, seed: u64) {
     t.print();
     let total = svc.report();
     println!(
-        "\nLifetime: {} epochs, {} jobs completed, {} rejected; cache {} hits / {} misses / {} evictions ({} entries resident); allocation {} rounds, {} shards visited, {} requests scanned; online mean JCT {}, p95 {}, throughput {:.5} jobs/tick.",
+        "\nLifetime: {} epochs, {} jobs completed, {} rejected; cache {} hits / {} misses / {} evictions ({} entries resident); allocation {} rounds, {} requests scanned; online mean JCT {}, p95 {}, throughput {:.5} jobs/tick.",
         total.epochs,
         total.completed,
         total.rejected,
@@ -172,7 +172,6 @@ fn service_mode(pool: &[cloudqc_circuit::Circuit], jobs_n: usize, seed: u64) {
         total.placement_cache.evictions,
         total.cache_entries,
         total.allocation.rounds,
-        total.allocation.shards_visited,
         total.allocation.requests_scanned,
         fmt_num(total.online.mean_completion_time()),
         fmt_num(total.online.quantile(0.95).unwrap_or(0.0)),

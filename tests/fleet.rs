@@ -334,12 +334,16 @@ proptest! {
     /// Drain-and-migrate conserves jobs: across a mid-run backend
     /// failure and recovery, every submitted job is reported exactly
     /// once as completed or rejected — none lost, none duplicated.
+    /// After every window, the `misplaced` ids get a call that must
+    /// change nothing: a fail of a down or unknown backend, a recover
+    /// of an up or unknown one.
     #[test]
     fn failover_conserves_jobs(
         seed in 0u64..200,
         victim in 0usize..3,
         fail_after in 1u64..5,
         n in 6usize..14,
+        misplaced in prop::collection::vec(0usize..5, 0..4),
     ) {
         let a = CloudBuilder::paper_default(seed).build();
         let b = CloudBuilder::new(6)
@@ -375,7 +379,17 @@ proptest! {
                 prop_assert!(fleet.unresolved() >= evacuated as u64);
             }
             if slices == fail_after + 2 {
-                fleet.recover_backend(victim);
+                prop_assert!(fleet.recover_backend(victim));
+            }
+            for &id in &misplaced {
+                if fleet.is_up(id) {
+                    prop_assert!(!fleet.recover_backend(id));
+                } else {
+                    prop_assert_eq!(fleet.fail_backend(id), 0);
+                }
+                if id >= fleet.backend_count() {
+                    prop_assert!(!fleet.recover_backend(id));
+                }
             }
             if window.quiescent && slices > fail_after + 2 {
                 break;
@@ -395,6 +409,7 @@ proptest! {
         let report = fleet.report();
         prop_assert_eq!(report.completed as usize, outcomes.len());
         prop_assert_eq!(report.rejected as usize, rejected.len());
+        // Only the one real failure counts.
         prop_assert_eq!(report.failovers, 1);
     }
 }

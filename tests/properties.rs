@@ -43,8 +43,8 @@ fn random_circuit(qubits: usize, gates: usize, shape: u8, seed: u64) -> Circuit 
 }
 
 /// Forwards `name` and `allocate` but keeps the default
-/// `is_pure() == false`, which forces the executor's global,
-/// never-elided front layer.
+/// `is_pure() == false`, so the executor never elides its allocation
+/// passes.
 struct Impure<'s, S: ?Sized>(&'s S);
 
 impl<S: Scheduler + ?Sized> Scheduler for Impure<'_, S> {
@@ -163,15 +163,13 @@ proptest! {
         prop_assert!(cost >= ops);
     }
 
-    /// The per-QPU-pair sharded front layer is a pure optimization:
-    /// for every pure scheduler, a contended multi-job run produces
-    /// the exact same schedule whether allocation rounds scan only the
-    /// dirty shards or, through the [`Impure`] wrapper, the whole
-    /// global request set on every tick. Under path reservation both
-    /// arms run the global layer, and the pure arm's elided passes must
-    /// match the wrapper's never-elided ones.
+    /// The change-driven elision is a pure optimization: for every
+    /// pure scheduler, with or without path reservation, a contended
+    /// multi-job run produces the exact same schedule whether barren
+    /// allocation passes are skipped or, through the [`Impure`]
+    /// wrapper, every tick runs one.
     #[test]
-    fn sharded_and_global_front_layers_agree(
+    fn elided_and_unelided_passes_agree(
         qubits in 4usize..20,
         gates in 1usize..40,
         shape in 0u8..3,
@@ -183,8 +181,8 @@ proptest! {
         let placed: Vec<(Circuit, _)> = (0..jobs)
             .map(|j| {
                 let circuit = random_circuit(qubits, gates, shape, seed ^ (j as u64) << 7);
-                // Random placements spread qubits across QPUs, filling
-                // many distinct shards.
+                // Random placements spread qubits across QPUs, so
+                // remote gates contend over many QPU pairs.
                 let p = RandomPlacement
                     .place(&circuit, &cloud, &cloud.status(), seed ^ (j as u64))
                     .unwrap();

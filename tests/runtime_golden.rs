@@ -7,12 +7,11 @@
 //! runtime, placement pipeline, or executor changed observable
 //! behaviour.
 //!
-//! The A/B tests below additionally pin that the placement cache, the
-//! change-driven allocation elision, and the per-QPU-pair sharded front
-//! layer are all *pure* optimizations. Seeded schedules are
-//! byte-identical with the cache on or off, and with a pure scheduler
-//! or its [`Impure`] wrapper, which forces the global, never-elided
-//! front layer.
+//! The A/B tests below additionally pin that the placement cache and
+//! the change-driven allocation elision are both *pure* optimizations.
+//! Seeded schedules are byte-identical with the cache on or off, and
+//! with a pure scheduler or its [`Impure`] wrapper, whose allocation
+//! passes are never elided.
 
 use cloudqc::circuit::generators::catalog;
 use cloudqc::circuit::Circuit;
@@ -38,9 +37,8 @@ fn batch(names: &[&str]) -> Vec<Circuit> {
 }
 
 /// Forwards `name` and `allocate` but keeps the default
-/// `is_pure() == false`, which forces the executor's global,
-/// never-elided front layer: the reference the sharded layer must
-/// reproduce.
+/// `is_pure() == false`, so the executor never elides its allocation
+/// passes: the reference the elided passes must reproduce.
 struct Impure<'s, S: ?Sized>(&'s S);
 
 impl<S: Scheduler + ?Sized> Scheduler for Impure<'_, S> {
@@ -267,12 +265,11 @@ fn cached_and_uncached_placement_are_byte_identical() {
 }
 
 #[test]
-fn sharded_and_global_front_layers_are_byte_identical_in_runtime() {
-    // The per-QPU-pair sharded front layer and the change-driven
-    // elision only change *which* requests an allocation round scans,
-    // never what it grants: runtime-level schedules must not move a
-    // tick against the global, never-elided layer, while the work
-    // counters show the sharded arm scanning strictly fewer requests.
+fn elided_and_unelided_passes_are_byte_identical_in_runtime() {
+    // The change-driven elision only skips allocation passes that
+    // would grant nothing: runtime-level schedules must not move a
+    // tick against never-elided passes, while the work counters show
+    // the elided arm scanning strictly fewer requests.
     let (cloud, workload) = contended_setup();
     let placement = CloudQcPlacement::default();
     for seed in [5u64, 11] {
@@ -281,28 +278,28 @@ fn sharded_and_global_front_layers_are_byte_identical_in_runtime() {
                 .run(&workload)
                 .expect("contended run completes")
         };
-        let sharded = run(&CloudQcScheduler);
-        let global = run(&Impure(&CloudQcScheduler));
-        assert_eq!(observable(&sharded), observable(&global), "seed {seed}");
+        let elided = run(&CloudQcScheduler);
+        let unelided = run(&Impure(&CloudQcScheduler));
+        assert_eq!(observable(&elided), observable(&unelided), "seed {seed}");
         // Same events, same ticks: the batch distribution is identical
         // too — only the allocation work differs.
-        assert_eq!(sharded.event_batches, global.event_batches);
+        assert_eq!(elided.event_batches, unelided.event_batches);
         assert!(
-            sharded.allocation.requests_scanned < global.allocation.requests_scanned,
-            "sharding should scan fewer requests: {:?} vs {:?}",
-            sharded.allocation,
-            global.allocation
+            elided.allocation.requests_scanned < unelided.allocation.requests_scanned,
+            "elision should scan fewer requests: {:?} vs {:?}",
+            elided.allocation,
+            unelided.allocation
         );
-        assert!(sharded.allocation.rounds > 0);
+        assert!(elided.allocation.rounds > 0);
     }
 }
 
 #[test]
-fn sharded_and_global_front_layers_are_byte_identical_in_executor() {
+fn elided_and_unelided_passes_are_byte_identical_in_executor() {
     // The executor-level A/B, under a contended profile (scarce
     // pairs, low EPR success, random placements), across every
-    // pure scheduler: the dirty-shard fast path against the global,
-    // never-elided layer of the scheduler's impure wrapper.
+    // pure scheduler: elided passes against the never-elided passes
+    // of the scheduler's impure wrapper.
     let cloud = CloudBuilder::new(6)
         .computing_qubits(40)
         .communication_qubits(2)
@@ -336,22 +333,22 @@ fn sharded_and_global_front_layers_are_byte_identical_in_executor() {
                     .collect();
                 (results, exec.now(), exec.comm_free().to_vec())
             };
-            let global = run(&Impure(scheduler));
-            assert_eq!(run(scheduler), global, "{} seed {seed}", scheduler.name());
+            let unelided = run(&Impure(scheduler));
+            assert_eq!(run(scheduler), unelided, "{} seed {seed}", scheduler.name());
         }
     }
 }
 
 #[test]
 fn executor_front_layers_reproduce_pinned_schedules() {
-    // Pins the executor's allocation passes directly, the global front
-    // layer included. The sharded-vs-global A/B tests above compare two
-    // layers with each other, so they cannot see a change that moves
-    // both, and the global layer alone serves `RandomScheduler` (which
-    // draws from the RNG) and path reservation (whose swapping-station
-    // holds couple QPU pairs). Four jobs per run, each spread over all
-    // six QPUs of a ring or a line with scarce pairs and a low EPR
-    // success probability, so multi-hop gates contend for stations.
+    // Pins the executor's allocation passes directly. The elided-vs-
+    // unelided A/B tests above compare two arms with each other, so
+    // they cannot see a change that moves both, and they leave out
+    // `RandomScheduler` (which draws from the RNG) and path
+    // reservation (whose swapping-station holds couple QPU pairs).
+    // Four jobs per run, each spread over all six QPUs of a ring or a
+    // line with scarce pairs and a low EPR success probability, so
+    // multi-hop gates contend for stations.
     use cloudqc::cloud::QpuId;
     let circuits = batch(&["qugan_n39", "qft_n29", "adder_n64", "knn_n67"]);
     let placed: Vec<(&Circuit, Placement)> = circuits
@@ -400,25 +397,25 @@ fn executor_front_layers_reproduce_pinned_schedules() {
                     work.merge(exec.alloc_stats());
                 }
             }
-            let work = [work.rounds, work.shards_visited, work.requests_scanned];
+            let work = [work.rounds, work.requests_scanned];
             got.push((scheduler.name(), (reserve, digest, work)));
         }
     }
     // Per scheduler, without and with path reservation: (reservation,
-    // digest, [rounds, shards visited, requests scanned]).
+    // digest, [rounds, requests scanned]).
     let expected = [
         // CloudQC
-        (false, 0x7c8c_ddc9_e3dc_e1fe, [39_488, 139_073, 402_919]),
-        (true, 0x82de_2894_08d8_7347, [69_341, 69_341, 1_934_152]),
+        (false, 0x7c8c_ddc9_e3dc_e1fe, [51_973, 1_004_062]),
+        (true, 0x82de_2894_08d8_7347, [69_341, 1_934_152]),
         // Greedy
-        (false, 0x11a4_1604_c055_e1e4, [21_345, 117_252, 337_096]),
-        (true, 0x79e2_a277_d16c_cfac, [62_969, 62_969, 1_676_129]),
+        (false, 0x11a4_1604_c055_e1e4, [35_442, 794_865]),
+        (true, 0x79e2_a277_d16c_cfac, [62_969, 1_676_129]),
         // Average
-        (false, 0x0e55_a773_5d5a_9756, [39_000, 91_952, 237_768]),
-        (true, 0x1b72_9f84_4fb8_6e90, [60_980, 60_980, 1_144_307]),
+        (false, 0x0e55_a773_5d5a_9756, [49_591, 545_753]),
+        (true, 0x1b72_9f84_4fb8_6e90, [60_980, 1_144_307]),
         // Random
-        (false, 0x6791_920c_8c0d_8198, [52_458, 52_458, 318_785]),
-        (true, 0x7588_c9fd_fa4e_c33e, [64_104, 64_104, 441_957]),
+        (false, 0x6791_920c_8c0d_8198, [52_458, 318_785]),
+        (true, 0x7588_c9fd_fa4e_c33e, [64_104, 441_957]),
     ];
     assert_eq!(got.len(), expected.len());
     for ((name, got), expected) in got.iter().zip(&expected) {

@@ -38,11 +38,11 @@ use std::fmt;
 const SEED: u64 = 9;
 
 /// One scenario's work: schedule digest, [completed, rejected],
-/// [events, event ticks], `AllocStats` [rounds, shards visited,
-/// requests scanned], `CacheStats` [hits, misses, evictions],
-/// [preemptions, reroutes, spillovers].
+/// [events, event ticks], `AllocStats` [rounds, requests scanned],
+/// `CacheStats` [hits, misses, evictions], [preemptions, reroutes,
+/// spillovers].
 #[derive(PartialEq)]
-struct Work(u64, [u64; 2], [u64; 2], [u64; 3], [u64; 3], [u64; 3]);
+struct Work(u64, [u64; 2], [u64; 2], [u64; 2], [u64; 3], [u64; 3]);
 
 impl fmt::Debug for Work {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -53,8 +53,8 @@ impl fmt::Debug for Work {
 }
 
 /// A report's [events, event ticks], `AllocStats` and `CacheStats`.
-fn totals(b: &BatchStats, a: AllocStats, c: CacheStats) -> ([u64; 2], [u64; 3], [u64; 3]) {
-    let alloc = [a.rounds, a.shards_visited, a.requests_scanned];
+fn totals(b: &BatchStats, a: AllocStats, c: CacheStats) -> ([u64; 2], [u64; 2], [u64; 3]) {
+    let alloc = [a.rounds, a.requests_scanned];
     let cache = [c.hits, c.misses, c.evictions];
     ([b.events(), b.ticks()], alloc, cache)
 }
@@ -212,10 +212,10 @@ fn continuous_service_work_is_pinned() {
     let shed = service(&surge_cloud).load_shedding(LoadShedPolicy::queue_depth(4));
     #[rustfmt::skip]
     let expected = [
-        ("mice_no_preemption", Work(0x681dc99bdcb8e8f1, [16, 0], [524, 416], [76, 76, 108], [12, 4, 0], [0, 0, 0])),
-        ("mice_preemption", Work(0xd8d7307988dfba80, [16, 0], [531, 431], [83, 83, 83], [13, 3, 0], [5, 0, 0])),
-        ("epoch_face", Work(0x681dc99bdcb8e8f1, [16, 0], [524, 416], [76, 76, 108], [12, 4, 0], [0, 0, 0])),
-        ("shedding_surge", Work(0xe5470389dde6c2d7, [9, 21], [487, 325], [34, 37, 39], [14, 18, 0], [0, 0, 0])),
+        ("mice_no_preemption", Work(0x681dc99bdcb8e8f1, [16, 0], [524, 416], [82, 114], [12, 4, 0], [0, 0, 0])),
+        ("mice_preemption", Work(0xd8d7307988dfba80, [16, 0], [531, 431], [87, 87], [13, 3, 0], [5, 0, 0])),
+        ("epoch_face", Work(0x681dc99bdcb8e8f1, [16, 0], [524, 416], [82, 114], [12, 4, 0], [0, 0, 0])),
+        ("shedding_surge", Work(0xe5470389dde6c2d7, [9, 21], [487, 325], [39, 44], [14, 18, 0], [0, 0, 0])),
     ];
     let got = [
         traffic(service(&line)),
@@ -238,19 +238,19 @@ fn event_loop_work_is_pinned() {
     let mut exec = Executor::new(&cloud, &CloudQcScheduler, SEED);
     for wave in 0..10 {
         for i in 0..1_000 {
-            // Two hops apart around the ring: every shard stays hot.
+            // Two hops apart around the ring: every QPU pair stays hot.
             let a = (wave + i) % 8;
             let p = Placement::new(vec![QpuId::new(a), QpuId::new((a + 2) % 8)]);
             exec.try_add_job(&ping, &p).expect("job admitted");
         }
         exec.run_to_completion();
     }
-    let checksum = |sum| Work(sum, [0; 2], [0; 2], [0; 3], [0; 3], [0; 3]);
+    let checksum = |sum| Work(sum, [0; 2], [0; 2], [0; 2], [0; 3], [0; 3]);
     #[rustfmt::skip]
     let expected = [
-        ("queue/calendar_100k", Work(0x000000025c434e6e, [0, 0], [0, 0], [0, 0, 0], [0, 0, 0], [0, 0, 0])),
-        ("queue/binary_heap_100k", Work(0x000000025c434e6e, [0, 0], [0, 0], [0, 0, 0], [0, 0, 0], [0, 0, 0])),
-        ("executor/100k_jobs", Work(0xa5032fc892a5c6e5, [10000, 0], [134567, 26256], [14867, 114563, 10756854], [0, 0, 0], [0, 0, 0])),
+        ("queue/calendar_100k", Work(0x000000025c434e6e, [0, 0], [0, 0], [0, 0], [0, 0, 0], [0, 0, 0])),
+        ("queue/binary_heap_100k", Work(0x000000025c434e6e, [0, 0], [0, 0], [0, 0], [0, 0, 0], [0, 0, 0])),
+        ("executor/100k_jobs", Work(0xa5032fc892a5c6e5, [10000, 0], [134567, 26256], [36217, 24085017], [0, 0, 0], [0, 0, 0])),
     ];
     let got = [
         checksum(churn::churn::<EventQueue<u64>>()),
@@ -297,12 +297,12 @@ fn fleet_routing_work_is_pinned() {
     };
     #[rustfmt::skip]
     let expected = [
-        ("fleet_of_one", Work(0x64df76fe0546579a, [32, 0], [82958, 25043], [6236, 15489, 53815], [47, 33, 0], [0, 0, 0])),
-        ("utilization_balanced", Work(0x3cc58444da73b4f6, [32, 0], [83280, 24893], [5629, 18871, 64324], [0, 32, 0], [0, 0, 0])),
-        ("tenant_affinity", Work(0xfb88049f99f9600b, [32, 0], [85974, 22569], [5643, 23824, 75769], [26, 25, 0], [0, 0, 0])),
-        ("cheapest_placement", Work(0x64df76fe0546579a, [32, 0], [82958, 25043], [6236, 15489, 53815], [108, 36, 0], [0, 0, 0])),
-        ("random", Work(0xff8b47c6633c5ba3, [32, 0], [81471, 24308], [5508, 13472, 41410], [1, 31, 0], [0, 0, 0])),
-        ("failover_drain", Work(0xba31ee60e22cd859, [32, 0], [85291, 28157], [8576, 23501, 79129], [38, 36, 0], [3, 0, 0])),
+        ("fleet_of_one", Work(0x64df76fe0546579a, [32, 0], [82958, 25043], [13514, 308378], [47, 33, 0], [0, 0, 0])),
+        ("utilization_balanced", Work(0x3cc58444da73b4f6, [32, 0], [83280, 24893], [12394, 254295], [0, 32, 0], [0, 0, 0])),
+        ("tenant_affinity", Work(0xfb88049f99f9600b, [32, 0], [85974, 22569], [11721, 315675], [26, 25, 0], [0, 0, 0])),
+        ("cheapest_placement", Work(0x64df76fe0546579a, [32, 0], [82958, 25043], [13514, 308378], [108, 36, 0], [0, 0, 0])),
+        ("random", Work(0xff8b47c6633c5ba3, [32, 0], [81471, 24308], [12125, 137498], [1, 31, 0], [0, 0, 0])),
+        ("failover_drain", Work(0xba31ee60e22cd859, [32, 0], [85291, 28157], [16467, 517454], [38, 36, 0], [3, 0, 0])),
     ];
     let got = [
         run(1, Box::new(UtilizationBalanced), false),
@@ -333,11 +333,11 @@ fn multi_tenant_contention_work_is_pinned() {
     let backfill = AdmissionPolicy::Backfill;
     #[rustfmt::skip]
     let expected = [
-        ("runtime/backfill", Work(0xee22a08791a048ba, [24, 0], [26994, 10612], [718, 720, 720], [4, 20, 0], [0, 0, 0])),
-        ("runtime/priority", Work(0xee22a08791a048ba, [24, 0], [26994, 10612], [718, 720, 720], [4, 20, 0], [0, 0, 0])),
-        ("executor/32_jobs_shared_rounds", Work(0xb66ae45adc834469, [32, 0], [49364, 14249], [4315, 13716, 574351], [0, 0, 0], [0, 0, 0])),
-        ("placement_cache/steady_shapes_cached", Work(0x4fbb63efe2357e0c, [48, 0], [46362, 31376], [2791, 2802, 2802], [127, 54, 0], [0, 0, 0])),
-        ("placement_cache/steady_shapes_uncached", Work(0x4fbb63efe2357e0c, [48, 0], [46362, 31376], [2791, 2802, 2802], [0, 0, 0], [0, 0, 0])),
+        ("runtime/backfill", Work(0xee22a08791a048ba, [24, 0], [26994, 10612], [718, 720], [4, 20, 0], [0, 0, 0])),
+        ("runtime/priority", Work(0xee22a08791a048ba, [24, 0], [26994, 10612], [718, 720], [4, 20, 0], [0, 0, 0])),
+        ("executor/32_jobs_shared_rounds", Work(0xb66ae45adc834469, [32, 0], [49364, 14249], [8707, 1635321], [0, 0, 0], [0, 0, 0])),
+        ("placement_cache/steady_shapes_cached", Work(0x4fbb63efe2357e0c, [48, 0], [46362, 31376], [2791, 2802], [127, 54, 0], [0, 0, 0])),
+        ("placement_cache/steady_shapes_uncached", Work(0x4fbb63efe2357e0c, [48, 0], [46362, 31376], [2791, 2802], [0, 0, 0], [0, 0, 0])),
     ];
     let got = [
         run(&contended, backfill, true),
@@ -404,12 +404,12 @@ fn placement_cache_work_is_pinned() {
     };
     #[rustfmt::skip]
     let expected = [
-        ("service_warm_epochs", Work(0x57a8d82c35dd9688, [96, 0], [92772, 62961], [5640, 5652, 5652], [290, 43, 0], [0, 0, 0])),
-        ("orchestrator_cold_epochs", Work(0x57a8d82c35dd9688, [96, 0], [92772, 62961], [5640, 5652, 5652], [204, 129, 0], [0, 0, 0])),
-        ("service_uncached_epochs", Work(0x57a8d82c35dd9688, [96, 0], [92772, 62961], [5640, 5652, 5652], [0, 0, 0], [0, 0, 0])),
-        ("placement_lookup/cold_place", Work(0x7129b7f3c60fdb44, [0, 0], [0, 0], [0, 0, 0], [0, 1, 0], [0, 0, 0])),
-        ("placement_lookup/sweep_warm_place", Work(0x7129b7f3c60fdb44, [0, 0], [0, 0], [0, 0, 0], [0, 1, 0], [0, 0, 0])),
-        ("placement_lookup/exact_hit", Work(0x5a38afe81ae21c45, [0, 0], [0, 0], [0, 0, 0], [1, 0, 0], [0, 0, 0])),
+        ("service_warm_epochs", Work(0x57a8d82c35dd9688, [96, 0], [92772, 62961], [5640, 5652], [290, 43, 0], [0, 0, 0])),
+        ("orchestrator_cold_epochs", Work(0x57a8d82c35dd9688, [96, 0], [92772, 62961], [5640, 5652], [204, 129, 0], [0, 0, 0])),
+        ("service_uncached_epochs", Work(0x57a8d82c35dd9688, [96, 0], [92772, 62961], [5640, 5652], [0, 0, 0], [0, 0, 0])),
+        ("placement_lookup/cold_place", Work(0x7129b7f3c60fdb44, [0, 0], [0, 0], [0, 0], [0, 1, 0], [0, 0, 0])),
+        ("placement_lookup/sweep_warm_place", Work(0x7129b7f3c60fdb44, [0, 0], [0, 0], [0, 0], [0, 1, 0], [0, 0, 0])),
+        ("placement_lookup/exact_hit", Work(0x5a38afe81ae21c45, [0, 0], [0, 0], [0, 0], [1, 0, 0], [0, 0, 0])),
     ];
     let got = [
         epochs(builder().build()),
@@ -423,18 +423,18 @@ fn placement_cache_work_is_pinned() {
 }
 
 #[test]
-fn sharded_front_layer_work_is_pinned() {
+fn front_layer_work_is_pinned() {
     // Scattered jobs on a 12-QPU ring with scarce pairs and slow EPR
-    // generation: a deep front layer over many shards, under each pure
-    // scheduler. The bench ran 96 jobs; this replays the first 48, which
+    // generation: a deep front layer over many QPU pairs, under each
+    // pure scheduler. The bench ran 96 jobs; this replays the first 48, which
     // cuts its unoptimized run time from ~4.4 s to ~1.8 s.
     let cloud = ring(12, 40, 2, 0.2);
     let jobs = scattered(&cloud, 48);
     #[rustfmt::skip]
     let expected = [
-        ("cloudqc_sharded", Work(0x40d16cc2318cf1bc, [48, 0], [73863, 16940], [3925, 20643, 705628], [0, 0, 0], [0, 0, 0])),
-        ("greedy_sharded", Work(0xeab118d130aba341, [48, 0], [64623, 17159], [3774, 23510, 815695], [0, 0, 0], [0, 0, 0])),
-        ("average_sharded", Work(0x718a8e43525f71af, [48, 0], [73187, 26581], [11614, 22526, 401524], [0, 0, 0], [0, 0, 0])),
+        ("cloudqc", Work(0x40d16cc2318cf1bc, [48, 0], [73863, 16940], [9356, 2471702], [0, 0, 0], [0, 0, 0])),
+        ("greedy", Work(0xeab118d130aba341, [48, 0], [64623, 17159], [9420, 2525482], [0, 0, 0], [0, 0, 0])),
+        ("average", Work(0x718a8e43525f71af, [48, 0], [73187, 26581], [18250, 2422077], [0, 0, 0], [0, 0, 0])),
     ];
     let schedulers: [&dyn Scheduler; 3] = [&CloudQcScheduler, &GreedyScheduler, &AverageScheduler];
     check(&expected, &schedulers.map(|s| execute(&cloud, s, &jobs)));
