@@ -182,12 +182,9 @@ impl Cloud {
         self.qpus.iter().map(|q| q.communication_qubits()).sum()
     }
 
-    /// A fresh all-resources-free [`CloudStatus`] for this cloud.
+    /// A fresh [`CloudStatus`] for this cloud, every computing qubit free.
     pub fn status(&self) -> CloudStatus {
-        CloudStatus::new(
-            self.qpus.iter().map(|q| q.computing_qubits()).collect(),
-            self.qpus.iter().map(|q| q.communication_qubits()).collect(),
-        )
+        CloudStatus::new(self.qpus.iter().map(|q| q.computing_qubits()).collect())
     }
 }
 
@@ -225,7 +222,6 @@ mod tests {
         let s = c.status();
         for (id, q) in c.qpus() {
             assert_eq!(s.free_computing(id), q.computing_qubits());
-            assert_eq!(s.free_communication(id), q.communication_qubits());
         }
     }
 

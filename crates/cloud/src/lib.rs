@@ -19,7 +19,7 @@
 //!   allocated pairs succeeds with probability `1-(1-p)^x`, default
 //!   `p = 0.3`.
 //! * [`CloudStatus`] — mutable resource availability, the controller's
-//!   view of free qubits.
+//!   view of free computing qubits.
 //!
 //! # Example
 //!

@@ -1,43 +1,32 @@
 //! Mutable resource availability — the controller's view of the cloud.
 //!
 //! "The controller … monitors the status of each QPU, such as the
-//! available computing and communication qubits" (paper §III).
+//! available computing and communication qubits" (paper §III). This is
+//! the computing half: placement reads and claims it per job. The
+//! communication qubits are granted per EPR round, so the executor
+//! keeps their ledger (`Executor::comm_free` in `cloudqc-core`).
 
 use crate::qpu::QpuId;
 use std::error::Error;
 use std::fmt;
 
-/// Free computing/communication qubits per QPU, with capacity-checked
+/// Free computing qubits per QPU, with capacity-checked
 /// allocate/release.
 ///
 /// Computing qubits are held for a job's full lifetime (multi-tenant
-/// occupancy); communication qubits are allocated per scheduling round
-/// by the network scheduler.
+/// occupancy).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CloudStatus {
     computing_capacity: Vec<usize>,
-    communication_capacity: Vec<usize>,
     free_computing: Vec<usize>,
-    free_communication: Vec<usize>,
 }
 
 impl CloudStatus {
-    /// A fully-free status with the given capacities.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the two capacity vectors have different lengths.
-    pub fn new(computing: Vec<usize>, communication: Vec<usize>) -> Self {
-        assert_eq!(
-            computing.len(),
-            communication.len(),
-            "capacity vectors must align"
-        );
+    /// A fully-free status with the given computing capacities.
+    pub fn new(computing: Vec<usize>) -> Self {
         CloudStatus {
             free_computing: computing.clone(),
-            free_communication: communication.clone(),
             computing_capacity: computing,
-            communication_capacity: communication,
         }
     }
 
@@ -55,15 +44,6 @@ impl CloudStatus {
         self.free_computing[id.index()]
     }
 
-    /// Free communication qubits on `id`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` is out of range.
-    pub fn free_communication(&self, id: QpuId) -> usize {
-        self.free_communication[id.index()]
-    }
-
     /// Computing capacity of `id` (paper Eq. 3's `Capacity(V_j)`).
     ///
     /// # Panics
@@ -71,15 +51,6 @@ impl CloudStatus {
     /// Panics if `id` is out of range.
     pub fn computing_capacity(&self, id: QpuId) -> usize {
         self.computing_capacity[id.index()]
-    }
-
-    /// Communication capacity of `id` (`M_i` in §IV.C).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` is out of range.
-    pub fn communication_capacity(&self, id: QpuId) -> usize {
-        self.communication_capacity[id.index()]
     }
 
     /// Total free computing qubits across the cloud — `Σ Rem(V_i)`, the
@@ -124,38 +95,6 @@ impl CloudStatus {
         assert!(
             self.free_computing[idx] <= self.computing_capacity[idx],
             "released more computing qubits than {id} holds"
-        );
-    }
-
-    /// Claims `n` communication qubits on `id`.
-    ///
-    /// # Errors
-    ///
-    /// [`ResourceError::Insufficient`] if fewer than `n` are free.
-    pub fn allocate_communication(&mut self, id: QpuId, n: usize) -> Result<(), ResourceError> {
-        let free = &mut self.free_communication[id.index()];
-        if *free < n {
-            return Err(ResourceError::Insufficient {
-                qpu: id,
-                requested: n,
-                available: *free,
-            });
-        }
-        *free -= n;
-        Ok(())
-    }
-
-    /// Returns `n` communication qubits to `id`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the release would exceed capacity.
-    pub fn release_communication(&mut self, id: QpuId, n: usize) {
-        let idx = id.index();
-        self.free_communication[idx] += n;
-        assert!(
-            self.free_communication[idx] <= self.communication_capacity[idx],
-            "released more communication qubits than {id} holds"
         );
     }
 
@@ -240,7 +179,7 @@ mod tests {
     use super::*;
 
     fn status3() -> CloudStatus {
-        CloudStatus::new(vec![10, 10, 10], vec![5, 5, 5])
+        CloudStatus::new(vec![10, 10, 10])
     }
 
     #[test]
@@ -288,17 +227,6 @@ mod tests {
         assert_eq!(s.total_free_computing(), 13);
         s.release_all_computing(&[5, 10, 2]);
         assert_eq!(s.total_free_computing(), 30);
-    }
-
-    #[test]
-    fn communication_pool_is_separate() {
-        let mut s = status3();
-        s.allocate_communication(QpuId::new(2), 5).unwrap();
-        assert_eq!(s.free_communication(QpuId::new(2)), 0);
-        assert_eq!(s.free_computing(QpuId::new(2)), 10);
-        assert!(s.allocate_communication(QpuId::new(2), 1).is_err());
-        s.release_communication(QpuId::new(2), 5);
-        assert_eq!(s.free_communication(QpuId::new(2)), 5);
     }
 
     #[test]

@@ -31,7 +31,7 @@ proptest! {
     #[test]
     fn status_invariants_hold(ops in ops_strategy()) {
         let caps = vec![10usize, 6, 8, 12];
-        let mut status = CloudStatus::new(caps.clone(), vec![5; 4]);
+        let mut status = CloudStatus::new(caps.clone());
         let mut held: Vec<(usize, usize)> = Vec::new();
         for op in ops {
             match op {

@@ -50,10 +50,12 @@
 //! resolved once at admission and cached per remote gate; the
 //! path-reservation filter reuses one scratch buffer across rounds.
 //!
-//! Events are processed in *same-tick batches*: [`Executor::step`]
-//! drains every event sharing the head timestamp, applies them in one
-//! round, and only then runs a single allocation pass — one front-layer
-//! update per tick instead of per event. On top of that, allocation
+//! Events are processed in *same-tick batches*: every advance
+//! ([`Executor::run_until`], [`Executor::run_until_next_completion`],
+//! [`Executor::run_to_completion`]) steps one event tick at a time,
+//! draining every event sharing the head timestamp, applying them in
+//! one round, and only then running a single allocation pass — one
+//! front-layer update per tick instead of per event. On top of that, allocation
 //! rounds are *change-driven*: when the scheduler is pure
 //! ([`Scheduler::is_pure`]) and neither the front layer nor any QPU's
 //! free communication qubits changed since a round that granted
@@ -445,8 +447,8 @@ impl<'a> Executor<'a> {
     }
 
     /// Distribution of same-tick event batch sizes processed so far:
-    /// one sample per [`Executor::step`], counting the events drained
-    /// at that tick.
+    /// one sample per event tick, counting the events drained at that
+    /// tick.
     pub fn batch_stats(&self) -> &BatchStats {
         &self.batch_stats
     }
@@ -818,7 +820,7 @@ impl<'a> Executor<'a> {
     ///
     /// Panics on deadlock: pending remote gates that can never be
     /// allocated (zero-capacity endpoints).
-    pub fn step(&mut self) -> bool {
+    fn step(&mut self) -> bool {
         let Some(t) = self.queue.peek_time() else {
             let stuck = self.front.len();
             assert!(
@@ -841,8 +843,8 @@ impl<'a> Executor<'a> {
 
     /// Drains the finished-job buffer into `out` (cleared first), in
     /// ascending job id. The internal buffer keeps its capacity
-    /// (`clear`, not `take`), so a caller ping-ponging one `out`
-    /// buffer across `run_*_into` calls allocates nothing per call.
+    /// (`clear`, not `take`), so a caller reusing one `out` buffer
+    /// across advances allocates nothing per call.
     fn drain_finished_into(&mut self, out: &mut Vec<usize>) {
         out.clear();
         out.extend_from_slice(&self.newly_finished);
@@ -859,19 +861,10 @@ impl<'a> Executor<'a> {
 
     /// Processes every event at or before `deadline`, then advances the
     /// clock to `deadline` (so jobs can be admitted at exact arrival
-    /// times in incoming-job mode). Returns the ids of jobs that
-    /// finished since the previous `run_*` call, in ascending id.
-    pub fn run_until(&mut self, deadline: Tick) -> Vec<usize> {
-        let mut out = Vec::new();
-        self.run_until_into(deadline, &mut out);
-        out
-    }
-
-    /// Buffer-reusing variant of [`Executor::run_until`]: fills `out`
-    /// (cleared first) instead of allocating a fresh vector. The
-    /// runtime engine threads one scratch buffer through every
-    /// executor advance.
-    pub fn run_until_into(&mut self, deadline: Tick, out: &mut Vec<usize>) {
+    /// times in incoming-job mode). Fills `out` (cleared first) with
+    /// the ids of jobs that finished since the previous `run_*` call,
+    /// in ascending id.
+    pub fn run_until(&mut self, deadline: Tick, out: &mut Vec<usize>) {
         while self.queue.peek_time().is_some_and(|t| t <= deadline) {
             self.step();
         }
@@ -879,19 +872,11 @@ impl<'a> Executor<'a> {
         self.drain_finished_into(out);
     }
 
-    /// Runs until at least one more job finishes; returns the ids of
-    /// jobs that finished since the previous `run_*` call (possibly
-    /// several at one tick), or an empty vec if everything is already
-    /// done.
-    pub fn run_until_next_completion(&mut self) -> Vec<usize> {
-        let mut out = Vec::new();
-        self.run_until_next_completion_into(&mut out);
-        out
-    }
-
-    /// Buffer-reusing variant of
-    /// [`Executor::run_until_next_completion`].
-    pub fn run_until_next_completion_into(&mut self, out: &mut Vec<usize>) {
+    /// Runs until at least one more job finishes. Fills `out` (cleared
+    /// first) with the ids of jobs that finished since the previous
+    /// `run_*` call (possibly several at one tick), in ascending id;
+    /// it stays empty if everything is already done.
+    pub fn run_until_next_completion(&mut self, out: &mut Vec<usize>) {
         while self.newly_finished.is_empty() {
             if !self.step() {
                 break;
@@ -1145,11 +1130,13 @@ mod tests {
         let b = exec
             .try_add_job(&long, &local_placement(1))
             .expect("job admitted");
-        let first = exec.run_until_next_completion();
-        assert_eq!(first, vec![a]);
-        let second = exec.run_until_next_completion();
-        assert_eq!(second, vec![b]);
-        assert!(exec.run_until_next_completion().is_empty());
+        let mut finished = Vec::new();
+        exec.run_until_next_completion(&mut finished);
+        assert_eq!(finished, vec![a]);
+        exec.run_until_next_completion(&mut finished);
+        assert_eq!(finished, vec![b]);
+        exec.run_until_next_completion(&mut finished);
+        assert!(finished.is_empty());
     }
 
     #[test]
@@ -1164,7 +1151,9 @@ mod tests {
         assert_eq!(r.completion_time, Tick::ZERO);
         // The instant completion is still reported by the next drain,
         // so the runtime records it.
-        assert_eq!(exec.run_until_next_completion(), vec![id]);
+        let mut finished = Vec::new();
+        exec.run_until_next_completion(&mut finished);
+        assert_eq!(finished, vec![id]);
     }
 
     #[test]
@@ -1388,7 +1377,8 @@ mod tests {
         assert_eq!(exec.preemptions(), 1);
         // In-flight rounds drain and return their pairs, newly ready
         // requests park: the executor goes quiet with the job alive.
-        let finished = exec.run_until(Tick::new(1_000_000));
+        let mut finished = vec![id];
+        exec.run_until(Tick::new(1_000_000), &mut finished);
         assert!(finished.is_empty());
         assert_eq!(exec.unfinished_jobs(), 1);
         assert_eq!(exec.next_event_time(), None);

@@ -11,7 +11,7 @@
 //! successes *and* failures — for one fixed (algorithm instance, cloud)
 //! pair (each [`crate::runtime::Service`] owns one; debug builds
 //! enforce the binding). Repeated failures are answered at two levels.
-//! Inside one pass, the engine looks up each failing key once: only an
+//! Inside one pass, admission looks up each failing key once: only an
 //! admission changes the free vector, so until the next one a later
 //! waiter with the same key waits without a lookup. Across passes, the
 //! failure entries answer a key that already failed against the same
@@ -42,9 +42,10 @@
 //! of an evicted signature recomputes the same pure function — and are
 //! counted in [`CacheStats::evictions`].
 //!
-//! Feasibility is never taken on trust: a cached placement is only
-//! reused after [`Placement::fits`] re-validates it against the
-//! *actual* status; a stale entry is recomputed and replaced.
+//! No entry goes stale: the key holds the exact free vector the
+//! algorithm placed against, so a cached placement fits every status it
+//! is looked up under (debug builds check [`Placement::fits`] on every
+//! hit), and each key is computed once, on its first lookup.
 
 use super::{Placement, PlacementAlgorithm};
 use crate::error::PlacementError;
@@ -60,8 +61,8 @@ use std::collections::HashMap;
 pub struct CacheStats {
     /// Lookups answered from the cache with an exact-key entry.
     pub hits: u64,
-    /// Lookups that ran the placement algorithm (including
-    /// re-validations that found a stale entry).
+    /// Lookups that ran the placement algorithm: one per distinct key
+    /// ever looked up, plus one per re-lookup of an evicted key.
     pub misses: u64,
     /// Entries dropped to keep the cache within its capacity.
     pub evictions: u64,
@@ -273,15 +274,10 @@ impl PlacementCache {
         slot
     }
 
-    /// Inserts (or replaces) `key`'s memoized outcome as the
-    /// most-recently-used entry, evicting the LRU entry when full.
+    /// Inserts the memoized outcome of a `key` the cache does not hold
+    /// as the most-recently-used entry, evicting the LRU entry when
+    /// full.
     fn insert(&mut self, key: CacheKey, value: Result<Placement, PlacementError>) {
-        if let Some(&slot) = self.map.get(&key) {
-            // A stale entry was recomputed: replace in place.
-            self.slots[slot].value = value;
-            self.touch(slot);
-            return;
-        }
         let entry = Slot {
             key: key.clone(),
             value,
@@ -306,9 +302,9 @@ impl PlacementCache {
     /// the gate body its clones share, so the key costs one O(gates)
     /// pass per shape, not one per lookup.
     ///
-    /// A hit requires key equality *and*, for successes, that the
-    /// cached placement still [`Placement::fits`] the actual `status`;
-    /// stale entries are recomputed and replaced.
+    /// A hit requires key equality only: the key holds `status`'s exact
+    /// free vector, so a cached placement fits `status` exactly when
+    /// the algorithm's own result did.
     ///
     /// The algorithm and cloud are *not* part of the key: one cache
     /// serves one (algorithm instance, cloud) pair for its whole life —
@@ -343,15 +339,16 @@ impl PlacementCache {
             seed,
         };
         if let Some(&slot) = self.map.get(&key) {
-            let feasible = match &self.slots[slot].value {
-                Ok(placement) => placement.fits(status),
-                Err(_) => true,
-            };
-            if feasible {
-                self.stats.hits += 1;
-                self.touch(slot);
-                return self.slots[slot].value.clone();
-            }
+            debug_assert!(
+                self.slots[slot]
+                    .value
+                    .as_ref()
+                    .map_or(true, |placement| placement.fits(status)),
+                "an exact-key hit fits the status it is looked up under"
+            );
+            self.stats.hits += 1;
+            self.touch(slot);
+            return self.slots[slot].value.clone();
         }
         self.stats.misses += 1;
         let result = algorithm.place(circuit, cloud, status, seed);

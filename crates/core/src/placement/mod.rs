@@ -188,7 +188,7 @@ mod tests {
     #[test]
     fn demand_and_fits() {
         let p = Placement::new(vec![QpuId::new(1); 5]);
-        let mut status = CloudStatus::new(vec![10, 10], vec![5, 5]);
+        let mut status = CloudStatus::new(vec![10, 10]);
         assert!(p.fits(&status));
         status.allocate_computing(QpuId::new(1), 7).unwrap();
         assert!(!p.fits(&status));
@@ -214,7 +214,7 @@ mod tests {
     fn capacity_guard() {
         let mut c = Circuit::new(25);
         c.h(0);
-        let status = CloudStatus::new(vec![10, 10], vec![5, 5]);
+        let status = CloudStatus::new(vec![10, 10]);
         let err = check_total_capacity(&c, &status).unwrap_err();
         assert!(matches!(
             err,

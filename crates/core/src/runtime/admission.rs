@@ -76,7 +76,7 @@ impl Default for AdmissionPolicy {
 
 /// Everything the runtime loop needs from the policy: queue-ordering
 /// metrics and the SLA terms for deadline admission control. The
-/// engine grows it one submission batch at a time
+/// service grows it one submission batch at a time
 /// ([`AdmissionPolicy::extend`]) and starts it over at each re-anchor.
 pub(crate) struct QueueContext {
     /// Per-job queue priority, higher first (`None` keeps pure arrival
@@ -86,8 +86,8 @@ pub(crate) struct QueueContext {
     /// [`AdmissionPolicy::DeadlineAware`].
     sla: Option<Vec<(Option<Tick>, u64)>>,
     /// Per-tenant WFQ virtual finish times, carried across submission
-    /// batches under [`AdmissionPolicy::WeightedFairShare`] (reset at an
-    /// engine re-anchor).
+    /// batches under [`AdmissionPolicy::WeightedFairShare`] (reset at a
+    /// re-anchor).
     tenant_finish: Vec<f64>,
 }
 
@@ -160,7 +160,7 @@ impl AdmissionPolicy {
 
     /// Appends the queue context for one more submission batch (whose
     /// jobs are indexed right after everything already in `ctx`) — the
-    /// incremental form the engine uses to inject batches onto a live
+    /// incremental form the service uses to inject batches onto a live
     /// executor. WFQ virtual finishes carry across batches through the
     /// context's per-tenant state; a single batch over an empty context
     /// computes one epoch's worth from scratch.

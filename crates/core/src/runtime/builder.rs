@@ -1,12 +1,12 @@
 //! The one way to configure and start the runtime.
 //!
 //! [`ServiceBuilder`] is one typed, documented home for every runtime
-//! knob. [`ServiceBuilder::build`] creates a [`Service`] together with
-//! the one engine every face of it drives; [`ServiceBuilder::run`]
-//! drives one epoch of a fresh service. A [`crate::runtime::Fleet`]
-//! needs a *per-backend* configuration value it can hold, pass around,
-//! and build services from, and this builder is that value: every
-//! option is set per backend here.
+//! knob, and the configuration a [`Service`] holds for its whole life.
+//! [`ServiceBuilder::build`] creates a resident [`Service`];
+//! [`ServiceBuilder::run`] drives one epoch of a fresh one. A
+//! [`crate::runtime::Fleet`] needs a *per-backend* configuration value
+//! it can hold, pass around, and build services from, and this builder
+//! is that value: every option is set per backend here.
 //!
 //! ```
 //! use cloudqc_cloud::CloudBuilder;
@@ -24,19 +24,19 @@
 //! ```
 
 use crate::error::PlacementError;
-use crate::placement::PlacementAlgorithm;
-use crate::runtime::service::{RuntimeConfig, Service};
-use crate::runtime::{AdmissionPolicy, LoadShedPolicy, RunReport};
+use crate::placement::{Placement, PlacementAlgorithm, PlacementCache};
+use crate::runtime::{AdmissionPolicy, LoadShedPolicy, RunReport, Service};
 use crate::schedule::Scheduler;
 use crate::workload::Workload;
-use cloudqc_cloud::Cloud;
+use cloudqc_circuit::Circuit;
+use cloudqc_cloud::{Cloud, CloudStatus};
 use cloudqc_sim::online::OnlineReport;
 
 /// Typed construction of one runtime configuration: every knob the
 /// epoch and continuous faces and the fleet's backends share. The
 /// defaults are priority-aware backfill admission, the placement cache
-/// on, and the default streaming reservoir; preemption, aging, and
-/// load shedding are off.
+/// on, and the default streaming reservoir; preemption and load
+/// shedding are off.
 ///
 /// Every job is placed with the seed `seed ^ fingerprint`, where
 /// `fingerprint` is its circuit's structural
@@ -76,8 +76,19 @@ use cloudqc_sim::online::OnlineReport;
 ///     .unwrap();
 /// assert_eq!(report.outcomes.len(), 4);
 /// ```
+#[derive(Copy, Clone)]
 pub struct ServiceBuilder<'a> {
-    cfg: RuntimeConfig<'a>,
+    pub(super) cloud: &'a Cloud,
+    pub(super) placement: &'a dyn PlacementAlgorithm,
+    pub(super) scheduler: &'a dyn Scheduler,
+    pub(super) admission: AdmissionPolicy,
+    pub(super) path_reservation: bool,
+    pub(super) placement_cache: bool,
+    pub(super) preemption: bool,
+    pub(super) load_shed: Option<LoadShedPolicy>,
+    /// Completion-time reservoir capacity of the streaming report.
+    pub(super) reservoir_capacity: usize,
+    pub(super) seed: u64,
 }
 
 impl<'a> ServiceBuilder<'a> {
@@ -90,25 +101,22 @@ impl<'a> ServiceBuilder<'a> {
         seed: u64,
     ) -> Self {
         ServiceBuilder {
-            cfg: RuntimeConfig {
-                cloud,
-                placement,
-                scheduler,
-                admission: AdmissionPolicy::default(),
-                path_reservation: false,
-                placement_cache: true,
-                preemption: false,
-                aging_rate: 0.0,
-                load_shed: None,
-                reservoir_capacity: OnlineReport::DEFAULT_RESERVOIR,
-                seed,
-            },
+            cloud,
+            placement,
+            scheduler,
+            admission: AdmissionPolicy::default(),
+            path_reservation: false,
+            placement_cache: true,
+            preemption: false,
+            load_shed: None,
+            reservoir_capacity: OnlineReport::DEFAULT_RESERVOIR,
+            seed,
         }
     }
 
     /// Selects the admission policy (default: priority-aware backfill).
     pub fn admission(mut self, admission: AdmissionPolicy) -> Self {
-        self.cfg.admission = admission;
+        self.admission = admission;
         self
     }
 
@@ -116,7 +124,7 @@ impl<'a> ServiceBuilder<'a> {
     /// [`crate::exec::Executor::with_path_reservation`]; off by
     /// default).
     pub fn path_reservation(mut self, enabled: bool) -> Self {
-        self.cfg.path_reservation = enabled;
+        self.path_reservation = enabled;
         self
     }
 
@@ -126,7 +134,7 @@ impl<'a> ServiceBuilder<'a> {
     /// reference cached ones are checked against. Disable it to A/B the
     /// cache or when a placement algorithm violates seeded determinism.
     pub fn placement_cache(mut self, enabled: bool) -> Self {
-        self.cfg.placement_cache = enabled;
+        self.placement_cache = enabled;
         self
     }
 
@@ -137,25 +145,7 @@ impl<'a> ServiceBuilder<'a> {
     /// Suspended jobs keep their computing qubits (placements are not
     /// migratable) and resume exactly where they parked.
     pub fn preemption(mut self, enabled: bool) -> Self {
-        self.cfg.preemption = enabled;
-        self
-    }
-
-    /// Sets the queue aging rate (default 0 = off): each waiting job's
-    /// queue metric grows by `rate` per tick it has waited, so
-    /// starvation-prone policies ([`AdmissionPolicy::ShortestJobFirst`],
-    /// [`AdmissionPolicy::DeadlineAware`]) eventually serve every
-    /// waiter. Arrival-ordered policies ignore it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rate` is negative or not finite.
-    pub fn aging_rate(mut self, rate: f64) -> Self {
-        assert!(
-            rate.is_finite() && rate >= 0.0,
-            "aging rate must be finite and non-negative"
-        );
-        self.cfg.aging_rate = rate;
+        self.preemption = enabled;
         self
     }
 
@@ -165,7 +155,7 @@ impl<'a> ServiceBuilder<'a> {
     /// shed is also the router's per-backend backpressure signal: shed
     /// jobs re-route to another backend instead of being dropped.
     pub fn load_shedding(mut self, policy: LoadShedPolicy) -> Self {
-        self.cfg.load_shed = Some(policy);
+        self.load_shed = Some(policy);
         self
     }
 
@@ -179,7 +169,7 @@ impl<'a> ServiceBuilder<'a> {
     /// Panics if `capacity == 0`.
     pub fn reservoir_capacity(mut self, capacity: usize) -> Self {
         assert!(capacity > 0, "reservoir capacity must be positive");
-        self.cfg.reservoir_capacity = capacity;
+        self.reservoir_capacity = capacity;
         self
     }
 
@@ -191,7 +181,7 @@ impl<'a> ServiceBuilder<'a> {
 
     /// Builds the resident [`Service`] this configuration describes.
     pub fn build(self) -> Service<'a> {
-        Service::from_config(self.cfg)
+        Service::new(self)
     }
 
     /// Runs the workload to completion — a thin wrapper that drives one
@@ -207,11 +197,30 @@ impl<'a> ServiceBuilder<'a> {
     /// # Errors
     ///
     /// As [`Service::drive`]: [`PlacementError`] only in pathological
-    /// engine states, never for a property of the workload.
+    /// loop states, never for a property of the workload.
     pub fn run(&self, workload: &Workload) -> Result<RunReport, PlacementError> {
-        let mut service = Service::from_config(self.cfg);
+        let mut service = Service::new(*self);
         service.submit_workload(workload);
         service.drive()
+    }
+
+    /// Places one circuit against `status` with the seed
+    /// `seed ^ circuit.fingerprint()`, through `cache` when it is on.
+    /// Admission and the fleet router's probes both place through
+    /// here, so a probe looks up exactly the key the admission will.
+    /// The fingerprint is memoized in the circuit's shared body, so
+    /// every job of one shape reads the same once-computed value.
+    pub(super) fn place(
+        &self,
+        cache: Option<&mut PlacementCache>,
+        circuit: &Circuit,
+        status: &CloudStatus,
+    ) -> Result<Placement, PlacementError> {
+        let seed = self.seed ^ circuit.fingerprint().as_u64();
+        match cache {
+            Some(cache) => cache.place(self.placement, circuit, self.cloud, status, seed),
+            None => self.placement.place(circuit, self.cloud, status, seed),
+        }
     }
 }
 

@@ -12,7 +12,7 @@
 //!   Fleet ── drive_until(t) ────┼──────────────────────────────┐
 //!    │                          ▼                              ▼
 //!    │                    Service 0 ··· Service b ··· Service N-1
-//!    │                    (own cloud, cache, clock base, engine)
+//!    │                    (own cloud, cache, clock base, loop)
 //!    │   completions ◄── remap record index → fleet id ◄── windows
 //!    │   rejections ──► spillover / re-route / final ──► window
 //!    └── fail_backend(b) ──► evacuate ──► re-route survivors
@@ -428,7 +428,7 @@ impl<'a> Fleet<'a> {
     ///
     /// # Errors
     ///
-    /// [`PlacementError`] only in pathological engine states, as
+    /// [`PlacementError`] only in pathological loop states, as
     /// [`Service::drive_until`].
     pub fn drive_until(&mut self, deadline: Tick) -> Result<WindowReport, PlacementError> {
         self.advance(Some(deadline))

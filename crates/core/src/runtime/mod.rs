@@ -12,9 +12,9 @@
 //!            diurnal / pareto_sizes)
 //!      │ arrivals
 //!      ▼
-//!  Service core ── AdmissionPolicy (FCFS / backfill / priority /
-//!   (epochs or      SJF / weighted fair-share / deadline-aware)
-//!    continuous     + aging, preemption, LoadShedPolicy
+//!  Service ─ AdmissionPolicy (FCFS / backfill / priority /
+//!   (epochs or SJF / weighted fair-share / deadline-aware)
+//!    continuous + preemption, LoadShedPolicy
 //!    clock)
 //!      │ placements (crate::placement, persistent PlacementCache)
 //!      ▼
@@ -27,21 +27,20 @@
 //! ```
 //!
 //! The loop lives in the resident [`Service`], which exposes two faces
-//! over its one engine (`runtime/engine.rs`): the continuous clock
-//! (`drive_until` / `drive_for` / `drive_to_quiescence`, submissions
-//! landing on the live executor mid-flight) and epochs (`submit` /
-//! `drive` / `drain`). An epoch is a drive to quiescence whose
-//! arrivals are offset by the service clock and whose records are
-//! restamped from the epoch's start. [`ServiceBuilder`] is the one way
-//! in: it configures the runtime and either builds a resident
-//! [`Service`] or, through [`ServiceBuilder::run`], drives exactly one
-//! epoch of a fresh one, so finite-trace experiments, service epochs
-//! and continuous drives are the same computation by construction (see
-//! the golden tests in `tests/runtime_golden.rs`).
+//! over it: the continuous clock (`drive_until` / `drive_for` /
+//! `drive_to_quiescence`, submissions landing on the live executor
+//! mid-flight) and epochs (`submit` / `drive` / `drain`). An epoch is a
+//! drive to quiescence whose arrivals are offset by the service clock
+//! and whose records are restamped from the epoch's start.
+//! [`ServiceBuilder`] is the one way in and the configuration a service
+//! holds: it sets every knob and either builds a resident [`Service`]
+//! or, through [`ServiceBuilder::run`], drives exactly one epoch of a
+//! fresh one, so finite-trace experiments, service epochs and
+//! continuous drives are the same computation by construction (see the
+//! golden tests in `tests/runtime_golden.rs`).
 
 mod admission;
 mod builder;
-mod engine;
 pub mod fleet;
 mod report;
 pub mod routing;

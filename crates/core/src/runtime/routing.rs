@@ -81,7 +81,7 @@ impl<'f, 'a> RouteContext<'f, 'a> {
         self.get(id).in_flight()
     }
 
-    /// Jobs buffered on backend `id` and not yet handed to its engine.
+    /// Jobs buffered on backend `id` and not yet injected onto its loop.
     pub fn pending(&self, id: usize) -> usize {
         self.get(id).pending()
     }

@@ -13,10 +13,11 @@
 //!   plus a bounded reservoir for percentiles) stamped on the service's
 //!   *lifetime clock*, so throughput and last-finish series from
 //!   successive epochs compose instead of piling up at tick 0, and
-//! * its one engine (`runtime/engine.rs`): executor, cloud ledger, and
-//!   in-flight jobs stay resident between calls, together with the
-//!   lifetime totals of the executor's work counters ([`AllocStats`],
-//!   [`BatchStats`]) and the preemption policy's suspension count.
+//! * the live era its event loop (the child module `engine`) advances:
+//!   executor, cloud ledger, admission queue, and in-flight jobs stay
+//!   resident between calls, together with the lifetime totals of the
+//!   executor's work counters ([`AllocStats`], [`BatchStats`]) and the
+//!   preemption policy's suspension count.
 //!
 //! # Lifecycle
 //!
@@ -30,7 +31,7 @@
 //!        │          ▼                        ▼
 //!        │   drive()                  drive_until(t) / drive_for(Δ)
 //!        │   one epoch: arrivals      / drive_to_quiescence()
-//!        │   offset by now(), then    inject onto the live engine,
+//!        │   offset by now(), then    inject onto the live era,
 //!        │   drive_to_quiescence();   advance until quiescent or the
 //!        │   RunReport restamped      budget; WindowReport of the
 //!        │   from the epoch start     completions/rejections seen
@@ -40,78 +41,39 @@
 //!                                              (lifetime totals)
 //! ```
 //!
-//! Both faces drive the same engine. An epoch is a drive to quiescence
+//! Both faces drive the same loop. An epoch is a drive to quiescence
 //! reported in the epoch frame: job indices from 0 and ticks from the
-//! epoch's start. A submission that lands on the drained engine
+//! epoch's start. A submission that lands on a drained service
 //! re-anchors a fresh era (fresh executor, ledger, and admission
-//! context — see `runtime/engine.rs`), so every epoch starts from the
+//! context — see the `engine` module), so every epoch starts from the
 //! state of a new service and equals an independent run; the golden
 //! tests in `tests/runtime_golden.rs` pin this. [`Service::drive`]
-//! panics while the engine has in-flight work (quiesce first).
+//! panics while the service has in-flight work (quiesce first).
 //!
-//! Cache reuse never changes outcomes, only speed: with the default
-//! exact signature a hit replays a pure function of inputs the
-//! signature captures completely, and every reuse is re-validated with
-//! `Placement::fits` (the two-epoch golden test pins warm-epoch
-//! outcomes against independent cold runs).
+//! Cache reuse never changes outcomes, only speed: the cache key holds
+//! everything a placement reads (the circuit's fingerprint, the exact
+//! free vector and the seed), so a hit replays a pure function of its
+//! inputs (the two-epoch golden test pins warm-epoch outcomes against
+//! independent cold runs).
 //!
 //! A job that can never be placed, even on an idle cloud, is rejected
 //! with [`ExecError::Unplaceable`] in every face; it never fails the
 //! rest of its epoch or window.
 
+mod engine;
+
 use crate::error::{ExecError, PlacementError};
-use crate::exec::AllocStats;
-use crate::placement::{CacheStats, Placement, PlacementAlgorithm, PlacementCache};
-use crate::runtime::engine::Engine;
+use crate::exec::{AllocStats, Executor};
+use crate::placement::{CacheStats, Placement, PlacementCache};
+use crate::runtime::admission::QueueContext;
 use crate::runtime::report::{JobRecord, RunReport};
-use crate::runtime::{AdmissionPolicy, LoadShedPolicy};
-use crate::schedule::Scheduler;
+use crate::runtime::ServiceBuilder;
 use crate::workload::{Workload, WorkloadJob};
 use cloudqc_circuit::Circuit;
-use cloudqc_cloud::{Cloud, CloudStatus};
+use cloudqc_cloud::{Cloud, CloudStatus, QpuId};
 use cloudqc_sim::online::OnlineReport;
 use cloudqc_sim::series::BatchStats;
 use cloudqc_sim::Tick;
-
-/// The full runtime configuration a service runs under, built by
-/// [`crate::runtime::ServiceBuilder`]: one-shot runs and resident
-/// services read the same value, so the two can never drift apart.
-#[derive(Copy, Clone)]
-pub(crate) struct RuntimeConfig<'a> {
-    pub(crate) cloud: &'a Cloud,
-    pub(crate) placement: &'a dyn PlacementAlgorithm,
-    pub(crate) scheduler: &'a dyn Scheduler,
-    pub(crate) admission: AdmissionPolicy,
-    pub(crate) path_reservation: bool,
-    pub(crate) placement_cache: bool,
-    pub(crate) preemption: bool,
-    pub(crate) aging_rate: f64,
-    pub(crate) load_shed: Option<LoadShedPolicy>,
-    /// Completion-time reservoir capacity of the streaming report.
-    pub(crate) reservoir_capacity: usize,
-    pub(crate) seed: u64,
-}
-
-impl RuntimeConfig<'_> {
-    /// Places one circuit against `status` with the seed
-    /// `seed ^ circuit.fingerprint()`, through `cache` when it is on.
-    /// Admission and the fleet router's probes both place through
-    /// here, so a probe looks up exactly the key the admission will.
-    /// The fingerprint is memoized in the circuit's shared body, so
-    /// every job of one shape reads the same once-computed value.
-    pub(crate) fn place(
-        &self,
-        cache: Option<&mut PlacementCache>,
-        circuit: &Circuit,
-        status: &CloudStatus,
-    ) -> Result<Placement, PlacementError> {
-        let seed = self.seed ^ circuit.fingerprint().as_u64();
-        match cache {
-            Some(cache) => cache.place(self.placement, circuit, self.cloud, status, seed),
-            None => self.placement.place(circuit, self.cloud, status, seed),
-        }
-    }
-}
 
 /// Lifetime summary of a [`Service`]: everything it aggregated across
 /// every epoch and continuous window driven so far.
@@ -119,10 +81,12 @@ impl RuntimeConfig<'_> {
 pub struct ServiceReport {
     /// Epochs driven to completion (continuous windows do not count).
     pub epochs: u64,
-    /// Jobs completed across all epochs and windows.
+    /// Jobs completed across all epochs and windows
+    /// ([`OnlineReport::completed`]).
     pub completed: u64,
     /// Jobs rejected across all epochs and windows (communication
-    /// starvation, SLA expiry, load shedding, or unplaceability).
+    /// starvation, SLA expiry, load shedding, or unplaceability;
+    /// [`OnlineReport::rejected`]).
     pub rejected: u64,
     /// The streaming metrics aggregated over every completion, on the
     /// lifetime clock.
@@ -164,9 +128,34 @@ pub struct WindowReport {
     pub quiescent: bool,
 }
 
+/// One injected job, in the era-local frame.
+struct EraJob {
+    /// A handle on the submitted circuit: it shares the submission's
+    /// gates and memoized fingerprint, so the table costs a few words
+    /// per job.
+    circuit: Circuit,
+    /// Arrival on the era-local clock (lifetime arrivals earlier than
+    /// the era's base land at local tick 0 — "submitted in the past"
+    /// means "arrives immediately").
+    arrival: Tick,
+    /// Whether the job carries an SLA deadline — the preemption
+    /// trigger's definition of "critical".
+    critical: bool,
+    /// The index this job is reported under: its lifetime submission
+    /// index.
+    record_index: usize,
+}
+
+/// One admitted job, keyed by its executor id.
+struct Admitted {
+    job: usize,
+    demand: Vec<usize>,
+    critical: bool,
+}
+
 /// A resident runtime serving an unbounded job stream over long-lived
-/// state. One engine serves two faces: epochs ([`Service::drive`]) and
-/// the continuous clock ([`Service::drive_until`] and friends).
+/// state. One event loop serves two faces: epochs ([`Service::drive`])
+/// and the continuous clock ([`Service::drive_until`] and friends).
 ///
 /// Construct one through [`crate::runtime::ServiceBuilder::build`].
 ///
@@ -200,35 +189,86 @@ pub struct WindowReport {
 /// assert!(report.online.mean_completion_time() > 0.0);
 /// ```
 pub struct Service<'a> {
-    cfg: RuntimeConfig<'a>,
+    /// The configuration this service was built from.
+    cfg: ServiceBuilder<'a>,
     /// The persistent placement cache (None when disabled by config).
     cache: Option<PlacementCache>,
-    /// Streaming metrics over every completion the service has seen.
+    /// Streaming metrics over every completion and rejection the
+    /// service has seen.
     online: OnlineReport,
     /// Jobs submitted since the last `drive*` call.
     pending: Vec<WorkloadJob>,
-    /// The one engine every face drives.
-    engine: Engine<'a>,
-    /// Jobs ever handed to the engine by the continuous faces (the
+    /// Jobs ever handed to the loop by the continuous faces (the
     /// lifetime submission index space).
     injected: usize,
     epochs: u64,
-    completed: u64,
-    rejected: u64,
+    /// Lifetime tick at which the era's local clock 0 sits.
+    clock_base: u64,
+    /// The era's free-capacity ledger (what admission places against).
+    status: CloudStatus,
+    exec: Executor<'a>,
+    ctx: QueueContext,
+    /// The era's injected jobs, by era-local id.
+    jobs: Vec<EraJob>,
+    /// Era-local job ids not yet enqueued, sorted by (arrival, id);
+    /// `next_arrival` is the cursor.
+    upcoming: Vec<usize>,
+    next_arrival: usize,
+    /// Era-local ids of arrived-but-not-admitted jobs, in policy order.
+    waiting: Vec<usize>,
+    admitted: Vec<Admitted>,
+    /// Admitted-and-unfinished jobs holding an SLA deadline; while
+    /// positive (and preemption is on) non-critical jobs stay
+    /// suspended.
+    critical_running: usize,
+    /// Whether the admission queue could admit differently since the
+    /// last pass (a job arrived, a completion freed capacity, or a
+    /// suspension was lifted). Gating admission on this skips passes
+    /// that cannot admit anything new. It does not make budget slicing
+    /// transparent: a budget deadline is itself an admission instant,
+    /// so capacity that a completion frees before the deadline is
+    /// offered to waiting jobs at the deadline, where an uninterrupted
+    /// run offers it only at the next arrival. Once a job waits for
+    /// capacity, slicing can change the schedule (ROADMAP item 2).
+    admission_dirty: bool,
+    /// Completions recorded since the current window began.
+    outcomes: Vec<JobRecord>,
+    /// Rejections recorded since the current window began.
+    rejections: Vec<(usize, ExecError)>,
+    /// Work counters of executors retired by past re-anchors.
+    retired_allocation: AllocStats,
+    retired_batches: BatchStats,
+    retired_preemptions: u64,
+    /// Reused buffer threaded through the executor's advances, so
+    /// draining finished jobs allocates nothing per call.
+    finished_scratch: Vec<usize>,
 }
 
 impl<'a> Service<'a> {
-    pub(crate) fn from_config(cfg: RuntimeConfig<'a>) -> Self {
-        let cache = cfg.placement_cache.then(PlacementCache::new);
+    pub(crate) fn new(cfg: ServiceBuilder<'a>) -> Self {
         Service {
-            cache,
+            cache: cfg.placement_cache.then(PlacementCache::new),
             online: OnlineReport::with_reservoir(cfg.reservoir_capacity, cfg.seed),
             pending: Vec::new(),
-            engine: Engine::new(cfg, 0),
             injected: 0,
             epochs: 0,
-            completed: 0,
-            rejected: 0,
+            clock_base: 0,
+            status: cfg.cloud.status(),
+            exec: engine::fresh_executor(&cfg),
+            ctx: QueueContext::empty(),
+            jobs: Vec::new(),
+            upcoming: Vec::new(),
+            next_arrival: 0,
+            waiting: Vec::new(),
+            admitted: Vec::new(),
+            critical_running: 0,
+            admission_dirty: false,
+            outcomes: Vec::new(),
+            rejections: Vec::new(),
+            retired_allocation: AllocStats::default(),
+            retired_batches: BatchStats::default(),
+            retired_preemptions: 0,
+            finished_scratch: Vec::new(),
             cfg,
         }
     }
@@ -251,12 +291,12 @@ impl<'a> Service<'a> {
         self.pending.extend(workload.jobs().iter().cloned());
     }
 
-    /// Jobs buffered and not yet handed to the engine.
+    /// Jobs buffered and not yet injected onto the live era.
     pub fn pending(&self) -> usize {
         self.pending.len()
     }
 
-    /// The jobs buffered and not yet handed to the engine.
+    /// The jobs buffered and not yet injected onto the live era.
     #[cfg(test)]
     pub(crate) fn pending_jobs(&self) -> &[WorkloadJob] {
         &self.pending
@@ -270,17 +310,17 @@ impl<'a> Service<'a> {
     /// The service's lifetime clock: how much simulated time every
     /// epoch and continuous window has covered so far.
     pub fn now(&self) -> Tick {
-        self.engine.now()
+        self.shift(self.exec.now())
     }
 
     /// Arrived jobs currently waiting for admission.
     pub fn queue_depth(&self) -> usize {
-        self.engine.queue_depth()
+        self.waiting.len()
     }
 
     /// Jobs admitted and still running.
     pub fn in_flight(&self) -> usize {
-        self.engine.in_flight()
+        self.exec.unfinished_jobs()
     }
 
     /// The streaming metrics aggregated so far.
@@ -293,7 +333,7 @@ impl<'a> Service<'a> {
         self.cfg.cloud
     }
 
-    /// Speculatively places `job` against the engine's current
+    /// Speculatively places `job` against the service's current
     /// free-capacity ledger *without* submitting it — the probe a fleet
     /// router uses to score backends before committing a job to one.
     ///
@@ -304,7 +344,7 @@ impl<'a> Service<'a> {
     /// [`Service::cache_stats`] like any other.
     pub(crate) fn probe_place(&mut self, job: &WorkloadJob) -> Result<Placement, PlacementError> {
         self.cfg
-            .place(self.cache.as_mut(), &job.circuit, self.engine.status())
+            .place(self.cache.as_mut(), &job.circuit, &self.status)
     }
 
     /// Drains the service for a backend failure: every unfinished job —
@@ -315,14 +355,33 @@ impl<'a> Service<'a> {
     /// each, so a fleet can re-submit them to surviving backends.
     ///
     /// The lifetime clock, streaming metrics, cache, and work counters
-    /// survive; the engine starts a fresh, empty era (its executor
-    /// state is discarded — restart-from-scratch failover, placements
-    /// are not migratable across clouds). Pending jobs consume their
-    /// indices even though they never ran, keeping the index space
-    /// append-only. The service itself remains usable: recovery is
-    /// simply submitting to it again.
+    /// survive; the service starts a fresh, empty era at the current
+    /// lifetime tick (its executor state is discarded —
+    /// restart-from-scratch failover, placements are not migratable
+    /// across clouds). Suspending the in-flight jobs first returns
+    /// their communication pairs and counts them as preemptions.
+    /// Pending jobs consume their indices even though they never ran,
+    /// keeping the index space append-only. The service itself remains
+    /// usable: recovery is simply submitting to it again.
     pub fn evacuate(&mut self) -> Vec<usize> {
-        let mut evacuated = self.engine.evacuate();
+        debug_assert!(
+            self.outcomes.is_empty() && self.rejections.is_empty(),
+            "every window reports its records before an evacuation"
+        );
+        let mut evacuated = Vec::new();
+        for id in 0..self.admitted.len() {
+            if self.exec.job_result(id).is_none() {
+                self.exec.suspend_job(id);
+                evacuated.push(self.jobs[self.admitted[id].job].record_index);
+            }
+        }
+        let unadmitted = self
+            .waiting
+            .iter()
+            .chain(&self.upcoming[self.next_arrival..]);
+        evacuated.extend(unadmitted.map(|&id| self.jobs[id].record_index));
+        evacuated.sort_unstable();
+        self.reanchor();
         let first = self.injected;
         self.injected += self.pending.len();
         evacuated.extend(first..self.injected);
@@ -343,21 +402,25 @@ impl<'a> Service<'a> {
 
     /// Snapshot of the lifetime totals without driving anything.
     pub fn report(&self) -> ServiceReport {
+        let mut allocation = self.retired_allocation;
+        allocation.merge(self.exec.alloc_stats());
+        let mut event_batches = self.retired_batches.clone();
+        event_batches.merge(self.exec.batch_stats());
         ServiceReport {
             epochs: self.epochs,
-            completed: self.completed,
-            rejected: self.rejected,
+            completed: self.online.completed(),
+            rejected: self.online.rejected(),
             online: self.online.clone(),
             placement_cache: self.cache_stats(),
             cache_entries: self.cache_entries(),
-            allocation: self.engine.allocation(),
-            event_batches: self.engine.event_batches(),
-            preemptions: self.engine.preemptions(),
+            allocation,
+            event_batches,
+            preemptions: self.retired_preemptions + self.exec.preemptions(),
         }
     }
 
     /// Flushes any buffered submissions and returns the lifetime
-    /// totals: a busy engine is driven to quiescence
+    /// totals: a busy service is driven to quiescence
     /// ([`Service::drive_to_quiescence`]), and pending jobs on a
     /// quiescent one run as one final epoch ([`Service::drive`]).
     ///
@@ -365,7 +428,7 @@ impl<'a> Service<'a> {
     ///
     /// As [`Service::drive_until`].
     pub fn drain(&mut self) -> Result<ServiceReport, PlacementError> {
-        if !self.engine.is_quiescent() {
+        if !self.is_quiescent() {
             self.drive_to_quiescence()?;
         } else if !self.pending.is_empty() {
             self.drive()?;
@@ -402,12 +465,12 @@ impl<'a> Service<'a> {
     ///
     /// # Panics
     ///
-    /// Panics if the engine has in-flight work — call
+    /// Panics if the service has in-flight work — call
     /// [`Service::drive_to_quiescence`] first.
     pub fn drive(&mut self) -> Result<RunReport, PlacementError> {
         assert!(
-            self.engine.is_quiescent(),
-            "cannot drive an epoch while the continuous engine has in-flight work; \
+            self.is_quiescent(),
+            "cannot drive an epoch while the service has in-flight work; \
              call drive_to_quiescence() first"
         );
         let start = self.now().as_ticks();
@@ -441,7 +504,7 @@ impl<'a> Service<'a> {
         let (allocation, event_batches) = if first == self.injected {
             Default::default()
         } else {
-            self.engine.era_stats()
+            (self.exec.alloc_stats(), self.exec.batch_stats().clone())
         };
         // Every epoch job has finished, so its index can be handed out
         // again: epochs leave the continuous index space untouched.
@@ -452,8 +515,10 @@ impl<'a> Service<'a> {
                 .map(|o| o.finished_at)
                 .max()
                 .unwrap_or(Tick::ZERO),
-            final_free_computing: self.engine.free_computing(),
-            final_free_communication: self.engine.comm_free().to_vec(),
+            final_free_computing: (0..self.cfg.cloud.qpu_count())
+                .map(|i| self.status.free_computing(QpuId::new(i)))
+                .collect(),
+            final_free_communication: self.exec.comm_free().to_vec(),
             placement_cache: self.cache_stats().since(&cache_before),
             event_batches,
             allocation,
@@ -464,13 +529,13 @@ impl<'a> Service<'a> {
 
     /// Advances the continuous clock until it reaches `deadline` (a
     /// lifetime tick) or the service quiesces, whichever comes first.
-    /// Buffered submissions are injected onto the live engine first —
+    /// Buffered submissions are injected onto the live era first —
     /// mid-flight if work is running, re-anchoring a fresh era if the
     /// cloud has fully drained. Returns what the window observed.
     ///
     /// # Errors
     ///
-    /// [`PlacementError`] only in pathological engine states;
+    /// [`PlacementError`] only in pathological loop states;
     /// unplaceable jobs are rejected with [`ExecError::Unplaceable`]
     /// rather than erroring.
     pub fn drive_until(&mut self, deadline: Tick) -> Result<WindowReport, PlacementError> {
@@ -495,21 +560,16 @@ impl<'a> Service<'a> {
         self.advance(None)
     }
 
+    /// Injects the pending buffer, runs the loop until quiescent or the
+    /// lifetime tick `deadline`, and reports the window.
     fn advance(&mut self, deadline: Option<Tick>) -> Result<WindowReport, PlacementError> {
-        let jobs = std::mem::take(&mut self.pending);
-        let first = self.injected;
-        self.injected += jobs.len();
-        self.engine.inject(jobs, first);
-        self.engine
-            .advance(&mut self.online, &mut self.cache, deadline)?;
-        let (outcomes, rejected) = self.engine.take_window();
-        self.completed += outcomes.len() as u64;
-        self.rejected += rejected.len() as u64;
+        self.inject();
+        self.run(deadline)?;
         Ok(WindowReport {
-            now: self.engine.now(),
-            quiescent: self.engine.is_quiescent(),
-            outcomes,
-            rejected,
+            outcomes: std::mem::take(&mut self.outcomes),
+            rejected: std::mem::take(&mut self.rejections),
+            now: self.now(),
+            quiescent: self.is_quiescent(),
         })
     }
 }
@@ -518,7 +578,7 @@ impl<'a> Service<'a> {
 mod tests {
     use super::*;
     use crate::placement::CloudQcPlacement;
-    use crate::runtime::ServiceBuilder;
+    use crate::runtime::{AdmissionPolicy, LoadShedPolicy};
     use crate::schedule::CloudQcScheduler;
     use cloudqc_circuit::generators::catalog;
     use cloudqc_cloud::CloudBuilder;
@@ -647,7 +707,7 @@ mod tests {
         let mut jobs: Vec<usize> = window.outcomes.iter().map(|o| o.job).collect();
         jobs.sort_unstable();
         assert_eq!(jobs, vec![0, 1, 2]);
-        // A busy engine is flushed by finishing its continuous drive,
+        // A busy service is flushed by finishing its continuous drive,
         // which is not an epoch.
         svc.submit_workload(&Workload::batch(pool()));
         assert!(!svc.drive_for(10).unwrap().quiescent);
@@ -848,8 +908,12 @@ mod tests {
             .all(|(i, j)| shares(i, &j.circuit)));
         svc.drive_until(Tick::new(1)).unwrap();
         assert_eq!(svc.pending(), 0);
-        assert_eq!(svc.engine.circuits().count(), 7);
-        assert!(svc.engine.circuits().enumerate().all(|(i, c)| shares(i, c)));
+        assert_eq!(svc.jobs.len(), 7);
+        assert!(svc
+            .jobs
+            .iter()
+            .enumerate()
+            .all(|(i, j)| shares(i, &j.circuit)));
     }
 
     #[test]
@@ -919,48 +983,6 @@ mod tests {
         ]));
         let open = free.drive_to_quiescence().unwrap();
         assert_eq!(open.outcomes.len(), 6);
-    }
-
-    #[test]
-    fn aging_lets_a_starved_job_jump_the_sjf_queue() {
-        // One 28-qubit QPU: ghz_n25 (25 qubits) and a vqe_n4 (4) fit
-        // individually but never together. The ghz arrives at tick 0
-        // with a wave of seven mice that packs the QPU exactly; two
-        // more seven-mouse waves arrive at ticks 1 and 2 while the
-        // first is running. Each wave drains all at once (identical
-        // local circuits admitted together), and at every drain SJF
-        // hands the freed capacity to the fresher short jobs — the ghz
-        // goes dead last. Aging scales with *how long* a job has
-        // waited, so with a large rate the tick-0 ghz outranks the
-        // tick-1 mice at the first drain and claims it.
-        let cloud = CloudBuilder::new(1).computing_qubits(28).build();
-        let placement = CloudQcPlacement::default();
-        let mouse = catalog::by_name("vqe_n4").unwrap();
-        let mut jobs = vec![(catalog::by_name("ghz_n25").unwrap(), Tick::new(0))];
-        for wave in 0..3u64 {
-            jobs.extend(std::iter::repeat_n((mouse.clone(), Tick::new(wave)), 7));
-        }
-        let w = Workload::trace(jobs);
-        let run = |aging: f64| {
-            let mut svc = ServiceBuilder::new(&cloud, &placement, &CloudQcScheduler, 2)
-                .admission(AdmissionPolicy::ShortestJobFirst)
-                .aging_rate(aging)
-                .build();
-            svc.submit_workload(&w);
-            svc.drive().unwrap()
-        };
-        let plain = run(0.0);
-        let aged = run(1e6);
-        let ghz_of = |r: &RunReport| r.outcomes.iter().find(|o| o.job == 0).unwrap().clone();
-        assert_eq!(plain.outcomes.len(), 22);
-        assert_eq!(aged.outcomes.len(), 22);
-        assert!(
-            ghz_of(&aged).admitted_at < ghz_of(&plain).admitted_at,
-            "aging must admit the starved job earlier: {:?} vs {:?}",
-            ghz_of(&aged).admitted_at,
-            ghz_of(&plain).admitted_at
-        );
-        assert!(ghz_of(&aged).finished_at < ghz_of(&plain).finished_at);
     }
 
     #[test]

@@ -409,6 +409,10 @@ proptest! {
         let report = fleet.report();
         prop_assert_eq!(report.completed as usize, outcomes.len());
         prop_assert_eq!(report.rejected as usize, rejected.len());
+        // Each job completes on exactly one backend, evacuation
+        // included, so the backends' counts sum to the fleet's.
+        let backend_completed: u64 = report.backends.iter().map(|b| b.completed).sum();
+        prop_assert_eq!(backend_completed, report.completed);
         // Only the one real failure counts.
         prop_assert_eq!(report.failovers, 1);
     }

@@ -514,7 +514,7 @@ fn continuous_clock_over_drained_boundary_matches_epoch_mode() {
         let e1 = epochs.drive().expect("epoch 1 completes");
         epochs.submit_workload(&w2);
         let e2 = epochs.drive().expect("epoch 2 completes");
-        // Continuous face: same engine, never reset; the second
+        // Continuous face: same service, never reset; the second
         // workload is submitted in lifetime coordinates.
         let mut cont = builder().build();
         cont.submit_workload(&w1);
@@ -667,7 +667,7 @@ fn drive_queued_poisson(window: Option<u64>) -> QueuedRun {
 fn queued_poisson_stream_reproduces_pinned_schedules() {
     // The runtime golden on a backlogged stream, under the two drive
     // patterns e2ebench's `backlog` workload sits between. They pin
-    // different schedules: the engine admits only at arrivals, drive
+    // different schedules: the service admits only at arrivals, drive
     // deadlines and completions with no arrival pending, so window
     // deadlines add admission instants. The hit counts pin the
     // admission pass's lookup work; misses are the cold placements.
