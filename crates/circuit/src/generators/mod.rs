@@ -4,11 +4,9 @@
 //! The original benchmark suite ships as OpenQASM files; this module
 //! rebuilds each family from its textbook construction, fully lowered to
 //! the CX basis (matching how Table II counts "2-qubit gates": e.g.
-//! `qft_n160` = 25440 = exactly 2 CX per controlled-phase). Counts match
-//! Table II exactly where the construction is canonical (GHZ, cat, BV,
-//! Ising, QFT, QV, swap-test, KNN, QuGAN, CC) and within a few percent
-//! where QASMBench used a non-standard transpilation (adder, multiplier,
-//! `qft_n63`); the `table2` experiment binary prints measured vs. paper
+//! `qft_n160` = 25440 = exactly 2 CX per controlled-phase).
+//! [`catalog::table2_reference`] says which Table II counts the tests
+//! pin, and the `table2` experiment binary prints measured vs. paper
 //! values side by side.
 //!
 //! Use [`catalog::by_name`] to construct the paper's named instances:

@@ -2,8 +2,9 @@
 //!
 //! The paper leaves several constants unpublished (λ₁..λ₃ of Eq. 11,
 //! the α/β scoring weights of §V.B, the ε remote-operation threshold of
-//! Eq. 6, and the imbalance-factor list of Algorithm 1). The defaults
-//! here are documented in DESIGN.md §7 and exposed for sweeps.
+//! Eq. 6, and the imbalance-factor list of Algorithm 1). This
+//! reproduction's choices are the [`Default`] impls of [`BatchWeights`]
+//! and [`PlacementConfig`], and every field is public for sweeps.
 
 /// Weights of the batch-ordering metric
 /// `I_i = λ₁·#CNOTs/n_i + λ₂·n_i + λ₃·d_i` (Eq. 11).

@@ -31,6 +31,6 @@ fn main() {
     }
     t.print();
     println!(
-        "\nDeltas are documented in DESIGN.md section 7 (non-standard QASMBench\ntranspilations for adder/multiplier/qft_n63; ising_n66 width typo fixed)."
+        "\nWhich columns are pinned, and the ising_n66 width typo, are documented\non table2_reference in crates/circuit/src/generators/catalog.rs."
     );
 }

@@ -7,11 +7,8 @@
 //!
 //! * [`Tick`] — an integer simulation clock (1 CX-unit = 10 ticks, see
 //!   `cloudqc-cloud`'s latency model).
-//! * [`EventQueue`] — a time-ordered queue with stable FIFO tie-breaking,
-//!   so identical seeds replay identical schedules. Implemented as a
-//!   radix-ladder calendar queue (O(1) amortized push/pop; see
-//!   [`queue`] for the design), proptested against the original
-//!   binary-heap [`ReferenceEventQueue`].
+//! * [`EventQueue`] — a time-ordered binary heap with stable FIFO
+//!   tie-breaking, so identical seeds replay identical schedules.
 //! * [`SimRng`] — seeded, forkable random streams: every stochastic
 //!   component gets its own independent, reproducible stream.
 //! * [`metrics`] — summary statistics and CDFs for job-completion-time
@@ -49,7 +46,7 @@ pub mod series;
 pub mod time;
 
 pub use online::{OnlineReport, Reservoir, RunningStat};
-pub use queue::{EventQueue, ReferenceEventQueue};
+pub use queue::EventQueue;
 pub use rng::SimRng;
 pub use series::{BatchStats, LatencyBreakdown, MeanBreakdown, TimeSeries};
 pub use time::Tick;

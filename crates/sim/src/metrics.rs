@@ -67,8 +67,9 @@ pub(crate) fn percentile(sorted: &[f64], q: f64) -> f64 {
 
 /// An empirical cumulative distribution function.
 ///
-/// Produces the `(value, fraction ≤ value)` step points the paper's CDF
-/// figures (Figs. 14–17) plot.
+/// Answers the fraction of samples at or below a value and its inverse,
+/// the quantile, which the paper's CDF figures (Figs. 14–17) are read
+/// at.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Cdf {
     sorted: Vec<f64>,
@@ -110,27 +111,6 @@ impl Cdf {
         assert!(!self.sorted.is_empty(), "empty CDF has no quantiles");
         assert!((0.0..=1.0).contains(&q), "quantile must be in [0, 1]");
         percentile(&self.sorted, q.max(f64::MIN_POSITIVE))
-    }
-
-    /// Evenly-spaced step points `(value, fraction)` for plotting;
-    /// `points` of them (clamped to the sample count).
-    pub fn step_points(&self, points: usize) -> Vec<(f64, f64)> {
-        if self.sorted.is_empty() || points == 0 {
-            return Vec::new();
-        }
-        let n = self.sorted.len();
-        let step = (n as f64 / points as f64).max(1.0);
-        let mut out = Vec::new();
-        let mut i = 0.0;
-        while (i as usize) < n {
-            let idx = i as usize;
-            out.push((self.sorted[idx], (idx + 1) as f64 / n as f64));
-            i += step;
-        }
-        if out.last().map(|&(v, _)| v) != Some(self.sorted[n - 1]) {
-            out.push((self.sorted[n - 1], 1.0));
-        }
-        out
     }
 }
 
@@ -176,22 +156,9 @@ mod tests {
     }
 
     #[test]
-    fn step_points_end_at_one() {
-        let cdf = Cdf::new((0..50).map(|i| i as f64));
-        let pts = cdf.step_points(10);
-        assert!(pts.len() >= 10);
-        assert_eq!(pts.last().unwrap().1, 1.0);
-        // Fractions are non-decreasing.
-        for w in pts.windows(2) {
-            assert!(w[0].1 <= w[1].1);
-        }
-    }
-
-    #[test]
     fn empty_cdf_behaviour() {
         let cdf = Cdf::new([]);
         assert!(cdf.is_empty());
         assert_eq!(cdf.fraction_at(1.0), 0.0);
-        assert!(cdf.step_points(5).is_empty());
     }
 }
