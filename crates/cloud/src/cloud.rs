@@ -4,8 +4,11 @@ use crate::epr::EprModel;
 use crate::latency::LatencyModel;
 use crate::qpu::{Qpu, QpuId};
 use crate::status::CloudStatus;
+use crate::tables::PlacementTables;
 use cloudqc_graph::paths::{all_pairs_hops, widest_path_values, DistanceMatrix};
 use cloudqc_graph::Graph;
+use std::cmp::Reverse;
+use std::sync::OnceLock;
 
 /// A quantum cloud: a fixed topology of QPUs connected by quantum links,
 /// plus the latency and EPR models every simulation shares.
@@ -20,6 +23,12 @@ use cloudqc_graph::Graph;
 /// between two QPUs is the maximum bottleneck over all paths (widest
 /// path), and it scales the per-attempt EPR success probability.
 ///
+/// What placement reads of the static cloud on every candidate (each
+/// QPU's reach, eccentricity and BFS order, each QPU pair's expected
+/// two-qubit-gate ticks) is tabulated on first use, by
+/// [`Cloud::center_among`], [`Cloud::bfs_order`] or
+/// [`Cloud::expected_gate_ticks`], and kept for the cloud's lifetime.
+///
 /// Build with [`crate::CloudBuilder`].
 #[derive(Clone, Debug)]
 pub struct Cloud {
@@ -31,6 +40,8 @@ pub struct Cloud {
     /// Bottleneck link reliability per QPU pair (row-major), `1.0`
     /// everywhere when the extension is unused.
     reliability: Option<Vec<f64>>,
+    /// Built on first use: a cloud that is never placed on skips them.
+    tables: OnceLock<PlacementTables>,
 }
 
 impl Cloud {
@@ -60,6 +71,7 @@ impl Cloud {
             latency,
             epr,
             reliability: None,
+            tables: OnceLock::new(),
         }
     }
 
@@ -160,6 +172,52 @@ impl Cloud {
     /// The precomputed all-pairs distance matrix.
     pub fn distances(&self) -> &DistanceMatrix {
         &self.distances
+    }
+
+    /// The center of a candidate QPU set, as Algorithm 2 maps onto it:
+    /// the candidate that reaches the most QPUs, then has the least
+    /// eccentricity, then the lowest id. Ids outside the cloud are
+    /// skipped, and `None` means no candidate was valid. The same as
+    /// [`cloudqc_graph::center::graph_center_among`] over the topology,
+    /// read from tables instead of two BFS per candidate.
+    pub fn center_among(&self, candidates: impl IntoIterator<Item = usize>) -> Option<usize> {
+        let t = self.tables();
+        candidates
+            .into_iter()
+            .filter(|&u| u < self.qpu_count())
+            .min_by_key(|&u| (Reverse(t.reach[u]), t.eccentricity[u], u))
+    }
+
+    /// The QPUs reachable from `src`, in the breadth-first visit order
+    /// of [`cloudqc_graph::traversal::bfs_order`] over the topology.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `src` is out of range.
+    pub fn bfs_order(&self, src: usize) -> &[usize] {
+        &self.tables().bfs_orders[src]
+    }
+
+    /// Expected ticks of a two-qubit gate whose operands sit on QPUs `a`
+    /// and `b`, as the placement estimate prices it: the CX latency when
+    /// `a == b`, else
+    /// `hops · E[rounds | fair pairs] · t_ep + t_2q + t_measure + t_1q`,
+    /// with the fair share being half the smaller endpoint's
+    /// communication capacity (at least 1). Unreachable pairs count
+    /// `qpu_count` hops, and a cloud whose EPR rounds never succeed
+    /// prices every remote gate at `f64::INFINITY`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `a` or `b` is out of range.
+    pub fn expected_gate_ticks(&self, a: QpuId, b: QpuId) -> f64 {
+        let n = self.qpu_count();
+        assert!(b.index() < n, "{b} out of range");
+        self.tables().gate_ticks[a.index() * n + b.index()]
+    }
+
+    fn tables(&self) -> &PlacementTables {
+        self.tables.get_or_init(|| PlacementTables::new(self))
     }
 
     /// The latency model (Table I).

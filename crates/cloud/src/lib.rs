@@ -10,7 +10,8 @@
 //!
 //! * [`Qpu`] / [`QpuId`] — per-QPU resource capacities.
 //! * [`Cloud`] — topology + hop-distance matrix (`C_ij`, §IV.B) +
-//!   latency and EPR models.
+//!   latency and EPR models, plus the placement tables built from them
+//!   on first use.
 //! * [`CloudBuilder`] — the paper's evaluation settings in one line:
 //!   20 QPUs × (20 computing + 5 communication) qubits, `G(20, 0.3)`
 //!   topology.
@@ -47,6 +48,7 @@ pub mod epr;
 pub mod latency;
 pub mod qpu;
 pub mod status;
+mod tables;
 
 pub use builder::CloudBuilder;
 pub use cloud::Cloud;

@@ -5,7 +5,8 @@ use cloudqc_sim::Tick;
 use std::error::Error;
 use std::fmt;
 
-/// Failures of the placement pipeline.
+/// Failures of the placement pipeline, and of the runtime calls that
+/// drive it.
 #[derive(Clone, Debug, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum PlacementError {
@@ -21,6 +22,10 @@ pub enum PlacementError {
     NoFeasiblePlacement,
     /// A resource allocation failed while applying a placement.
     Resource(ResourceError),
+    /// [`crate::runtime::Service::drive`] was called while the service
+    /// had in-flight work. Nothing changed; drive it to quiescence
+    /// first.
+    ServiceBusy,
 }
 
 impl PlacementError {
@@ -36,6 +41,7 @@ impl PlacementError {
             PlacementError::InsufficientCapacity { .. } => "insufficient-capacity",
             PlacementError::NoFeasiblePlacement => "no-feasible-placement",
             PlacementError::Resource(_) => "resource",
+            PlacementError::ServiceBusy => "service-busy",
         }
     }
 }
@@ -57,6 +63,11 @@ impl fmt::Display for PlacementError {
                 )
             }
             PlacementError::Resource(e) => write!(f, "resource allocation failed: {e}"),
+            PlacementError::ServiceBusy => write!(
+                f,
+                "cannot drive an epoch while the service has in-flight work; \
+                 call drive_to_quiescence() first"
+            ),
         }
     }
 }
@@ -207,6 +218,9 @@ mod tests {
         assert!(PlacementError::NoFeasiblePlacement
             .to_string()
             .contains("feasible"));
+        assert!(PlacementError::ServiceBusy
+            .to_string()
+            .contains("in-flight work"));
     }
 
     #[test]
@@ -218,7 +232,8 @@ mod tests {
         let kind = |e: &PlacementError| match e {
             PlacementError::InsufficientCapacity { .. }
             | PlacementError::NoFeasiblePlacement
-            | PlacementError::Resource(_) => e.kind_name(),
+            | PlacementError::Resource(_)
+            | PlacementError::ServiceBusy => e.kind_name(),
         };
         let kinds = [
             kind(&PlacementError::InsufficientCapacity {
@@ -231,6 +246,7 @@ mod tests {
                 requested: 5,
                 available: 2,
             })),
+            kind(&PlacementError::ServiceBusy),
         ];
         assert_eq!(
             kinds.len(),

@@ -1,8 +1,8 @@
 //! The CloudQC placement algorithm (paper Algorithm 1).
 
-use super::cost::{communication_cost, remote_ops_per_qpu};
-use super::estimate::estimate_execution_time;
-use super::find_placement::{expand_to_qubits, find_placement, CandidateSets, FindPlacementMode};
+use super::cost::{part_communication_cost, part_remote_ops_per_qpu, remote_ops_per_qpu};
+use super::estimate::part_execution_time;
+use super::find_placement::{expand_to_qubits, map_parts, CandidateSets, FindPlacementMode};
 use super::score::placement_score;
 use super::{check_total_capacity, Placement, PlacementAlgorithm};
 use crate::config::PlacementConfig;
@@ -10,6 +10,7 @@ use crate::error::PlacementError;
 use cloudqc_circuit::interaction::{interaction_graph, partition_interaction_graph};
 use cloudqc_circuit::{Circuit, Qubit};
 use cloudqc_cloud::{Cloud, CloudStatus, QpuId};
+use cloudqc_graph::center::weighted_center;
 use cloudqc_graph::partition::{partition, PartitionConfig, Partitioning};
 use cloudqc_graph::Graph;
 use std::collections::HashMap;
@@ -30,8 +31,8 @@ use std::sync::{Mutex, MutexGuard, PoisonError};
 /// A partition reads only the circuit's qubit count and two-qubit
 /// operands, α, k and the seed, never the cloud. Each instance keeps
 /// an exact memo of them: for every (shape, seed, α, k) it has swept,
-/// the assignment, the part sizes and the part interaction graph (or
-/// that the partitioner failed). A shape is keyed by a word-wise hash
+/// the assignment, the part sizes, the part interaction graph and its
+/// center (or that the partitioner failed). A shape is keyed by a word-wise hash
 /// of (qubit count, two-qubit operands in program order, seed), and
 /// every hit compares the stored operand list with the circuit's, so a
 /// hit replays exactly the inputs a fresh sweep would compute. Mapping,
@@ -53,6 +54,24 @@ use std::sync::{Mutex, MutexGuard, PoisonError};
 /// clone starts with an empty memo, and `Debug` leaves it out. The
 /// memo sits behind a `Mutex` taken once per call, so the type stays
 /// `Send + Sync`.
+///
+/// # Scores each split at the part level
+///
+/// Algorithm 2 maps each part to its own QPU, so every qubit of a part
+/// sits on the part's QPU, and the sweep scores a split's mapping
+/// without expanding it to qubits. The capacity check compares each
+/// part's size with its QPU's free qubits. `C` and the per-QPU remote
+/// operations the ε filter bounds are read off the part graph's integer
+/// edge weights (`placement::cost`). `T` is the same critical-path walk
+/// as [`estimate_execution_time`](super::estimate::estimate_execution_time),
+/// pricing each two-qubit gate from a k × k part-pair table. Each split
+/// also keeps its part graph's center, and the QPU-set center, the BFS
+/// orders and the per-pair gate prices come from tables the [`Cloud`]
+/// builds once. Only a split that beats the best score so far is
+/// expanded into a [`Placement`]. Every value has the bits of the
+/// expanded computation: debug builds check each scored split against
+/// its expansion, and `placement::differential` proptests the parts
+/// against the functions they replace.
 #[derive(Clone, Default)]
 pub struct CloudQcPlacement {
     config: PlacementConfig,
@@ -163,32 +182,35 @@ pub(crate) fn place_with_mode(
             let Some(split) = split else {
                 continue;
             };
-            let Some(part_to_qpu) = find_placement(
+            let Some(part_to_qpu) = map_parts(
                 &split.part_sizes,
                 &split.part_graph,
+                split.part_center,
                 cloud,
                 status,
                 &candidate_sets,
             ) else {
                 continue;
             };
-            let placement = expand_to_qubits(split.parts.assignment(), &part_to_qpu);
-            // Feasibility filter: capacity (find_placement guarantees it,
-            // but double-check) and the ε remote-op threshold (Eq. 6).
-            if !placement.fits(status) {
+            let scored = split.time_and_cost(circuit, &part_to_qpu, cloud, status, config.epsilon);
+            #[cfg(debug_assertions)]
+            audit::split_matches_expansion(
+                scored,
+                circuit,
+                &expand_to_qubits(split.parts.assignment(), &part_to_qpu),
+                cloud,
+                status,
+                config.epsilon,
+            );
+            let Some((time, cost)) = scored else {
                 continue;
-            }
-            if config.epsilon != usize::MAX {
-                let per_qpu = remote_ops_per_qpu(circuit, &placement, cloud.qpu_count());
-                if per_qpu.iter().any(|&r| r > config.epsilon) {
-                    continue;
-                }
-            }
-            let time = estimate_execution_time(circuit, &placement, cloud);
-            let cost = communication_cost(circuit, &placement, cloud);
+            };
             let score = placement_score(time, cost, config.score_alpha, config.score_beta);
             if best.as_ref().is_none_or(|(s, _)| score > *s) {
-                best = Some((score, placement));
+                best = Some((
+                    score,
+                    expand_to_qubits(split.parts.assignment(), &part_to_qpu),
+                ));
             }
         }
     }
@@ -309,11 +331,15 @@ impl Shape {
     }
 }
 
-/// One partitioning and everything Algorithm 2 reads of it.
+/// One partitioning and everything Algorithm 2 and the scoring read of
+/// it.
 struct Split {
     parts: Partitioning,
     part_sizes: Vec<usize>,
+    /// Two-qubit gates crossing each part pair, as edge weights.
     part_graph: Graph,
+    /// `weighted_center(part_graph)`: the part Algorithm 2 maps first.
+    part_center: usize,
 }
 
 impl Split {
@@ -335,11 +361,85 @@ impl Split {
             part_sizes[p] += 1;
         }
         let part_graph = partition_interaction_graph(circuit, parts.assignment(), k);
+        let part_center = weighted_center(&part_graph)?;
         Some(Split {
             parts,
             part_sizes,
             part_graph,
+            part_center,
         })
+    }
+
+    /// Algorithm 1's feasibility filter and `(T, C)` for the injective
+    /// map `part_to_qpu`, read at the part level: `None` if a part
+    /// overflows its QPU's free computing qubits or a QPU would bear
+    /// more than `epsilon` remote operations. Equal, bit for bit, to the
+    /// filter and metrics of the expanded placement (the debug-build
+    /// audit checks every call against it).
+    fn time_and_cost(
+        &self,
+        circuit: &Circuit,
+        part_to_qpu: &[QpuId],
+        cloud: &Cloud,
+        status: &CloudStatus,
+        epsilon: usize,
+    ) -> Option<(f64, f64)> {
+        let fits = self
+            .part_sizes
+            .iter()
+            .zip(part_to_qpu)
+            .all(|(&size, &qpu)| size <= status.free_computing(qpu));
+        let feasible = fits
+            && (epsilon == usize::MAX
+                || part_remote_ops_per_qpu(&self.part_graph, part_to_qpu, cloud.qpu_count())
+                    .iter()
+                    .all(|&r| r <= epsilon));
+        feasible.then(|| {
+            (
+                part_execution_time(circuit, self.parts.assignment(), part_to_qpu, cloud),
+                part_communication_cost(&self.part_graph, part_to_qpu, cloud),
+            )
+        })
+    }
+}
+
+/// The debug-build audit of the sweep's part-level scoring.
+#[cfg(debug_assertions)]
+mod audit {
+    use crate::placement::cost::{communication_cost, remote_ops_per_qpu};
+    use crate::placement::estimate::estimate_execution_time;
+    use crate::placement::Placement;
+    use cloudqc_circuit::Circuit;
+    use cloudqc_cloud::{Cloud, CloudStatus};
+
+    /// Panics unless `scored`, a split's part-level
+    /// [`super::Split::time_and_cost`], has the bits of the same filter
+    /// and metrics computed on `expanded`, its expansion to qubits.
+    pub(super) fn split_matches_expansion(
+        scored: Option<(f64, f64)>,
+        circuit: &Circuit,
+        expanded: &Placement,
+        cloud: &Cloud,
+        status: &CloudStatus,
+        epsilon: usize,
+    ) {
+        let feasible = expanded.fits(status)
+            && (epsilon == usize::MAX
+                || remote_ops_per_qpu(circuit, expanded, cloud.qpu_count())
+                    .iter()
+                    .all(|&r| r <= epsilon));
+        let reference = feasible.then(|| {
+            (
+                estimate_execution_time(circuit, expanded, cloud),
+                communication_cost(circuit, expanded, cloud),
+            )
+        });
+        let bits = |tc: Option<(f64, f64)>| tc.map(|(t, c)| (t.to_bits(), c.to_bits()));
+        assert_eq!(
+            bits(scored),
+            bits(reference),
+            "part-level (T, C) {scored:?} disagree with the expanded placement's {reference:?}"
+        );
     }
 }
 
@@ -376,7 +476,6 @@ fn capacity_fill(
     cloud: &Cloud,
     status: &CloudStatus,
 ) -> Option<Placement> {
-    use cloudqc_graph::center::weighted_center;
     use cloudqc_graph::traversal::bfs_order;
 
     let size = circuit.num_qubits();
@@ -501,6 +600,22 @@ mod tests {
             .place(&circuit, &cloud, &cloud.status(), 5)
             .unwrap_err();
         assert_eq!(err, PlacementError::NoFeasiblePlacement);
+    }
+
+    #[test]
+    fn epsilon_bound_is_inclusive() {
+        // Eq. 6 admits R(V_j) ≤ ε: capping ε at the unconstrained
+        // placement's own peak keeps that placement.
+        let cloud = paper_cloud(4);
+        let circuit = catalog::by_name("qft_n63").unwrap();
+        let status = cloud.status();
+        let free = CloudQcPlacement::default()
+            .place(&circuit, &cloud, &status, 5)
+            .unwrap();
+        let per_qpu = remote_ops_per_qpu(&circuit, &free, cloud.qpu_count());
+        let peak = *per_qpu.iter().max().unwrap();
+        let capped = CloudQcPlacement::new(PlacementConfig::default().with_epsilon(peak));
+        assert_eq!(capped.place(&circuit, &cloud, &status, 5), Ok(free));
     }
 
     #[test]

@@ -6,10 +6,18 @@
 //! * Remote-operation count — Table III's metric (`C_ij ≡ 1`).
 //! * Per-QPU remote operations `R(V_j)` (Eq. 7), constrained by ε
 //!   (Eq. 6).
+//!
+//! Algorithm 1's sweep reads the cost and `R(V_j)` of a partitioning's
+//! injective part → QPU map off the part interaction graph, whose edge
+//! weights count the two-qubit gates crossing each part pair. Every
+//! term is an integer, and integer sums below 2⁵³ are exact in `f64`,
+//! so `part_communication_cost` has the bits of
+//! [`communication_cost`] on the expanded placement.
 
 use super::Placement;
 use cloudqc_circuit::Circuit;
-use cloudqc_cloud::Cloud;
+use cloudqc_cloud::{Cloud, QpuId};
+use cloudqc_graph::Graph;
 
 /// Total communication cost of a placement: for each two-qubit gate
 /// whose endpoints sit on different QPUs, add the hop distance between
@@ -73,6 +81,45 @@ pub fn remote_ops_per_qpu(
             per_qpu[pa.index()] += 1;
             per_qpu[pb.index()] += 1;
         }
+    }
+    per_qpu
+}
+
+/// [`communication_cost`] of the placement that puts part `p` on
+/// `part_to_qpu[p]`, from the part interaction graph: Σ over part pairs
+/// of crossing gates × hops.
+///
+/// # Panics
+///
+/// Panics if a part of `part_graph` has no QPU in `part_to_qpu`.
+pub(crate) fn part_communication_cost(
+    part_graph: &Graph,
+    part_to_qpu: &[QpuId],
+    cloud: &Cloud,
+) -> f64 {
+    let mut cost = 0.0;
+    for (u, v, gates) in part_graph.edges() {
+        cost += gates * cloud.distance_or_max(part_to_qpu[u], part_to_qpu[v]) as f64;
+    }
+    cost
+}
+
+/// [`remote_ops_per_qpu`] of the placement that puts part `p` on
+/// `part_to_qpu[p]`, for an injective map: each part's crossing gates
+/// land on its own QPU.
+///
+/// # Panics
+///
+/// Panics if a part of `part_graph` has no QPU in `part_to_qpu`, or a
+/// QPU is `>= qpu_count`.
+pub(crate) fn part_remote_ops_per_qpu(
+    part_graph: &Graph,
+    part_to_qpu: &[QpuId],
+    qpu_count: usize,
+) -> Vec<usize> {
+    let mut per_qpu = vec![0usize; qpu_count];
+    for part in part_graph.nodes() {
+        per_qpu[part_to_qpu[part].index()] += part_graph.weighted_degree(part) as usize;
     }
     per_qpu
 }

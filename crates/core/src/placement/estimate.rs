@@ -15,15 +15,22 @@
 //! `>` comparison [`DiGraph::weighted_critical_path`] uses, so the
 //! result has the same `f64` bits, infinite costs included.
 //!
+//! A gate's price depends only on the QPU pair it spans, so the cloud
+//! tabulates it ([`Cloud::expected_gate_ticks`]). Algorithm 1's sweep
+//! prices a partitioning's part → QPU map without expanding it to
+//! qubits: `part_execution_time` runs the same walk over a part-pair
+//! table of those prices.
+//!
 //! [`DiGraph::weighted_critical_path`]: cloudqc_graph::DiGraph::weighted_critical_path
 
 use super::Placement;
 use cloudqc_circuit::{Circuit, Gate, GateKind};
-use cloudqc_cloud::Cloud;
+use cloudqc_cloud::{Cloud, LatencyModel, QpuId};
 
 /// Estimated execution time of `circuit` under `placement`, in ticks.
 ///
-/// Remote gates are costed at
+/// Each two-qubit gate costs [`Cloud::expected_gate_ticks`] of its
+/// operands' QPUs: the CX latency on one QPU, else
 /// `hops · E[rounds | fair pairs] · t_ep + t_2q + t_measure + t_1q`,
 /// with the fair share being half the smaller endpoint's communication
 /// capacity (at least 1).
@@ -36,6 +43,48 @@ pub fn estimate_execution_time(circuit: &Circuit, placement: &Placement, cloud: 
         placement.num_qubits() >= circuit.num_qubits(),
         "placement narrower than circuit"
     );
+    let qpu = placement.assignment();
+    critical_path(circuit, cloud.latency(), |a, b| {
+        cloud.expected_gate_ticks(qpu[a], qpu[b])
+    })
+}
+
+/// [`estimate_execution_time`] of the placement that puts qubit `q` on
+/// `part_to_qpu[assignment[q]]`, with each two-qubit gate priced from a
+/// part-pair table of [`Cloud::expected_gate_ticks`]. The walk and the
+/// per-gate values are the same, so the result has the same bits.
+///
+/// # Panics
+///
+/// Panics if `assignment` is narrower than the circuit or names a part
+/// without a QPU.
+pub(crate) fn part_execution_time(
+    circuit: &Circuit,
+    assignment: &[usize],
+    part_to_qpu: &[QpuId],
+    cloud: &Cloud,
+) -> f64 {
+    let parts = part_to_qpu.len();
+    let ticks: Vec<f64> = part_to_qpu
+        .iter()
+        .flat_map(|&a| {
+            part_to_qpu
+                .iter()
+                .map(move |&b| cloud.expected_gate_ticks(a, b))
+        })
+        .collect();
+    critical_path(circuit, cloud.latency(), |a, b| {
+        ticks[assignment[a] * parts + assignment[b]]
+    })
+}
+
+/// The weighted critical path of `circuit`'s gate DAG, with two-qubit
+/// gates on qubits `(a, b)` costing `pair_ticks(a, b)`.
+fn critical_path(
+    circuit: &Circuit,
+    latency: &LatencyModel,
+    pair_ticks: impl Fn(usize, usize) -> f64,
+) -> f64 {
     let mut finish = vec![0.0f64; circuit.num_qubits()];
     let mut overall: f64 = 0.0;
     for gate in circuit.gates() {
@@ -47,7 +96,7 @@ pub fn estimate_execution_time(circuit: &Circuit, placement: &Placement, cloud: 
                 start = finish[q];
             }
         }
-        let end = start + gate_cost(gate, placement, cloud);
+        let end = start + gate_cost(gate, latency, &pair_ticks);
         overall = overall.max(end);
         finish[q0] = end;
         if let Some(q1) = q1 {
@@ -57,40 +106,13 @@ pub fn estimate_execution_time(circuit: &Circuit, placement: &Placement, cloud: 
     overall
 }
 
-/// Estimated latency of one gate under `placement`, in ticks.
-fn gate_cost(gate: &Gate, placement: &Placement, cloud: &Cloud) -> f64 {
-    let latency = cloud.latency();
+/// Estimated latency of one gate, in ticks.
+fn gate_cost(gate: &Gate, latency: &LatencyModel, pair_ticks: impl Fn(usize, usize) -> f64) -> f64 {
     match gate.qubit_pair() {
-        Some((a, b)) => {
-            let (pa, pb) = (placement.qpu_of(a.index()), placement.qpu_of(b.index()));
-            if pa == pb {
-                latency.two_qubit() as f64
-            } else {
-                let hops = cloud.distance_or_max(pa, pb) as f64;
-                let fair_pairs = fair_share(cloud, pa, pb);
-                let rounds = cloud.epr().expected_rounds(fair_pairs);
-                hops * rounds * latency.epr_attempt() as f64
-                    + latency.remote_gate_completion() as f64
-            }
-        }
-        None => {
-            if gate.kind() == GateKind::Measure {
-                latency.measure() as f64
-            } else {
-                latency.single_qubit() as f64
-            }
-        }
+        Some((a, b)) => pair_ticks(a.index(), b.index()),
+        None if gate.kind() == GateKind::Measure => latency.measure() as f64,
+        None => latency.single_qubit() as f64,
     }
-}
-
-/// Fair communication-qubit share assumption: half the smaller
-/// endpoint's capacity, at least one pair.
-fn fair_share(cloud: &Cloud, a: cloudqc_cloud::QpuId, b: cloudqc_cloud::QpuId) -> usize {
-    let cap = cloud
-        .qpu(a)
-        .communication_qubits()
-        .min(cloud.qpu(b).communication_qubits());
-    (cap / 2).max(1)
 }
 
 #[cfg(test)]
@@ -220,10 +242,12 @@ mod tests {
         }
 
         fn reference(circuit: &Circuit, placement: &Placement, cloud: &Cloud) -> f64 {
+            let qpu = placement.assignment();
+            let pair_ticks = |a: usize, b: usize| cloud.expected_gate_ticks(qpu[a], qpu[b]);
             let costs: Vec<f64> = circuit
                 .gates()
                 .iter()
-                .map(|g| gate_cost(g, placement, cloud))
+                .map(|g| gate_cost(g, cloud.latency(), pair_ticks))
                 .collect();
             gate_dag(circuit).weighted_critical_path(&costs)
         }

@@ -11,12 +11,17 @@
 //! 3. Map center to center, then expand outward: parts in max-connection
 //!    BFS order, each to the feasible QPU minimizing distance-weighted
 //!    communication to already-mapped neighbours.
+//!
+//! Only the candidate set and the mapping read the cloud's status. The
+//! QPU-set center and the BFS orders are read from tables the cloud
+//! builds once ([`Cloud::center_among`], [`Cloud::bfs_order`]), and
+//! Algorithm 1's sweep keeps each partitioning's part-graph center with
+//! the partitioning, entering through [`map_parts`].
 
 use super::Placement;
 use cloudqc_cloud::{Cloud, CloudStatus, QpuId};
-use cloudqc_graph::center::{graph_center_among, weighted_center};
+use cloudqc_graph::center::weighted_center;
 use cloudqc_graph::community::louvain;
-use cloudqc_graph::traversal::bfs_order;
 use cloudqc_graph::Graph;
 
 /// How Algorithm 2 selects its candidate QPU set.
@@ -82,11 +87,34 @@ pub fn find_placement(
     status: &CloudStatus,
     candidate_sets: &CandidateSets,
 ) -> Option<Vec<QpuId>> {
-    let parts = part_sizes.len();
-    debug_assert_eq!(part_graph.node_count(), parts);
-    if parts == 0 {
+    if part_sizes.is_empty() {
         return Some(Vec::new());
     }
+    let part_center = weighted_center(part_graph)?;
+    map_parts(
+        part_sizes,
+        part_graph,
+        part_center,
+        cloud,
+        status,
+        candidate_sets,
+    )
+}
+
+/// [`find_placement`] of at least one part, given the part graph's
+/// center (`weighted_center(part_graph)`), which Algorithm 1's sweep
+/// keeps with each memoized partitioning.
+pub(crate) fn map_parts(
+    part_sizes: &[usize],
+    part_graph: &Graph,
+    part_center: usize,
+    cloud: &Cloud,
+    status: &CloudStatus,
+    candidate_sets: &CandidateSets,
+) -> Option<Vec<QpuId>> {
+    let parts = part_sizes.len();
+    debug_assert_eq!(part_graph.node_count(), parts);
+    debug_assert_eq!(weighted_center(part_graph), Some(part_center));
     let total_demand: usize = part_sizes.iter().sum();
 
     // Step 1: candidate QPU set.
@@ -95,9 +123,8 @@ pub fn find_placement(
         None => bfs_candidates(cloud, status, total_demand, parts),
     }?;
 
-    // Step 2: centers.
-    let qpu_center = graph_center_among(cloud.topology(), candidates.iter().copied())?;
-    let part_center = weighted_center(part_graph)?;
+    // Step 2: the QPU-set center, from the cloud's tables.
+    let qpu_center = cloud.center_among(candidates.iter().copied())?;
 
     // Step 3: map outward from the centers.
     let mut mapping: Vec<Option<QpuId>> = vec![None; parts];
@@ -191,7 +218,7 @@ fn nearest_feasible(
     let in_set = |u: usize| candidates.contains(&u);
     let feasible = |u: usize| !taken[u] && free[u] >= size;
     // BFS order from the center visits QPUs nearest-first.
-    let order = bfs_order(cloud.topology(), center);
+    let order = cloud.bfs_order(center);
     order
         .iter()
         .copied()
@@ -354,7 +381,7 @@ fn bfs_candidates(
     let start = (0..n).max_by_key(|&u| (free(u), std::cmp::Reverse(u)))?;
     let mut set = Vec::new();
     let mut capacity = 0usize;
-    for u in bfs_order(cloud.topology(), start) {
+    for &u in cloud.bfs_order(start) {
         set.push(u);
         capacity += free(u);
         if capacity >= demand && set.len() >= min_qpus {

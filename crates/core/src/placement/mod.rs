@@ -21,6 +21,8 @@ mod bfs;
 pub mod cache;
 mod cloudqc;
 pub mod cost;
+#[cfg(test)]
+mod differential;
 pub mod estimate;
 mod find_placement;
 mod genetic;

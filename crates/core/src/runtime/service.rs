@@ -48,7 +48,8 @@
 //! context — see the `engine` module), so every epoch starts from the
 //! state of a new service and equals an independent run; the golden
 //! tests in `tests/runtime_golden.rs` pin this. [`Service::drive`]
-//! panics while the service has in-flight work (quiesce first).
+//! returns [`PlacementError::ServiceBusy`] and changes nothing while
+//! the service has in-flight work (quiesce first).
 //!
 //! Cache reuse never changes outcomes, only speed: the cache key holds
 //! everything a placement reads (the circuit's fingerprint, the exact
@@ -461,18 +462,14 @@ impl<'a> Service<'a> {
     ///
     /// # Errors
     ///
-    /// As [`Service::drive_until`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the service has in-flight work — call
-    /// [`Service::drive_to_quiescence`] first.
+    /// [`PlacementError::ServiceBusy`], leaving the service as it was,
+    /// if the service has in-flight work — call
+    /// [`Service::drive_to_quiescence`] first. Otherwise as
+    /// [`Service::drive_until`].
     pub fn drive(&mut self) -> Result<RunReport, PlacementError> {
-        assert!(
-            self.is_quiescent(),
-            "cannot drive an epoch while the service has in-flight work; \
-             call drive_to_quiescence() first"
-        );
+        if !self.is_quiescent() {
+            return Err(PlacementError::ServiceBusy);
+        }
         let start = self.now().as_ticks();
         let first = self.injected;
         let cache_before = self.cache_stats();
@@ -1048,15 +1045,28 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "in-flight work")]
     fn epoch_drive_refuses_a_busy_continuous_engine() {
         let cloud = CloudBuilder::paper_default(4).build();
         let placement = CloudQcPlacement::default();
-        let mut svc = ServiceBuilder::new(&cloud, &placement, &CloudQcScheduler, 6).build();
-        svc.submit_workload(&Workload::poisson(&pool(), 5, 2_000.0, 4));
-        let window = svc.drive_for(10).unwrap();
-        assert!(!window.quiescent, "work must still be in flight");
-        svc.submit(catalog::by_name("vqe_n4").unwrap(), Tick::ZERO);
-        let _ = svc.drive();
+        let busy = || {
+            let mut svc = ServiceBuilder::new(&cloud, &placement, &CloudQcScheduler, 6).build();
+            svc.submit_workload(&Workload::poisson(&pool(), 5, 2_000.0, 4));
+            let window = svc.drive_for(10).unwrap();
+            assert!(!window.quiescent, "work must still be in flight");
+            svc.submit(catalog::by_name("vqe_n4").unwrap(), Tick::ZERO);
+            svc
+        };
+        let (mut refused, mut untouched) = (busy(), busy());
+        let now = refused.now();
+        assert_eq!(refused.drive().unwrap_err(), PlacementError::ServiceBusy);
+        assert_eq!((refused.now(), refused.pending()), (now, 1));
+        // The refusal changed nothing: quiescing gives the outcomes of a
+        // twin that was never refused.
+        let after = refused.drive_to_quiescence().unwrap();
+        let twin = untouched.drive_to_quiescence().unwrap();
+        assert!(after.quiescent && !after.outcomes.is_empty());
+        assert_eq!(after.outcomes, twin.outcomes);
+        assert_eq!(after.rejected, twin.rejected);
+        assert_eq!(after.now, twin.now);
     }
 }
