@@ -38,8 +38,12 @@ pub struct PlacementConfig {
     /// (`k ∈ kmin ..= kmin + k_sweep_width`, capped by the QPU count).
     pub k_sweep_width: usize,
     /// Scoring weight α of `S = α/T + β/C` (estimated time term).
+    /// While both weights are ≥ 0, the CloudQC sweep skips every split
+    /// whose score cannot beat the best so far; a negative or NaN
+    /// weight runs the full sweep.
     pub score_alpha: f64,
     /// Scoring weight β of `S = α/T + β/C` (communication cost term).
+    /// Like α, a negative or NaN β runs the full sweep.
     pub score_beta: f64,
     /// ε: maximum remote operations borne by a single QPU (Eq. 6).
     /// `usize::MAX` disables the constraint.

@@ -1,7 +1,9 @@
 //! The CloudQC placement algorithm (paper Algorithm 1).
 
-use super::cost::{part_communication_cost, part_remote_ops_per_qpu, remote_ops_per_qpu};
-use super::estimate::part_execution_time;
+use super::cost::{
+    part_communication_cost, part_crossing_gates, part_remote_ops_per_qpu, remote_ops_per_qpu,
+};
+use super::estimate::{execution_time_floor, part_execution_time};
 use super::find_placement::{expand_to_qubits, map_parts, CandidateSets, FindPlacementMode};
 use super::score::placement_score;
 use super::{check_total_capacity, Placement, PlacementAlgorithm};
@@ -72,6 +74,41 @@ use std::sync::{Mutex, MutexGuard, PoisonError};
 /// expanded computation: debug builds check each scored split against
 /// its expansion, and `placement::differential` proptests the parts
 /// against the functions they replace.
+///
+/// # Skips what cannot beat the best (branch and bound)
+///
+/// Once the sweep has a best score, and while both score weights are
+/// ≥ 0, a split whose score cannot exceed it is skipped (Land & Doig,
+/// 1960). Each split keeps `W`, the sum of its part graph's edge
+/// weights, and each call computes the circuit's `T_floor` once: the
+/// critical path with every two-qubit gate priced at the CX latency.
+/// A split is skipped before Algorithm 2 maps it when
+/// `S(T_floor, W) ≤ best`, and a mapping that passes the capacity and ε
+/// filter skips its `T` walk when `S(T_floor, C) ≤ best`. No skip
+/// changes the result:
+///
+/// - `C ≥ W`. The part → QPU map is injective, so each crossing gate
+///   pays `distance_or_max ≥ 1` hops. `C` and `W` sum integer terms
+///   over the part graph's edges in the same order, and integer sums
+///   below 2⁵³ are exact.
+/// - `T ≥ T_floor`. A gate on one QPU is priced at exactly the CX
+///   latency, and a remote gate at `hops · rounds · t_ep + t_remote ≥
+///   t_remote > t_2q`. No price is NaN: [`LatencyModel::new`] asserts
+///   positive latencies, its fields are private, and hops ≥ 1. The
+///   walk's `+` and `max` are monotone in every price.
+/// - With α, β ≥ 0 the score `α/max(T, 1) + β/max(C, 1)` does not
+///   increase with `T` or `C`, so a skipped split scores at most the
+///   bound. At best it ties, and the sweep replaces the best only on a
+///   strict `>`. The guard `α >= 0 && β >= 0` is false for NaN, so
+///   negative or NaN weights (the fields of [`PlacementConfig`] are
+///   public) run the full sweep.
+///
+/// Debug builds still map every skipped split and check that its
+/// expansion, if feasible, scores at most the bound that skipped it,
+/// and `placement::differential` proptests the sweep against an
+/// unbounded reference that scores every split on its expansion.
+///
+/// [`LatencyModel::new`]: cloudqc_cloud::LatencyModel::new
 #[derive(Clone, Default)]
 pub struct CloudQcPlacement {
     config: PlacementConfig,
@@ -171,7 +208,18 @@ pub(crate) fn place_with_mode(
     let mut memo = memo.lock();
     let sweep = config.imbalance_factors.len() * (k_max - k_min + 1);
     let mut shape = memo.take(circuit, seed, sweep);
+    // The score bound holds only while neither weight is negative or
+    // NaN (NaN fails `>=`); its `T` floor is computed once, on first use.
+    let bounded = config.score_alpha >= 0.0 && config.score_beta >= 0.0;
+    let mut time_floor = None;
     let mut best: Option<(f64, Placement)> = None;
+    #[cfg(debug_assertions)]
+    let audit = audit::Sweep {
+        circuit,
+        cloud,
+        status,
+        epsilon: config.epsilon,
+    };
     for (ai, &alpha) in config.imbalance_factors.iter().enumerate() {
         for k in k_min..=k_max {
             let split = shape.splits.entry((ai, k)).or_insert_with(|| {
@@ -179,38 +227,68 @@ pub(crate) fn place_with_mode(
                 let part_seed = seed ^ ((ai as u64) << 32) ^ k as u64;
                 Split::new(circuit, interaction, alpha, k, part_seed)
             });
-            let Some(split) = split else {
+            let Some(split) = split.as_ref() else {
                 continue;
             };
-            let Some(part_to_qpu) = map_parts(
-                &split.part_sizes,
-                &split.part_graph,
-                split.part_center,
-                cloud,
-                status,
-                &candidate_sets,
-            ) else {
+            let map = || {
+                map_parts(
+                    &split.part_sizes,
+                    &split.part_graph,
+                    split.part_center,
+                    cloud,
+                    status,
+                    &candidate_sets,
+                )
+            };
+            let expand =
+                |part_to_qpu: &[QpuId]| expand_to_qubits(split.parts.assignment(), part_to_qpu);
+            let cutoff = match &best {
+                Some((best, _)) if bounded => Some(Cutoff {
+                    best: *best,
+                    time_floor: *time_floor
+                        .get_or_insert_with(|| execution_time_floor(circuit, cloud.latency())),
+                    alpha: config.score_alpha,
+                    beta: config.score_beta,
+                }),
+                _ => None,
+            };
+            // Every mapping of the split has `T ≥ T_floor` and `C ≥ W`: if
+            // that bound cannot win, skip Algorithm 2.
+            if let Some(cutoff) = cutoff {
+                if cutoff.prunes(split.crossing_gates) {
+                    #[cfg(debug_assertions)]
+                    audit.skip_cannot_win(
+                        cutoff,
+                        split.crossing_gates,
+                        map().map(|part_to_qpu| expand(&part_to_qpu)).as_ref(),
+                    );
+                    continue;
+                }
+            }
+            let Some(part_to_qpu) = map() else {
                 continue;
             };
-            let scored = split.time_and_cost(circuit, &part_to_qpu, cloud, status, config.epsilon);
+            let Some(cost) = split.feasible_cost(&part_to_qpu, cloud, status, config.epsilon)
+            else {
+                #[cfg(debug_assertions)]
+                audit.split_matches_expansion(None, &expand(&part_to_qpu));
+                continue;
+            };
+            // This mapping has `T ≥ T_floor`: if that bound cannot win,
+            // skip the `T` walk.
+            if let Some(cutoff) = cutoff {
+                if cutoff.prunes(cost) {
+                    #[cfg(debug_assertions)]
+                    audit.skip_cannot_win(cutoff, cost, Some(&expand(&part_to_qpu)));
+                    continue;
+                }
+            }
+            let time = part_execution_time(circuit, split.parts.assignment(), &part_to_qpu, cloud);
             #[cfg(debug_assertions)]
-            audit::split_matches_expansion(
-                scored,
-                circuit,
-                &expand_to_qubits(split.parts.assignment(), &part_to_qpu),
-                cloud,
-                status,
-                config.epsilon,
-            );
-            let Some((time, cost)) = scored else {
-                continue;
-            };
+            audit.split_matches_expansion(Some((time, cost)), &expand(&part_to_qpu));
             let score = placement_score(time, cost, config.score_alpha, config.score_beta);
             if best.as_ref().is_none_or(|(s, _)| score > *s) {
-                best = Some((
-                    score,
-                    expand_to_qubits(split.parts.assignment(), &part_to_qpu),
-                ));
+                best = Some((score, expand(&part_to_qpu)));
             }
         }
     }
@@ -340,6 +418,8 @@ struct Split {
     part_graph: Graph,
     /// `weighted_center(part_graph)`: the part Algorithm 2 maps first.
     part_center: usize,
+    /// `W`, the gates crossing parts: no mapping's `C` is less.
+    crossing_gates: f64,
 }
 
 impl Split {
@@ -365,25 +445,25 @@ impl Split {
         Some(Split {
             parts,
             part_sizes,
+            crossing_gates: part_crossing_gates(&part_graph),
             part_graph,
             part_center,
         })
     }
 
-    /// Algorithm 1's feasibility filter and `(T, C)` for the injective
-    /// map `part_to_qpu`, read at the part level: `None` if a part
+    /// `C` of the injective map `part_to_qpu` if it passes Algorithm 1's
+    /// feasibility filter, read at the part level: `None` if a part
     /// overflows its QPU's free computing qubits or a QPU would bear
     /// more than `epsilon` remote operations. Equal, bit for bit, to the
-    /// filter and metrics of the expanded placement (the debug-build
-    /// audit checks every call against it).
-    fn time_and_cost(
+    /// filter and cost of the expanded placement (the debug-build audit
+    /// checks every scored and infeasible mapping against it).
+    fn feasible_cost(
         &self,
-        circuit: &Circuit,
         part_to_qpu: &[QpuId],
         cloud: &Cloud,
         status: &CloudStatus,
         epsilon: usize,
-    ) -> Option<(f64, f64)> {
+    ) -> Option<f64> {
         let fits = self
             .part_sizes
             .iter()
@@ -394,52 +474,121 @@ impl Split {
                 || part_remote_ops_per_qpu(&self.part_graph, part_to_qpu, cloud.qpu_count())
                     .iter()
                     .all(|&r| r <= epsilon));
-        feasible.then(|| {
-            (
-                part_execution_time(circuit, self.parts.assignment(), part_to_qpu, cloud),
-                part_communication_cost(&self.part_graph, part_to_qpu, cloud),
-            )
-        })
+        feasible.then(|| part_communication_cost(&self.part_graph, part_to_qpu, cloud))
     }
 }
 
-/// The debug-build audit of the sweep's part-level scoring.
+/// Algorithm 1's branch and bound once the sweep has a best score and
+/// both weights are ≥ 0 (see [`CloudQcPlacement`]).
+#[derive(Clone, Copy)]
+struct Cutoff {
+    /// The best score so far.
+    best: f64,
+    /// The circuit's [`execution_time_floor`]: no mapping's `T` is less.
+    time_floor: f64,
+    alpha: f64,
+    beta: f64,
+}
+
+impl Cutoff {
+    /// The most a mapping whose `C` is at least `cost` can score.
+    fn bound(self, cost: f64) -> f64 {
+        placement_score(self.time_floor, cost, self.alpha, self.beta)
+    }
+
+    /// Whether such a mapping cannot beat the best: at most it ties,
+    /// and a tie never replaces the best.
+    fn prunes(self, cost: f64) -> bool {
+        self.bound(cost) <= self.best
+    }
+}
+
+/// The debug-build audit of the sweep's part-level scoring and bound.
 #[cfg(debug_assertions)]
 mod audit {
+    use super::Cutoff;
     use crate::placement::cost::{communication_cost, remote_ops_per_qpu};
     use crate::placement::estimate::estimate_execution_time;
+    use crate::placement::score::placement_score;
     use crate::placement::Placement;
     use cloudqc_circuit::Circuit;
     use cloudqc_cloud::{Cloud, CloudStatus};
 
-    /// Panics unless `scored`, a split's part-level
-    /// [`super::Split::time_and_cost`], has the bits of the same filter
-    /// and metrics computed on `expanded`, its expansion to qubits.
-    pub(super) fn split_matches_expansion(
-        scored: Option<(f64, f64)>,
-        circuit: &Circuit,
-        expanded: &Placement,
-        cloud: &Cloud,
-        status: &CloudStatus,
-        epsilon: usize,
-    ) {
-        let feasible = expanded.fits(status)
-            && (epsilon == usize::MAX
-                || remote_ops_per_qpu(circuit, expanded, cloud.qpu_count())
-                    .iter()
-                    .all(|&r| r <= epsilon));
-        let reference = feasible.then(|| {
-            (
-                estimate_execution_time(circuit, expanded, cloud),
-                communication_cost(circuit, expanded, cloud),
-            )
-        });
-        let bits = |tc: Option<(f64, f64)>| tc.map(|(t, c)| (t.to_bits(), c.to_bits()));
-        assert_eq!(
-            bits(scored),
-            bits(reference),
-            "part-level (T, C) {scored:?} disagree with the expanded placement's {reference:?}"
-        );
+    /// One sweep's inputs, on which the audit filters and scores each
+    /// mapping's expansion to qubits.
+    pub(super) struct Sweep<'a> {
+        pub(super) circuit: &'a Circuit,
+        pub(super) cloud: &'a Cloud,
+        pub(super) status: &'a CloudStatus,
+        pub(super) epsilon: usize,
+    }
+
+    impl Sweep<'_> {
+        /// Algorithm 1's filter and `(T, C)`, computed on qubits.
+        fn time_and_cost(&self, expanded: &Placement) -> Option<(f64, f64)> {
+            let Sweep {
+                circuit,
+                cloud,
+                status,
+                epsilon,
+            } = *self;
+            let feasible = expanded.fits(status)
+                && (epsilon == usize::MAX
+                    || remote_ops_per_qpu(circuit, expanded, cloud.qpu_count())
+                        .iter()
+                        .all(|&r| r <= epsilon));
+            feasible.then(|| {
+                (
+                    estimate_execution_time(circuit, expanded, cloud),
+                    communication_cost(circuit, expanded, cloud),
+                )
+            })
+        }
+
+        /// Panics unless `scored`, a mapping's part-level `(T, C)` or
+        /// `None` if it failed the filter, has the bits of the same
+        /// filter and metrics computed on `expanded`, its expansion.
+        pub(super) fn split_matches_expansion(
+            &self,
+            scored: Option<(f64, f64)>,
+            expanded: &Placement,
+        ) {
+            let reference = self.time_and_cost(expanded);
+            let bits = |tc: Option<(f64, f64)>| tc.map(|(t, c)| (t.to_bits(), c.to_bits()));
+            assert_eq!(
+                bits(scored),
+                bits(reference),
+                "part-level (T, C) {scored:?} disagree with the expanded placement's {reference:?}"
+            );
+        }
+
+        /// Panics unless a split that `cutoff` skipped at `cost` could
+        /// not have beaten the best: the bound at `cost` is at most the
+        /// best, and `expanded`, the expansion of the split's mapping
+        /// (`None` if Algorithm 2 finds none), scores at most that bound
+        /// if it passes the filter. A NaN score, from infinite weights
+        /// over an infinite `T`, never replaces the best either.
+        pub(super) fn skip_cannot_win(
+            &self,
+            cutoff: Cutoff,
+            cost: f64,
+            expanded: Option<&Placement>,
+        ) {
+            let bound = cutoff.bound(cost);
+            assert!(
+                bound <= cutoff.best,
+                "bound {bound} above the best {}",
+                cutoff.best
+            );
+            let Some((t, c)) = expanded.and_then(|expanded| self.time_and_cost(expanded)) else {
+                return;
+            };
+            let score = placement_score(t, c, cutoff.alpha, cutoff.beta);
+            assert!(
+                score <= bound || score.is_nan(),
+                "a skipped split scores {score} (T {t}, C {c}) above its bound {bound}"
+            );
+        }
     }
 }
 
@@ -470,7 +619,7 @@ const _: () = {
 /// Last-resort capacity-aware placement: orders qubits by BFS over the
 /// interaction graph (so neighbours stay together) and QPUs by free
 /// capacity descending (ties: lower id), then fills QPU by QPU.
-fn capacity_fill(
+pub(super) fn capacity_fill(
     circuit: &Circuit,
     interaction: &cloudqc_graph::Graph,
     cloud: &Cloud,

@@ -12,7 +12,8 @@
 //! weights count the two-qubit gates crossing each part pair. Every
 //! term is an integer, and integer sums below 2⁵³ are exact in `f64`,
 //! so `part_communication_cost` has the bits of
-//! [`communication_cost`] on the expanded placement.
+//! [`communication_cost`] on the expanded placement, and is at least
+//! `part_crossing_gates`, the same sum at one hop per gate.
 
 use super::Placement;
 use cloudqc_circuit::Circuit;
@@ -102,6 +103,19 @@ pub(crate) fn part_communication_cost(
         cost += gates * cloud.distance_or_max(part_to_qpu[u], part_to_qpu[v]) as f64;
     }
     cost
+}
+
+/// The two-qubit gates crossing parts: the sum of `part_graph`'s edge
+/// weights, and [`remote_op_count`] of every injective part → QPU map.
+/// Each crossing gate pays at least one hop in
+/// [`part_communication_cost`], which sums the same integer terms times
+/// hops ≥ 1, so no such map's cost is below it.
+pub(crate) fn part_crossing_gates(part_graph: &Graph) -> f64 {
+    let mut gates = 0.0;
+    for (_, _, weight) in part_graph.edges() {
+        gates += weight;
+    }
+    gates
 }
 
 /// [`remote_ops_per_qpu`] of the placement that puts part `p` on

@@ -19,7 +19,9 @@
 //! tabulates it ([`Cloud::expected_gate_ticks`]). Algorithm 1's sweep
 //! prices a partitioning's part → QPU map without expanding it to
 //! qubits: `part_execution_time` runs the same walk over a part-pair
-//! table of those prices.
+//! table of those prices. No price is below the local CX latency, so
+//! `execution_time_floor`, the walk at that price, bounds every
+//! placement's `T` from below.
 //!
 //! [`DiGraph::weighted_critical_path`]: cloudqc_graph::DiGraph::weighted_critical_path
 
@@ -76,6 +78,16 @@ pub(crate) fn part_execution_time(
     critical_path(circuit, cloud.latency(), |a, b| {
         ticks[assignment[a] * parts + assignment[b]]
     })
+}
+
+/// The least [`estimate_execution_time`] of `circuit` under any
+/// placement: the same walk with every two-qubit gate priced at the CX
+/// latency, the price of a gate on one QPU. A remote gate's price is at
+/// least the remote completion latency, which exceeds it, and the walk's
+/// `+` and `max` are monotone in every price.
+pub(crate) fn execution_time_floor(circuit: &Circuit, latency: &LatencyModel) -> f64 {
+    let cx = latency.two_qubit() as f64;
+    critical_path(circuit, latency, |_, _| cx)
 }
 
 /// The weighted critical path of `circuit`'s gate DAG, with two-qubit

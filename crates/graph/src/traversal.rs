@@ -1,6 +1,6 @@
-//! Breadth-first traversal utilities: hop distances, BFS order, and
-//! k-closest node queries used by the partition→QPU mapping heuristic
-//! (paper Algorithm 2).
+//! Breadth-first traversal utilities: hop distances, BFS order,
+//! eccentricity and reach. Graph centers, hop matrices and the cloud's
+//! placement tables are built on them.
 
 use crate::Graph;
 use std::collections::VecDeque;
@@ -63,34 +63,6 @@ pub fn bfs_order(graph: &Graph, src: usize) -> Vec<usize> {
     order
 }
 
-/// The `k` nodes closest to `src` (excluding `src` itself) that satisfy
-/// `accept`, in order of increasing hop distance (ties broken by BFS
-/// visit order). Returns fewer than `k` if the reachable set is smaller.
-///
-/// This is the `GetKClosestNode` primitive of Algorithm 2: QPUs nearest
-/// the community center are preferred when expanding a placement.
-///
-/// # Panics
-///
-/// Panics if `src` is out of range.
-pub fn k_closest(
-    graph: &Graph,
-    src: usize,
-    k: usize,
-    mut accept: impl FnMut(usize) -> bool,
-) -> Vec<usize> {
-    let mut result = Vec::with_capacity(k);
-    for u in bfs_order(graph, src) {
-        if result.len() == k {
-            break;
-        }
-        if u != src && accept(u) {
-            result.push(u);
-        }
-    }
-    result
-}
-
 /// Eccentricity of `src`: the maximum hop distance to any *reachable*
 /// node. Returns `0` for an isolated node.
 ///
@@ -142,24 +114,6 @@ mod tests {
         let order = bfs_order(&path5(), 2);
         assert_eq!(order[0], 2);
         assert_eq!(order.len(), 5);
-    }
-
-    #[test]
-    fn k_closest_respects_filter_and_k() {
-        let g = path5();
-        let close = k_closest(&g, 2, 2, |u| u != 1);
-        // From node 2: distance-1 nodes are {1, 3}; 1 filtered out, so 3
-        // first, then distance-2 nodes {0, 4}.
-        assert_eq!(close.len(), 2);
-        assert_eq!(close[0], 3);
-        assert!(close[1] == 0 || close[1] == 4);
-    }
-
-    #[test]
-    fn k_closest_smaller_than_k() {
-        let g = Graph::from_edges(3, [(0, 1, 1.0)]);
-        let close = k_closest(&g, 0, 5, |_| true);
-        assert_eq!(close, vec![1]); // node 2 unreachable
     }
 
     #[test]
