@@ -33,19 +33,19 @@
 //! and uncached runs produce byte-identical schedules (pinned in
 //! `tests/runtime_golden.rs`).
 //!
-//! The cache is **bounded**: entries are held in least-recently-used
-//! order and capped at [`PlacementCache::DEFAULT_CAPACITY`] (a
-//! service's fixed cap; [`PlacementCache::with_capacity`] builds a
-//! cache with another bound), so a long-lived service facing an
-//! unbounded stream of distinct signatures evicts cold entries instead
-//! of leaking memory. Evictions never affect correctness — a re-lookup
-//! of an evicted signature recomputes the same pure function — and are
-//! counted in [`CacheStats::evictions`].
+//! The cache is **bounded** at [`PlacementCache::CAPACITY`] entries: a
+//! miss that would overflow it first clears it whole, the rule
+//! CloudQC's split memo follows too, so a long-lived service facing an
+//! unbounded stream of distinct signatures stays bounded instead of
+//! leaking memory. No recency order is kept, since steady traffic stays
+//! well under the bound. A clear never affects correctness — a
+//! re-lookup of a cleared signature recomputes the same pure function —
+//! and every entry it drops is counted in [`CacheStats::evictions`].
 //!
 //! No entry goes stale: the key holds the exact free vector the
 //! algorithm placed against, so a cached placement fits every status it
 //! is looked up under (debug builds check [`Placement::fits`] on every
-//! hit), and each key is computed once, on its first lookup.
+//! hit), and a key is computed again only after a clear dropped it.
 
 use super::{Placement, PlacementAlgorithm};
 use crate::error::PlacementError;
@@ -62,9 +62,11 @@ pub struct CacheStats {
     /// Lookups answered from the cache with an exact-key entry.
     pub hits: u64,
     /// Lookups that ran the placement algorithm: one per distinct key
-    /// ever looked up, plus one per re-lookup of an evicted key.
+    /// ever looked up, plus one per re-lookup of a key that a clear
+    /// dropped.
     pub misses: u64,
-    /// Entries dropped to keep the cache within its capacity.
+    /// Entries dropped by clearing a full cache (see
+    /// [`PlacementCache::CAPACITY`]).
     pub evictions: u64,
     /// Always 0: a lookup is answered only from an exact-key entry.
     /// Kept because `e2ebench` reads it.
@@ -123,20 +125,8 @@ struct CacheKey {
     seed: u64,
 }
 
-/// Sentinel for "no slot" in the intrusive LRU list.
-const NONE: usize = usize::MAX;
-
-/// One memoized outcome, threaded into the recency list.
-#[derive(Clone)]
-struct Slot {
-    key: CacheKey,
-    value: Result<Placement, PlacementError>,
-    prev: usize,
-    next: usize,
-}
-
-/// A bounded, LRU-evicting memo table over
-/// [`PlacementAlgorithm::place`] calls.
+/// A bounded memo table over [`PlacementAlgorithm::place`] calls,
+/// cleared whole when full.
 ///
 /// # Example
 ///
@@ -155,59 +145,27 @@ struct Slot {
 /// assert_eq!(cache.stats().hits, 1);
 /// assert_eq!(cache.stats().misses, 1);
 /// ```
-#[derive(Clone)]
+#[derive(Clone, Default)]
 pub struct PlacementCache {
-    capacity: usize,
-    /// Signature → slot index. Lookup only — iteration order is never
+    /// Signature → outcome. Lookup only — iteration order is never
     /// observed, so the map cannot perturb determinism.
-    map: HashMap<CacheKey, usize>,
-    slots: Vec<Slot>,
-    /// Most-recently-used slot (`NONE` when empty).
-    head: usize,
-    /// Least-recently-used slot (`NONE` when empty) — the eviction
-    /// victim.
-    tail: usize,
+    map: HashMap<CacheKey, Result<Placement, PlacementError>>,
     stats: CacheStats,
     /// (algorithm name, QPU count) of the first lookup — the
     /// one-algorithm-one-cloud contract, enforced in debug builds.
     bound_to: Option<(&'static str, usize)>,
 }
 
-impl Default for PlacementCache {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl PlacementCache {
-    /// Default entry cap: plenty for the recurring signatures of
-    /// steady-state traffic (shapes × nearby free vectors × seeds),
-    /// small enough that a service facing millions of distinct
-    /// signatures stays bounded.
-    pub const DEFAULT_CAPACITY: usize = 8192;
+    /// Most entries the cache holds: plenty for the recurring
+    /// signatures of steady-state traffic (shapes × nearby free vectors
+    /// × seeds), small enough that a service facing millions of
+    /// distinct signatures stays bounded.
+    pub const CAPACITY: usize = 8192;
 
-    /// An empty cache with the default capacity.
+    /// An empty cache.
     pub fn new() -> Self {
-        Self::with_capacity(Self::DEFAULT_CAPACITY)
-    }
-
-    /// An empty cache capped at `capacity` entries, evicting
-    /// least-recently-used entries first once full.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity == 0`.
-    pub fn with_capacity(capacity: usize) -> Self {
-        assert!(capacity > 0, "cache capacity must be positive");
-        PlacementCache {
-            capacity,
-            map: HashMap::new(),
-            slots: Vec::new(),
-            head: NONE,
-            tail: NONE,
-            stats: CacheStats::default(),
-            bound_to: None,
-        }
+        Self::default()
     }
 
     /// Hit/miss/eviction counters so far.
@@ -225,78 +183,6 @@ impl PlacementCache {
         self.map.is_empty()
     }
 
-    /// Detaches `slot` from the recency list.
-    fn unlink(&mut self, slot: usize) {
-        let (prev, next) = (self.slots[slot].prev, self.slots[slot].next);
-        if prev == NONE {
-            self.head = next;
-        } else {
-            self.slots[prev].next = next;
-        }
-        if next == NONE {
-            self.tail = prev;
-        } else {
-            self.slots[next].prev = prev;
-        }
-        self.slots[slot].prev = NONE;
-        self.slots[slot].next = NONE;
-    }
-
-    /// Prepends `slot` as the most-recently-used entry.
-    fn push_front(&mut self, slot: usize) {
-        self.slots[slot].prev = NONE;
-        self.slots[slot].next = self.head;
-        if self.head != NONE {
-            self.slots[self.head].prev = slot;
-        }
-        self.head = slot;
-        if self.tail == NONE {
-            self.tail = slot;
-        }
-    }
-
-    /// Marks `slot` as just-used.
-    fn touch(&mut self, slot: usize) {
-        if self.head != slot {
-            self.unlink(slot);
-            self.push_front(slot);
-        }
-    }
-
-    /// Drops the least-recently-used entry; returns its (now unlinked,
-    /// unmapped) slot index for reuse.
-    fn evict_lru(&mut self) -> usize {
-        let slot = self.tail;
-        debug_assert_ne!(slot, NONE, "evicting from an empty cache");
-        self.unlink(slot);
-        self.map.remove(&self.slots[slot].key);
-        self.stats.evictions += 1;
-        slot
-    }
-
-    /// Inserts the memoized outcome of a `key` the cache does not hold
-    /// as the most-recently-used entry, evicting the LRU entry when
-    /// full.
-    fn insert(&mut self, key: CacheKey, value: Result<Placement, PlacementError>) {
-        let entry = Slot {
-            key: key.clone(),
-            value,
-            prev: NONE,
-            next: NONE,
-        };
-        let slot = if self.map.len() >= self.capacity {
-            // Full: the LRU entry's slot is recycled for the new one.
-            let slot = self.evict_lru();
-            self.slots[slot] = entry;
-            slot
-        } else {
-            self.slots.push(entry);
-            self.slots.len() - 1
-        };
-        self.map.insert(key, slot);
-        self.push_front(slot);
-    }
-
     /// Memoized [`PlacementAlgorithm::place`], keyed by
     /// `circuit.fingerprint()`. The circuit memoizes its fingerprint in
     /// the gate body its clones share, so the key costs one O(gates)
@@ -304,7 +190,8 @@ impl PlacementCache {
     ///
     /// A hit requires key equality only: the key holds `status`'s exact
     /// free vector, so a cached placement fits `status` exactly when
-    /// the algorithm's own result did.
+    /// the algorithm's own result did. A miss on a full cache clears it
+    /// before memoizing the new outcome.
     ///
     /// The algorithm and cloud are *not* part of the key: one cache
     /// serves one (algorithm instance, cloud) pair for its whole life —
@@ -338,21 +225,23 @@ impl PlacementCache {
                 .collect(),
             seed,
         };
-        if let Some(&slot) = self.map.get(&key) {
+        if let Some(value) = self.map.get(&key) {
             debug_assert!(
-                self.slots[slot]
-                    .value
+                value
                     .as_ref()
                     .map_or(true, |placement| placement.fits(status)),
                 "an exact-key hit fits the status it is looked up under"
             );
             self.stats.hits += 1;
-            self.touch(slot);
-            return self.slots[slot].value.clone();
+            return value.clone();
         }
         self.stats.misses += 1;
         let result = algorithm.place(circuit, cloud, status, seed);
-        self.insert(key, result.clone());
+        if self.map.len() >= Self::CAPACITY {
+            self.stats.evictions += self.map.len() as u64;
+            self.map.clear();
+        }
+        self.map.insert(key, result.clone());
         result
     }
 }
@@ -363,6 +252,8 @@ mod tests {
     use crate::placement::CloudQcPlacement;
     use cloudqc_circuit::generators::catalog;
     use cloudqc_cloud::CloudBuilder;
+    use proptest::prelude::*;
+    use std::collections::HashSet;
 
     fn cloud() -> Cloud {
         CloudBuilder::paper_default(3).build()
@@ -446,14 +337,8 @@ mod tests {
         assert_eq!(CacheStats::default().hit_rate(), 0.0);
     }
 
-    #[test]
-    #[should_panic(expected = "positive")]
-    fn zero_capacity_rejected() {
-        let _ = PlacementCache::with_capacity(0);
-    }
-
-    /// A placement algorithm cheap enough to drive millions of cache
-    /// fills: every qubit on QPU 0, no search.
+    /// A placement algorithm cheap enough to fill the cache past its
+    /// bound: every qubit on QPU `seed mod qpu_count`, no search.
     struct StubPlacement;
 
     impl PlacementAlgorithm for StubPlacement {
@@ -464,69 +349,93 @@ mod tests {
         fn place(
             &self,
             circuit: &Circuit,
-            _cloud: &Cloud,
+            cloud: &Cloud,
             _status: &CloudStatus,
-            _seed: u64,
+            seed: u64,
         ) -> Result<Placement, PlacementError> {
-            Ok(Placement::new(vec![QpuId::new(0); circuit.num_qubits()]))
+            let qpu = QpuId::new(seed as usize % cloud.qpu_count());
+            Ok(Placement::new(vec![qpu; circuit.num_qubits()]))
         }
     }
 
     #[test]
-    fn lru_caps_memory_over_millions_of_distinct_signatures() {
-        // The long-lived-service scenario: an endless stream of
-        // distinct (fingerprint, free-vector, seed) signatures. The
-        // unbounded map this replaced grew one entry per signature —
-        // a leak; the LRU must stay at its capacity forever.
+    fn a_miss_on_a_full_cache_clears_it_whole() {
         let cloud = CloudBuilder::new(2).computing_qubits(8).build();
-        let algo = StubPlacement;
         let circuit = Circuit::new(2);
-        const CAPACITY: usize = 512;
-        const LOOKUPS: u64 = 2_000_000;
-        let mut cache = PlacementCache::with_capacity(CAPACITY);
-        for seed in 0..LOOKUPS {
-            cache
-                .place(&algo, &circuit, &cloud, &cloud.status(), seed)
-                .unwrap();
-        }
-        assert_eq!(cache.len(), CAPACITY, "cache exceeded its capacity");
-        let stats = cache.stats();
-        assert_eq!(stats.misses, LOOKUPS);
-        assert_eq!(stats.hits, 0);
-        assert_eq!(stats.evictions, LOOKUPS - CAPACITY as u64);
-        // The hottest (most recent) signatures are retained…
-        cache
-            .place(&algo, &circuit, &cloud, &cloud.status(), LOOKUPS - 1)
-            .unwrap();
-        assert_eq!(cache.stats().hits, 1);
-        // …and the cold ones were evicted (a re-lookup recomputes —
-        // same pure function, so correctness is unaffected).
-        cache
-            .place(&algo, &circuit, &cloud, &cloud.status(), 0)
-            .unwrap();
-        assert_eq!(cache.stats().misses, LOOKUPS + 1);
-    }
-
-    #[test]
-    fn lru_evicts_least_recently_used_not_least_recently_inserted() {
-        let cloud = CloudBuilder::new(2).computing_qubits(8).build();
-        let algo = StubPlacement;
-        let circuit = Circuit::new(2);
-        let mut cache = PlacementCache::with_capacity(2);
         let place = |cache: &mut PlacementCache, seed: u64| {
             cache
-                .place(&algo, &circuit, &cloud, &cloud.status(), seed)
+                .place(&StubPlacement, &circuit, &cloud, &cloud.status(), seed)
                 .unwrap()
         };
-        place(&mut cache, 1); // miss: {1}
-        place(&mut cache, 2); // miss: {1, 2}
-        place(&mut cache, 1); // hit — 1 becomes most recent
-        place(&mut cache, 3); // miss: evicts 2, not 1
-        assert_eq!(cache.stats().evictions, 1);
-        place(&mut cache, 1); // still cached
-        assert_eq!(cache.stats().hits, 2);
-        place(&mut cache, 2); // evicted: recomputes
-        assert_eq!(cache.stats().misses, 4);
-        assert_eq!(cache.len(), 2);
+        let cap = PlacementCache::CAPACITY as u64;
+        let mut cache = PlacementCache::new();
+        let first = place(&mut cache, 1);
+        for seed in 2..=cap {
+            place(&mut cache, seed);
+        }
+        // Full, and nothing dropped yet.
+        assert_eq!(cache.len(), PlacementCache::CAPACITY);
+        assert_eq!(cache.stats().evictions, 0);
+        // One more key clears every entry before it is memoized.
+        place(&mut cache, cap + 1);
+        assert_eq!(cache.len(), 1);
+        assert_eq!(cache.stats().evictions, cap);
+        // Seed 1 was looked up before the clear: it misses once more,
+        // with the same outcome, and then hits.
+        assert_eq!(place(&mut cache, 1), first);
+        assert_eq!(place(&mut cache, 1), first);
+        let stats = cache.stats();
+        assert_eq!((stats.hits, stats.misses), (1, cap + 2));
+        // Fill to the bound and cross it a second time.
+        for seed in cap + 2..2 * cap {
+            place(&mut cache, seed);
+        }
+        assert_eq!(cache.len(), PlacementCache::CAPACITY);
+        place(&mut cache, 2 * cap);
+        assert_eq!(cache.len(), 1);
+        let stats = cache.stats();
+        assert_eq!(stats.evictions, 2 * cap);
+        assert_eq!((stats.hits, stats.misses), (1, 2 * cap + 1));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Random lookup sequences over few circuits (one too big for
+        /// the cloud), statuses and seeds, so that keys repeat: every
+        /// lookup equals a direct call, and only a key's first lookup
+        /// misses.
+        #[test]
+        fn every_lookup_equals_the_direct_call(
+            lookups in prop::collection::vec((0..3usize, 0..3usize, 0..3u64), 0..40),
+        ) {
+            let cloud = CloudBuilder::new(3).computing_qubits(8).line_topology().build();
+            let circuits = ["ghz_n5", "qft_n14", "bv_n30"].map(|name| catalog::by_name(name).unwrap());
+            let statuses: Vec<CloudStatus> = [[0, 0, 0], [3, 0, 0], [0, 8, 2]]
+                .iter()
+                .map(|used| {
+                    let mut status = cloud.status();
+                    for (qpu, &n) in used.iter().enumerate() {
+                        status.allocate_computing(QpuId::new(qpu), n).unwrap();
+                    }
+                    status
+                })
+                .collect();
+            let algo = CloudQcPlacement::default();
+            let mut cache = PlacementCache::new();
+            let mut keys = HashSet::new();
+            for &(c, s, seed) in &lookups {
+                let (circuit, status) = (&circuits[c], &statuses[s]);
+                prop_assert_eq!(
+                    cache.place(&algo, circuit, &cloud, status, seed),
+                    algo.place(circuit, &cloud, status, seed)
+                );
+                keys.insert((c, s, seed));
+            }
+            let stats = cache.stats();
+            prop_assert_eq!(stats.misses, keys.len() as u64);
+            prop_assert_eq!(stats.hits + stats.misses, lookups.len() as u64);
+            prop_assert_eq!(cache.len(), keys.len());
+        }
     }
 }

@@ -44,9 +44,10 @@ use cloudqc_sim::online::OnlineReport;
 /// against one free-capacity vector are therefore one placement
 /// problem, which is exactly the placement cache's key. The cache is
 /// keyed by the exact free vector and holds at most
-/// [`crate::placement::PlacementCache::DEFAULT_CAPACITY`] entries, so
-/// it replays a repeated shape instead of re-running the pipeline, and
-/// cached and uncached runs stay byte-identical.
+/// [`crate::placement::PlacementCache::CAPACITY`] entries (a miss on a
+/// full cache clears it whole), so it replays a repeated shape instead
+/// of re-running the pipeline, and cached and uncached runs stay
+/// byte-identical.
 ///
 /// Terminal calls: [`ServiceBuilder::build`] for a resident
 /// [`Service`], [`ServiceBuilder::run`] for one finite workload, or

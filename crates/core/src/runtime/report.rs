@@ -124,25 +124,6 @@ impl RunReport {
         }
         ts
     }
-
-    /// Computing-qubit utilization per bucket of `bucket_width` ticks,
-    /// as a fraction of `total_computing_capacity`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `total_computing_capacity == 0`.
-    pub fn utilization_series(
-        &self,
-        total_computing_capacity: usize,
-        bucket_width: u64,
-    ) -> TimeSeries {
-        assert!(total_computing_capacity > 0, "capacity must be positive");
-        let mut ts = TimeSeries::new(bucket_width);
-        for o in &self.outcomes {
-            ts.add_interval(o.admitted_at, o.finished_at, o.qubits as f64);
-        }
-        ts.scaled(1.0 / (total_computing_capacity as f64 * bucket_width as f64))
-    }
 }
 
 #[cfg(test)]
@@ -280,11 +261,6 @@ mod tests {
             report.outcomes.len(),
             "every completion lands in some bucket"
         );
-        let util = report.utilization_series(cloud.total_computing_capacity(), 1_000);
-        assert!(util
-            .buckets()
-            .iter()
-            .all(|&u| (0.0..=1.0 + 1e-9).contains(&u)));
         let u = report.utilization(cloud.total_computing_capacity());
         assert!(u > 0.0 && u <= 1.0, "utilization {u}");
         for o in &report.outcomes {

@@ -214,7 +214,7 @@ impl Service<'_> {
                         self.jobs[job_idx].record_index,
                         ExecError::Unplaceable(PlacementError::NoFeasiblePlacement),
                     ));
-                    self.online.record_rejection(self.now());
+                    self.online.record_rejection();
                 }
             }
         }
@@ -268,7 +268,7 @@ impl Service<'_> {
                     self.jobs[job_idx].record_index,
                     ExecError::SlaExpired { deadline, now },
                 ));
-                self.online.record_rejection(now);
+                self.online.record_rejection();
                 self.waiting.remove(i);
                 continue;
             }
@@ -310,7 +310,7 @@ impl Service<'_> {
                             // The placement can never execute: reject
                             // the job, keep the run going.
                             self.rejections.push((self.jobs[job_idx].record_index, e));
-                            self.online.record_rejection(self.now());
+                            self.online.record_rejection();
                             self.waiting.remove(i);
                         }
                     }
@@ -326,7 +326,7 @@ impl Service<'_> {
                     };
                     self.rejections
                         .push((self.jobs[job_idx].record_index, ExecError::Unplaceable(err)));
-                    self.online.record_rejection(self.now());
+                    self.online.record_rejection();
                     self.waiting.remove(i);
                 }
                 Err(_) => {
@@ -355,7 +355,7 @@ impl Service<'_> {
                         queue_depth: self.waiting.len(),
                     },
                 ));
-                self.online.record_rejection(self.now());
+                self.online.record_rejection();
                 return;
             }
         }

@@ -86,14 +86,6 @@ impl Communities {
         }
         members
     }
-
-    /// Communities sorted by descending size (ties: smaller id first),
-    /// returned as member lists.
-    pub fn members_by_size(&self) -> Vec<Vec<usize>> {
-        let mut m = self.members();
-        m.sort_by_key(|members| std::cmp::Reverse(members.len()));
-        m
-    }
 }
 
 #[cfg(test)]
@@ -112,13 +104,5 @@ mod tests {
     fn members_grouping() {
         let c = Communities::from_assignment(&[0, 1, 0]);
         assert_eq!(c.members(), vec![vec![0, 2], vec![1]]);
-    }
-
-    #[test]
-    fn members_by_size_sorts_descending() {
-        let c = Communities::from_assignment(&[0, 1, 1, 1, 0, 2]);
-        let sized = c.members_by_size();
-        assert_eq!(sized[0].len(), 3);
-        assert_eq!(sized[2].len(), 1);
     }
 }

@@ -14,13 +14,11 @@ use crate::Graph;
 /// uf.union(2, 3);
 /// assert!(uf.connected(0, 1));
 /// assert!(!uf.connected(1, 2));
-/// assert_eq!(uf.set_count(), 2);
 /// ```
 #[derive(Clone, Debug)]
 pub struct UnionFind {
     parent: Vec<usize>,
     size: Vec<usize>,
-    sets: usize,
 }
 
 impl UnionFind {
@@ -29,7 +27,6 @@ impl UnionFind {
         UnionFind {
             parent: (0..n).collect(),
             size: vec![1; n],
-            sets: n,
         }
     }
 
@@ -67,24 +64,12 @@ impl UnionFind {
         };
         self.parent[small] = big;
         self.size[big] += self.size[small];
-        self.sets -= 1;
         true
     }
 
     /// Whether `a` and `b` are in the same set.
     pub fn connected(&mut self, a: usize, b: usize) -> bool {
         self.find(a) == self.find(b)
-    }
-
-    /// Number of disjoint sets.
-    pub fn set_count(&self) -> usize {
-        self.sets
-    }
-
-    /// Size of the set containing `x`.
-    pub fn set_size(&mut self, x: usize) -> usize {
-        let r = self.find(x);
-        self.size[r]
     }
 }
 
@@ -133,11 +118,10 @@ mod tests {
     #[test]
     fn union_find_basics() {
         let mut uf = UnionFind::new(5);
-        assert_eq!(uf.set_count(), 5);
         assert!(uf.union(0, 1));
         assert!(!uf.union(1, 0));
-        assert_eq!(uf.set_count(), 4);
-        assert_eq!(uf.set_size(0), 2);
+        assert!(uf.connected(1, 0));
+        assert!(!uf.connected(0, 2));
     }
 
     #[test]

@@ -91,26 +91,10 @@ impl DiGraph {
         self.pred[u].len()
     }
 
-    /// Out-degree of `u`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `u` is out of range.
-    pub fn out_degree(&self, u: usize) -> usize {
-        self.succ[u].len()
-    }
-
     /// Nodes with no predecessors — the initial *front layer* of a DAG.
     pub fn sources(&self) -> Vec<usize> {
         (0..self.node_count())
             .filter(|&u| self.pred[u].is_empty())
-            .collect()
-    }
-
-    /// Nodes with no successors (DAG leaves).
-    pub fn sinks(&self) -> Vec<usize> {
-        (0..self.node_count())
-            .filter(|&u| self.succ[u].is_empty())
             .collect()
     }
 
@@ -153,23 +137,6 @@ impl DiGraph {
         for &u in order.iter().rev() {
             for &v in &self.succ[u] {
                 dist[u] = dist[u].max(dist[v] + 1);
-            }
-        }
-        dist
-    }
-
-    /// For each node, the number of edges on the longest path from any
-    /// source to that node (its *depth layer*). Sources get `0`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the graph has a cycle.
-    pub fn longest_path_from_source(&self) -> Vec<usize> {
-        let order = self.topo_order().expect("graph has a cycle");
-        let mut dist = vec![0usize; self.node_count()];
-        for &u in &order {
-            for &v in &self.succ[u] {
-                dist[v] = dist[v].max(dist[u] + 1);
             }
         }
         dist
@@ -317,7 +284,7 @@ mod tests {
     fn sources_and_sinks() {
         let d = diamond();
         assert_eq!(d.sources(), vec![0]);
-        assert_eq!(d.sinks(), vec![3]);
+        assert!(d.successors(3).is_empty());
     }
 
     #[test]
@@ -325,12 +292,6 @@ mod tests {
         let d = diamond();
         assert_eq!(d.longest_path_to_leaf(), vec![2, 1, 1, 0]);
         assert_eq!(d.critical_path_len(), 2);
-    }
-
-    #[test]
-    fn longest_path_from_source_layers() {
-        let d = diamond();
-        assert_eq!(d.longest_path_from_source(), vec![0, 1, 1, 2]);
     }
 
     #[test]

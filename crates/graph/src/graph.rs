@@ -186,34 +186,6 @@ impl Graph {
         0..self.adj.len()
     }
 
-    /// Builds the subgraph induced by `nodes`.
-    ///
-    /// Returns the subgraph together with the mapping from subgraph index
-    /// to original node index. Node weights are carried over.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `nodes` contains an out-of-range or duplicate index.
-    pub fn induced_subgraph(&self, nodes: &[usize]) -> (Graph, Vec<usize>) {
-        let mut to_sub = vec![usize::MAX; self.node_count()];
-        for (i, &n) in nodes.iter().enumerate() {
-            assert!(n < self.node_count(), "node {n} out of range");
-            assert!(to_sub[n] == usize::MAX, "duplicate node {n}");
-            to_sub[n] = i;
-        }
-        let mut sub = Graph::new(nodes.len());
-        for (i, &n) in nodes.iter().enumerate() {
-            sub.node_weights[i] = self.node_weights[n];
-            for &(m, w) in &self.adj[n] {
-                let j = to_sub[m];
-                if j != usize::MAX && i < j {
-                    sub.add_edge(i, j, w);
-                }
-            }
-        }
-        (sub, nodes.to_vec())
-    }
-
     /// Contracts nodes into groups, producing the quotient graph.
     ///
     /// `group[u]` gives the group index of node `u`; group indices must be
@@ -324,17 +296,6 @@ mod tests {
         g.set_node_weight(0, 7.0);
         assert_eq!(g.node_weight(0), 7.0);
         assert_eq!(g.total_node_weight(), 8.0);
-    }
-
-    #[test]
-    fn induced_subgraph_keeps_internal_edges() {
-        let g = Graph::from_edges(5, [(0, 1, 1.0), (1, 2, 2.0), (2, 3, 3.0), (3, 4, 4.0)]);
-        let (sub, map) = g.induced_subgraph(&[1, 2, 3]);
-        assert_eq!(sub.node_count(), 3);
-        assert_eq!(sub.edge_count(), 2);
-        assert_eq!(map, vec![1, 2, 3]);
-        assert_eq!(sub.edge_weight(0, 1), Some(2.0));
-        assert_eq!(sub.edge_weight(1, 2), Some(3.0));
     }
 
     #[test]

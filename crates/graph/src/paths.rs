@@ -38,17 +38,6 @@ impl DistanceMatrix {
     pub fn node_count(&self) -> usize {
         self.n
     }
-
-    /// Maximum finite distance in the matrix (the graph diameter when
-    /// connected). `0` for an empty matrix.
-    pub fn diameter(&self) -> u32 {
-        self.dist
-            .iter()
-            .copied()
-            .filter(|&d| d != u32::MAX)
-            .max()
-            .unwrap_or(0)
-    }
 }
 
 /// Computes hop distances between every pair of nodes via one BFS per
@@ -62,7 +51,6 @@ impl DistanceMatrix {
 /// let g = Graph::from_edges(4, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)]);
 /// let m = all_pairs_hops(&g);
 /// assert_eq!(m.get(0, 3), Some(3));
-/// assert_eq!(m.diameter(), 3);
 /// ```
 pub fn all_pairs_hops(graph: &Graph) -> DistanceMatrix {
     let n = graph.node_count();
@@ -301,11 +289,5 @@ mod tests {
         let g = Graph::from_edges(3, [(0, 1, 0.3), (1, 2, 0.3), (0, 2, 0.35)]);
         let w = widest_path_values(&g, 0);
         assert_eq!(w[2], Some(0.35));
-    }
-
-    #[test]
-    fn diameter_of_path_graph() {
-        let g = Graph::from_edges(5, (0..4).map(|i| (i, i + 1, 1.0)));
-        assert_eq!(all_pairs_hops(&g).diameter(), 4);
     }
 }

@@ -1,7 +1,5 @@
 //! Summary statistics and CDFs for experiment reporting.
 
-use crate::time::Tick;
-
 /// Summary statistics over a set of samples.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Summary {
@@ -47,12 +45,6 @@ impl Summary {
             p50: percentile(&sorted, 0.50),
             p95: percentile(&sorted, 0.95),
         })
-    }
-
-    /// Summary over tick values.
-    pub fn of_ticks(samples: &[Tick]) -> Option<Summary> {
-        let vals: Vec<f64> = samples.iter().map(|t| t.as_ticks() as f64).collect();
-        Summary::of(&vals)
     }
 }
 
@@ -130,13 +122,6 @@ mod tests {
         assert_eq!(s.p50, 50.0);
         assert_eq!(s.p95, 95.0);
         assert_eq!(s.count, 100);
-    }
-
-    #[test]
-    fn summary_of_ticks() {
-        let t = [Tick::new(10), Tick::new(20)];
-        let s = Summary::of_ticks(&t).unwrap();
-        assert_eq!(s.mean, 15.0);
     }
 
     #[test]

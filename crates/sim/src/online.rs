@@ -5,8 +5,8 @@
 //! an unbounded job stream the per-job outcome vector grows without
 //! limit. [`OnlineReport`] replaces it with
 //!
-//! * [`RunningStat`] — Welford running aggregates (count, mean,
-//!   variance, min, max) in O(1) memory per tracked series, and
+//! * [`RunningStat`] — Welford running aggregates (count, mean, min,
+//!   max) in O(1) memory per tracked series, and
 //! * [`Reservoir`] — a seeded, bounded reservoir sample (Vitter's
 //!   Algorithm R) over completion times, so percentiles stay available
 //!   at a fixed memory cost with a known tolerance: with fewer
@@ -25,10 +25,9 @@ use crate::series::{LatencyBreakdown, MeanBreakdown};
 use crate::time::Tick;
 use rand::rngs::StdRng;
 use rand::RngExt;
-use std::cell::{Cell, RefCell};
 
 /// Welford running aggregates over a stream of samples: constant
-/// memory, numerically stable mean/variance, exact min/max/count.
+/// memory, a numerically stable mean, exact min/max/count.
 ///
 /// # Example
 ///
@@ -47,8 +46,6 @@ use std::cell::{Cell, RefCell};
 pub struct RunningStat {
     count: u64,
     mean: f64,
-    /// Sum of squared deviations from the running mean (Welford's M2).
-    m2: f64,
     min: f64,
     max: f64,
 }
@@ -64,9 +61,7 @@ impl RunningStat {
             self.min = self.min.min(x);
             self.max = self.max.max(x);
         }
-        let delta = x - self.mean;
-        self.mean += delta / self.count as f64;
-        self.m2 += delta * (x - self.mean);
+        self.mean += (x - self.mean) / self.count as f64;
     }
 
     /// Samples recorded so far.
@@ -101,20 +96,11 @@ impl RunningStat {
         }
     }
 
-    /// Population variance (0 with fewer than two samples).
-    pub fn variance(&self) -> f64 {
-        if self.count < 2 {
-            0.0
-        } else {
-            self.m2 / self.count as f64
-        }
-    }
-
     /// Folds another stream's aggregates into this one (Chan et al.'s
     /// parallel Welford combine): the result is exactly what one stat
-    /// fed both streams would hold — count, mean, variance, min, and
-    /// max are all order-insensitive. This is how a fleet of services
-    /// merges per-backend streams into one report.
+    /// fed both streams would hold — count, mean, min, and max are all
+    /// order-insensitive. This is how a fleet of services merges
+    /// per-backend streams into one report.
     pub fn merge(&mut self, other: &RunningStat) {
         if other.count == 0 {
             return;
@@ -124,9 +110,7 @@ impl RunningStat {
             return;
         }
         let (n1, n2) = (self.count as f64, other.count as f64);
-        let delta = other.mean - self.mean;
-        self.mean += delta * n2 / (n1 + n2);
-        self.m2 += other.m2 + delta * delta * n1 * n2 / (n1 + n2);
+        self.mean += (other.mean - self.mean) * n2 / (n1 + n2);
         self.count += other.count;
         self.min = self.min.min(other.min);
         self.max = self.max.max(other.max);
@@ -150,30 +134,12 @@ impl RunningStat {
 /// assert_eq!(r.len(), 3);
 /// assert_eq!(r.quantile(0.5), Some(1.0));
 /// ```
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Reservoir {
     capacity: usize,
     seen: u64,
     samples: Vec<f64>,
     rng: StdRng,
-    /// Memoized sorted view of `samples`, rebuilt lazily by
-    /// [`Reservoir::quantile`] and invalidated by every insert, so a
-    /// burst of quantile reads between completions sorts once instead
-    /// of per call.
-    sorted: RefCell<Vec<f64>>,
-    sorted_valid: Cell<bool>,
-}
-
-/// Equality ignores the memoized sorted view — it is a pure function of
-/// `samples`, so two reservoirs differing only in cache warmth are the
-/// same reservoir.
-impl PartialEq for Reservoir {
-    fn eq(&self, other: &Self) -> bool {
-        self.capacity == other.capacity
-            && self.seen == other.seen
-            && self.samples == other.samples
-            && self.rng == other.rng
-    }
 }
 
 impl Reservoir {
@@ -190,8 +156,6 @@ impl Reservoir {
             seen: 0,
             samples: Vec::new(),
             rng: SimRng::new(seed).fork("reservoir").into_std(),
-            sorted: RefCell::new(Vec::new()),
-            sorted_valid: Cell::new(false),
         }
     }
 
@@ -200,7 +164,6 @@ impl Reservoir {
         self.seen += 1;
         if self.samples.len() < self.capacity {
             self.samples.push(x);
-            self.sorted_valid.set(false);
             return;
         }
         // Algorithm R: the i-th item replaces a random slot with
@@ -208,7 +171,6 @@ impl Reservoir {
         let j = self.rng.random_range(0..self.seen);
         if (j as usize) < self.capacity {
             self.samples[j as usize] = x;
-            self.sorted_valid.set(false);
         }
     }
 
@@ -240,7 +202,8 @@ impl Reservoir {
 
     /// Nearest-rank quantile over the retained sample (`None` when
     /// empty). Exact while [`Reservoir::is_exhaustive`]; an unbiased
-    /// estimate afterwards.
+    /// estimate afterwards. Each call sorts a copy of the retained
+    /// sample, at most [`Reservoir::capacity`] values.
     ///
     /// # Panics
     ///
@@ -250,13 +213,8 @@ impl Reservoir {
         if self.samples.is_empty() {
             return None;
         }
-        let mut sorted = self.sorted.borrow_mut();
-        if !self.sorted_valid.get() {
-            sorted.clear();
-            sorted.extend_from_slice(&self.samples);
-            sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite samples"));
-            self.sorted_valid.set(true);
-        }
+        let mut sorted = self.samples.clone();
+        sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite samples"));
         Some(percentile(&sorted, q.max(f64::MIN_POSITIVE)))
     }
 
@@ -285,8 +243,8 @@ impl Reservoir {
 /// counterpart of the runtime's retained per-job report.
 ///
 /// Tracks completion times (running aggregates + a bounded reservoir
-/// for percentiles), the component-wise latency breakdown, rejection
-/// counts, and the last completion tick — enough to answer the
+/// for percentiles), the component-wise latency breakdown, the
+/// rejection count, and the last completion tick — enough to answer the
 /// `incoming`-style questions (mean/p95 JCT, throughput, where the
 /// latency went) without retaining a single per-job record.
 ///
@@ -300,12 +258,11 @@ impl Reservoir {
 /// let mut r = OnlineReport::new(7);
 /// r.record_completion(Tick::new(200), LatencyBreakdown::new(100, 40, 60), Tick::new(500));
 /// r.record_completion(Tick::new(100), LatencyBreakdown::new(0, 40, 60), Tick::new(800));
-/// r.record_rejection(Tick::new(900));
+/// r.record_rejection();
 /// assert_eq!(r.completed(), 2);
 /// assert_eq!(r.rejected(), 1);
 /// assert!((r.mean_completion_time() - 150.0).abs() < 1e-12);
 /// assert_eq!(r.last_finish(), Tick::new(800));
-/// assert_eq!(r.last_rejection(), Tick::new(900));
 /// ```
 #[derive(Clone, Debug, PartialEq)]
 pub struct OnlineReport {
@@ -316,7 +273,6 @@ pub struct OnlineReport {
     reservoir: Reservoir,
     rejected: u64,
     last_finish: Tick,
-    last_rejection: Tick,
 }
 
 impl OnlineReport {
@@ -344,7 +300,6 @@ impl OnlineReport {
             reservoir: Reservoir::new(capacity, seed),
             rejected: 0,
             last_finish: Tick::ZERO,
-            last_rejection: Tick::ZERO,
         }
     }
 
@@ -364,12 +319,9 @@ impl OnlineReport {
         self.last_finish = self.last_finish.max(finished_at);
     }
 
-    /// Counts one job rejected at `at` (on the service's continuous
-    /// lifetime clock, like [`OnlineReport::record_completion`]'s
-    /// `finished_at`).
-    pub fn record_rejection(&mut self, at: Tick) {
+    /// Counts one rejected job.
+    pub fn record_rejection(&mut self) {
         self.rejected += 1;
-        self.last_rejection = self.last_rejection.max(at);
     }
 
     /// Jobs completed so far.
@@ -392,11 +344,6 @@ impl OnlineReport {
         self.completion.max()
     }
 
-    /// Running aggregates of the completion-time stream.
-    pub fn completion_stat(&self) -> &RunningStat {
-        &self.completion
-    }
-
     /// Component-wise mean latency breakdown (`None` before any
     /// completion).
     pub fn mean_breakdown(&self) -> Option<MeanBreakdown> {
@@ -413,12 +360,6 @@ impl OnlineReport {
     /// The latest completion tick seen (the running makespan).
     pub fn last_finish(&self) -> Tick {
         self.last_finish
-    }
-
-    /// The latest rejection tick seen ([`Tick::ZERO`] before any
-    /// rejection).
-    pub fn last_rejection(&self) -> Tick {
-        self.last_rejection
     }
 
     /// Completed jobs per tick up to the last completion (0 before any
@@ -451,8 +392,8 @@ impl OnlineReport {
     /// combine exactly ([`RunningStat::merge`]); the percentile
     /// reservoir combines exactly while the union is within capacity
     /// and degrades to a deterministic estimate beyond
-    /// ([`Reservoir::merge`]); rejection counts sum and the last-event
-    /// ticks take the maximum.
+    /// ([`Reservoir::merge`]); rejection counts sum and the last
+    /// completion tick takes the maximum.
     pub fn merge(&mut self, other: &OnlineReport) {
         self.completion.merge(&other.completion);
         self.queueing.merge(&other.queueing);
@@ -461,7 +402,6 @@ impl OnlineReport {
         self.reservoir.merge(&other.reservoir);
         self.rejected += other.rejected;
         self.last_finish = self.last_finish.max(other.last_finish);
-        self.last_rejection = self.last_rejection.max(other.last_rejection);
     }
 }
 
@@ -479,10 +419,8 @@ mod tests {
         }
         let n = samples.len() as f64;
         let mean = samples.iter().sum::<f64>() / n;
-        let var = samples.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / n;
         assert_eq!(s.count(), samples.len() as u64);
         assert!((s.mean() - mean).abs() < 1e-12);
-        assert!((s.variance() - var).abs() < 1e-12);
         assert_eq!(s.min(), 1.0);
         assert_eq!(s.max(), 9.0);
     }
@@ -494,7 +432,6 @@ mod tests {
         assert_eq!(s.mean(), 0.0);
         assert_eq!(s.min(), 0.0);
         assert_eq!(s.max(), 0.0);
-        assert_eq!(s.variance(), 0.0);
     }
 
     #[test]
@@ -529,26 +466,26 @@ mod tests {
 
     #[test]
     fn quantile_cache_invalidates_on_insert() {
+        // A read after an insert sees it, and a repeated read agrees.
         let mut r = Reservoir::new(8, 4);
         r.record(10.0);
         assert_eq!(r.quantile(1.0), Some(10.0));
-        // A fresh insert must invalidate the memoized sorted view.
         r.record(20.0);
         assert_eq!(r.quantile(1.0), Some(20.0));
-        // And a second read (cache now warm) still agrees.
         assert_eq!(r.quantile(0.0), Some(10.0));
         assert_eq!(r.quantile(1.0), Some(20.0));
     }
 
     #[test]
     fn reservoir_equality_ignores_sorted_cache() {
+        // A quantile read leaves no trace that equality could see.
         let mut a = Reservoir::new(8, 4);
         let mut b = Reservoir::new(8, 4);
         for x in [3.0, 1.0, 2.0] {
             a.record(x);
             b.record(x);
         }
-        let _ = a.quantile(0.5); // warm only a's cache
+        let _ = a.quantile(0.5);
         assert_eq!(a, b);
     }
 
@@ -622,7 +559,6 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.count(), whole.count());
         assert!((a.mean() - whole.mean()).abs() < 1e-12);
-        assert!((a.variance() - whole.variance()).abs() < 1e-12);
         assert_eq!(a.min(), whole.min());
         assert_eq!(a.max(), whole.max());
         // Merging into an empty stat adopts the other side verbatim.
@@ -690,7 +626,7 @@ mod tests {
             LatencyBreakdown::new(100, 80, 120),
             Tick::new(900),
         );
-        b.record_rejection(Tick::new(950));
+        b.record_rejection();
         a.merge(&b);
         assert_eq!(a.completed(), 2);
         assert_eq!(a.rejected(), 1);
@@ -698,7 +634,6 @@ mod tests {
         let mean = a.mean_breakdown().unwrap();
         assert_eq!(mean.queueing, 75.0);
         assert_eq!(a.last_finish(), Tick::new(900));
-        assert_eq!(a.last_rejection(), Tick::new(950));
         assert_eq!(a.quantile(1.0), Some(300.0));
     }
 }

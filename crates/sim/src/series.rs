@@ -4,8 +4,8 @@
 //! completion time into *queueing* (arrival → admission), *EPR wait*
 //! (ticks with at least one EPR generation round in flight) and
 //! *compute* (the rest of the service time). [`TimeSeries`] accumulates
-//! throughput and utilization curves over fixed-width buckets, for the
-//! saturation views the paper's multi-tenant figures imply.
+//! throughput curves over fixed-width buckets, for the saturation views
+//! the paper's multi-tenant figures imply.
 
 use crate::time::Tick;
 
@@ -44,25 +44,9 @@ impl LatencyBreakdown {
     ///
     /// let b = LatencyBreakdown::new(100, 40, 60);
     /// assert_eq!(b.total(), 200);
-    /// assert_eq!(b.fractions(), (0.5, 0.2, 0.3));
     /// ```
     pub fn total(&self) -> u64 {
         self.queueing + self.epr_wait + self.compute
-    }
-
-    /// `(queueing, epr_wait, compute)` as fractions of the total; all
-    /// zero for an empty breakdown.
-    pub fn fractions(&self) -> (f64, f64, f64) {
-        let total = self.total();
-        if total == 0 {
-            return (0.0, 0.0, 0.0);
-        }
-        let t = total as f64;
-        (
-            self.queueing as f64 / t,
-            self.epr_wait as f64 / t,
-            self.compute as f64 / t,
-        )
     }
 
     /// Component-wise mean over several breakdowns (`None` if empty).
@@ -97,12 +81,9 @@ impl MeanBreakdown {
     }
 }
 
-/// A time series over fixed-width tick buckets.
-///
-/// Two accumulation modes cover the runtime's reporting needs:
-/// point events ([`TimeSeries::add`], e.g. one completed job → a
-/// throughput curve) and interval loads ([`TimeSeries::add_interval`],
-/// e.g. qubits held from admission to finish → a utilization curve).
+/// A time series over fixed-width tick buckets: each point event
+/// ([`TimeSeries::add`], e.g. one completed job) lands in the bucket of
+/// its tick, which makes a throughput curve.
 ///
 /// # Example
 ///
@@ -150,23 +131,6 @@ impl TimeSeries {
         self.buckets[idx] += value;
     }
 
-    /// Spreads a constant load of `rate` (value per tick) over the
-    /// half-open interval `[from, to)`: every overlapped bucket gains
-    /// `rate × overlap_ticks`. A zero-length interval adds nothing.
-    pub fn add_interval(&mut self, from: Tick, to: Tick, rate: f64) {
-        if to <= from {
-            return;
-        }
-        let (lo, hi) = (from.as_ticks(), to.as_ticks());
-        let mut t = lo;
-        while t < hi {
-            let bucket_end = (t / self.bucket_width + 1) * self.bucket_width;
-            let seg_end = bucket_end.min(hi);
-            self.add(Tick::new(t), rate * (seg_end - t) as f64);
-            t = seg_end;
-        }
-    }
-
     /// Bucket totals, index `i` covering
     /// `[i·bucket_width, (i+1)·bucket_width)`. Empty trailing buckets
     /// are not materialized.
@@ -181,16 +145,6 @@ impl TimeSeries {
             .enumerate()
             .map(|(i, &v)| (Tick::new(i as u64 * self.bucket_width), v))
             .collect()
-    }
-
-    /// The same series with every bucket scaled by `factor` (e.g.
-    /// `1 / (capacity × bucket_width)` turns qubit-ticks into a
-    /// utilization fraction).
-    pub fn scaled(&self, factor: f64) -> TimeSeries {
-        TimeSeries {
-            bucket_width: self.bucket_width,
-            buckets: self.buckets.iter().map(|v| v * factor).collect(),
-        }
     }
 }
 
@@ -313,9 +267,7 @@ mod tests {
     fn breakdown_totals_and_fractions() {
         let b = LatencyBreakdown::new(50, 30, 20);
         assert_eq!(b.total(), 100);
-        let (q, e, c) = b.fractions();
-        assert_eq!((q, e, c), (0.5, 0.3, 0.2));
-        assert_eq!(LatencyBreakdown::default().fractions(), (0.0, 0.0, 0.0));
+        assert_eq!(LatencyBreakdown::default().total(), 0);
     }
 
     #[test]
@@ -341,35 +293,6 @@ mod tests {
         ts.add(Tick::new(35), 2.0);
         assert_eq!(ts.buckets(), &[2.0, 1.0, 0.0, 2.0]);
         assert_eq!(ts.points()[3], (Tick::new(30), 2.0));
-    }
-
-    #[test]
-    fn interval_accumulation_splits_across_buckets() {
-        let mut ts = TimeSeries::new(10);
-        // 3 qubits held over [5, 25): 5 ticks in bucket 0, 10 in
-        // bucket 1, 5 in bucket 2.
-        ts.add_interval(Tick::new(5), Tick::new(25), 3.0);
-        assert_eq!(ts.buckets(), &[15.0, 30.0, 15.0]);
-        // Total mass is rate × length.
-        assert_eq!(ts.buckets().iter().sum::<f64>(), 60.0);
-    }
-
-    #[test]
-    fn interval_edge_cases() {
-        let mut ts = TimeSeries::new(10);
-        ts.add_interval(Tick::new(7), Tick::new(7), 5.0); // empty
-        assert!(ts.buckets().is_empty());
-        ts.add_interval(Tick::new(10), Tick::new(20), 1.0); // exact bucket
-        assert_eq!(ts.buckets(), &[0.0, 10.0]);
-    }
-
-    #[test]
-    fn scaling() {
-        let mut ts = TimeSeries::new(100);
-        ts.add_interval(Tick::new(0), Tick::new(100), 4.0);
-        let util = ts.scaled(1.0 / (8.0 * 100.0)); // 8-qubit capacity
-        assert_eq!(util.buckets(), &[0.5]);
-        assert_eq!(util.bucket_width(), 100);
     }
 
     #[test]
