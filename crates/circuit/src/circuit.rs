@@ -389,15 +389,6 @@ impl Circuit {
             .count()
     }
 
-    /// CNOT density `#2q-gates / num_qubits` — the first term of the
-    /// paper's batch-ordering metric `I_i` (Eq. 11).
-    pub fn cnot_density(&self) -> f64 {
-        if self.num_qubits() == 0 {
-            return 0.0;
-        }
-        self.two_qubit_gate_count() as f64 / self.num_qubits() as f64
-    }
-
     /// Lowers structural gates to the CX basis: `Swap → 3 CX`,
     /// `Cp → 2 CX + 3 Rz`. Other gates pass through. Used after QASM
     /// import so gate counts match the transpiled form the paper's
@@ -514,7 +505,6 @@ mod tests {
         assert_eq!(c.gate_count(), 6);
         assert_eq!(c.two_qubit_gate_count(), 2);
         assert_eq!(c.measurement_count(), 3);
-        assert!((c.cnot_density() - 2.0 / 3.0).abs() < 1e-12);
     }
 
     #[test]

@@ -97,11 +97,6 @@ impl FrontTracker {
         self.remaining == 0
     }
 
-    /// Number of nodes not yet completed.
-    pub fn remaining(&self) -> usize {
-        self.remaining
-    }
-
     /// Marks `node` complete and returns the successors that became
     /// ready.
     ///

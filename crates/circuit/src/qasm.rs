@@ -632,18 +632,6 @@ pub fn write(circuit: &Circuit) -> String {
     out
 }
 
-/// Fraction-of-pi pretty parsing support: kept for API completeness.
-///
-/// Evaluates an angle expression in isolation (used by tests and tools).
-///
-/// # Errors
-///
-/// Returns [`ParseError`] (line 0) on malformed expressions and on
-/// non-finite literals or results.
-pub fn eval_angle(expr: &str) -> Result<f64, ParseError> {
-    eval_expr(expr, 0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -670,24 +658,24 @@ mod tests {
 
     #[test]
     fn angle_expressions() {
-        assert!((eval_angle("pi/4").unwrap() - PI / 4.0).abs() < 1e-12);
-        assert!((eval_angle("-pi").unwrap() + PI).abs() < 1e-12);
-        assert!((eval_angle("2*pi/3").unwrap() - 2.0 * PI / 3.0).abs() < 1e-12);
-        assert!((eval_angle("(1+2)*3").unwrap() - 9.0).abs() < 1e-12);
-        assert!((eval_angle("1.5e-3").unwrap() - 0.0015).abs() < 1e-15);
-        assert!(eval_angle("pi/0").is_err());
-        assert!(eval_angle("foo").is_err());
+        assert!((eval_expr("pi/4", 0).unwrap() - PI / 4.0).abs() < 1e-12);
+        assert!((eval_expr("-pi", 0).unwrap() + PI).abs() < 1e-12);
+        assert!((eval_expr("2*pi/3", 0).unwrap() - 2.0 * PI / 3.0).abs() < 1e-12);
+        assert!((eval_expr("(1+2)*3", 0).unwrap() - 9.0).abs() < 1e-12);
+        assert!((eval_expr("1.5e-3", 0).unwrap() - 0.0015).abs() < 1e-15);
+        assert!(eval_expr("pi/0", 0).is_err());
+        assert!(eval_expr("foo", 0).is_err());
     }
 
     #[test]
     fn non_finite_angles_are_rejected() {
-        let inf = eval_angle("1e999").unwrap_err();
+        let inf = eval_expr("1e999", 0).unwrap_err();
         assert_eq!(inf.message(), "number `1e999` is not finite");
-        let nan = eval_angle("1e308*10-1e308*10").unwrap_err();
+        let nan = eval_expr("1e308*10-1e308*10", 0).unwrap_err();
         assert_eq!(nan.message(), "angle `1e308*10-1e308*10` is not finite");
-        assert!(eval_angle("1e999-1e999").is_err());
-        assert!(eval_angle("-1e308*10").is_err());
-        assert_eq!(eval_angle("1e308").unwrap(), 1e308);
+        assert!(eval_expr("1e999-1e999", 0).is_err());
+        assert!(eval_expr("-1e308*10", 0).is_err());
+        assert_eq!(eval_expr("1e308", 0).unwrap(), 1e308);
         for (angle, message) in [
             ("1e999-1e999", "number `1e999` is not finite"),
             ("1e300*1e300", "angle `1e300*1e300` is not finite"),
@@ -824,28 +812,28 @@ mod tests {
     #[test]
     fn deeply_nested_parentheses_rejected() {
         let nested = |n: usize| format!("{}1{}", "(".repeat(n), ")".repeat(n));
-        assert_eq!(eval_angle(&nested(MAX_NESTING)).unwrap(), 1.0);
+        assert_eq!(eval_expr(&nested(MAX_NESTING), 0).unwrap(), 1.0);
         assert!(parse(&rz_program(&nested(MAX_NESTING))).is_ok());
         for n in [MAX_NESTING + 1, 100_000] {
-            let err = eval_angle(&nested(n)).unwrap_err();
+            let err = eval_expr(&nested(n), 0).unwrap_err();
             assert!(err.message().contains("nests deeper"), "{err}");
             assert!(parse(&rz_program(&nested(n))).is_err());
         }
-        assert!(eval_angle(&"(".repeat(100_000)).is_err());
+        assert!(eval_expr(&"(".repeat(100_000), 0).is_err());
         assert!(parse(&format!("qreg q[1]; rz({} q[0];", "(".repeat(100_000))).is_err());
     }
 
     #[test]
     fn long_unary_sign_runs_rejected() {
         let signs = |n: usize| format!("{}1", "-".repeat(n));
-        assert_eq!(eval_angle(&signs(MAX_NESTING)).unwrap(), 1.0);
+        assert_eq!(eval_expr(&signs(MAX_NESTING), 0).unwrap(), 1.0);
         assert_eq!(
-            eval_angle(&format!("+{}", signs(MAX_NESTING - 1))).unwrap(),
+            eval_expr(&format!("+{}", signs(MAX_NESTING - 1)), 0).unwrap(),
             -1.0
         );
         assert!(parse(&rz_program(&signs(MAX_NESTING))).is_ok());
         for n in [MAX_NESTING + 1, 1_000_000] {
-            let err = eval_angle(&signs(n)).unwrap_err();
+            let err = eval_expr(&signs(n), 0).unwrap_err();
             assert!(err.message().contains("nests deeper"), "{err}");
             assert!(parse(&rz_program(&signs(n))).is_err());
         }

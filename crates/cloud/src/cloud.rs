@@ -124,11 +124,6 @@ impl Cloud {
         }
     }
 
-    /// Whether per-link reliabilities are modeled.
-    pub fn has_link_reliability(&self) -> bool {
-        self.reliability.is_some()
-    }
-
     /// Number of QPUs.
     pub fn qpu_count(&self) -> usize {
         self.qpus.len()
@@ -141,14 +136,6 @@ impl Cloud {
     /// Panics if `id` is out of range.
     pub fn qpu(&self, id: QpuId) -> &Qpu {
         &self.qpus[id.index()]
-    }
-
-    /// Iterates over `(id, qpu)` pairs.
-    pub fn qpus(&self) -> impl Iterator<Item = (QpuId, &Qpu)> {
-        self.qpus
-            .iter()
-            .enumerate()
-            .map(|(i, q)| (QpuId::new(i), q))
     }
 
     /// The quantum-link topology (one node per QPU).
@@ -235,11 +222,6 @@ impl Cloud {
         self.qpus.iter().map(|q| q.computing_qubits()).sum()
     }
 
-    /// Sum of communication-qubit capacities over all QPUs.
-    pub fn total_communication_capacity(&self) -> usize {
-        self.qpus.iter().map(|q| q.communication_qubits()).sum()
-    }
-
     /// A fresh [`CloudStatus`] for this cloud, every computing qubit free.
     pub fn status(&self) -> CloudStatus {
         CloudStatus::new(self.qpus.iter().map(|q| q.computing_qubits()).collect())
@@ -271,15 +253,14 @@ mod tests {
     fn capacities_sum() {
         let c = line_cloud(5);
         assert_eq!(c.total_computing_capacity(), 100);
-        assert_eq!(c.total_communication_capacity(), 25);
     }
 
     #[test]
     fn status_starts_fully_free() {
         let c = line_cloud(3);
         let s = c.status();
-        for (id, q) in c.qpus() {
-            assert_eq!(s.free_computing(id), q.computing_qubits());
+        for id in (0..c.qpu_count()).map(QpuId::new) {
+            assert_eq!(s.free_computing(id), c.qpu(id).computing_qubits());
         }
     }
 
@@ -300,7 +281,6 @@ mod tests {
     #[test]
     fn reliability_defaults_to_one() {
         let c = line_cloud(3);
-        assert!(!c.has_link_reliability());
         assert_eq!(c.bottleneck_reliability(QpuId::new(0), QpuId::new(2)), 1.0);
     }
 
@@ -315,7 +295,6 @@ mod tests {
             LatencyModel::default(),
             EprModel::default(),
         );
-        assert!(c.has_link_reliability());
         assert_eq!(c.bottleneck_reliability(QpuId::new(0), QpuId::new(2)), 0.8);
         assert_eq!(c.bottleneck_reliability(QpuId::new(0), QpuId::new(1)), 0.9);
         assert_eq!(c.bottleneck_reliability(QpuId::new(1), QpuId::new(1)), 1.0);

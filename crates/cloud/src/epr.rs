@@ -58,56 +58,29 @@ impl EprModel {
         1.0 - (1.0 - self.success_prob * quality).powi(pairs as i32)
     }
 
-    /// Samples whether one round with `pairs` parallel attempts succeeds.
-    pub fn sample_round(&self, pairs: usize, rng: &mut StdRng) -> bool {
-        let p = self.round_success_prob(pairs);
-        p > 0.0 && rng.random_bool(p)
-    }
-
-    /// Samples one round over a link of the given quality.
+    /// Samples `attempts` rounds of `pairs` parallel attempts each over
+    /// a link of the given quality and returns how many succeeded. The
+    /// round success probability `p` of
+    /// [`round_success_prob_with_quality`](Self::round_success_prob_with_quality)
+    /// is computed once, then each round draws one `random_bool(p)` in
+    /// order, and none at all when `p == 0` (zero pairs), so a seeded
+    /// simulation replays bit-for-bit.
     ///
     /// # Panics
     ///
     /// Panics if `quality` is outside `(0, 1]`.
-    pub fn sample_round_with_quality(&self, pairs: usize, quality: f64, rng: &mut StdRng) -> bool {
+    pub fn sample_successes(
+        &self,
+        pairs: usize,
+        quality: f64,
+        attempts: u64,
+        rng: &mut StdRng,
+    ) -> u64 {
         let p = self.round_success_prob_with_quality(pairs, quality);
-        p > 0.0 && rng.random_bool(p)
-    }
-
-    /// Samples the number of rounds needed for one link-level EPR pair
-    /// with `pairs` parallel attempts per round (geometric distribution,
-    /// support `1..`). Capped at `max_rounds` to bound pathological
-    /// tails.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `pairs == 0` or `max_rounds == 0`.
-    pub fn sample_rounds(&self, pairs: usize, max_rounds: u64, rng: &mut StdRng) -> u64 {
-        assert!(pairs > 0, "cannot generate EPR pairs with zero attempts");
-        assert!(max_rounds > 0, "max_rounds must be positive");
-        let mut rounds = 1;
-        while rounds < max_rounds && !self.sample_round(pairs, rng) {
-            rounds += 1;
+        if p == 0.0 {
+            return 0;
         }
-        rounds
-    }
-
-    /// Precomputes a [`RoundSampler`] for a fixed `(pairs, quality)`
-    /// pair, hoisting the `1 - (1 - p·quality)^pairs` computation out
-    /// of per-round sampling loops.
-    ///
-    /// The sampler draws the identical RNG sequence as repeated
-    /// [`sample_round_with_quality`](Self::sample_round_with_quality)
-    /// calls — one `random_bool` draw per round, same order — so
-    /// seeded simulations replay bit-for-bit.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `quality` is outside `(0, 1]`.
-    pub fn round_sampler(&self, pairs: usize, quality: f64) -> RoundSampler {
-        RoundSampler {
-            round_prob: self.round_success_prob_with_quality(pairs, quality),
-        }
+        (0..attempts).filter(|_| rng.random_bool(p)).count() as u64
     }
 
     /// Expected rounds until success with `pairs` parallel attempts:
@@ -121,37 +94,6 @@ impl EprModel {
         } else {
             1.0 / p
         }
-    }
-}
-
-/// A precomputed round sampler for one `(pairs, quality)` combination.
-///
-/// Built by [`EprModel::round_sampler`]. The executor's `RoundDone`
-/// fast path constructs one sampler per event and batch-samples all of
-/// the event's rounds through it, instead of recomputing the `powi`
-/// round-success formula on every draw.
-#[derive(Copy, Clone, Debug, PartialEq)]
-pub struct RoundSampler {
-    round_prob: f64,
-}
-
-impl RoundSampler {
-    /// The precomputed round success probability.
-    pub fn round_prob(&self) -> f64 {
-        self.round_prob
-    }
-
-    /// Samples whether one round succeeds — exactly one RNG draw,
-    /// identical to [`EprModel::sample_round_with_quality`].
-    pub fn sample(&self, rng: &mut StdRng) -> bool {
-        self.round_prob > 0.0 && rng.random_bool(self.round_prob)
-    }
-
-    /// Samples `rounds` consecutive rounds and returns how many
-    /// succeeded. Draws exactly `rounds` `random_bool`s in order, so
-    /// the RNG stream matches a per-round sampling loop bit-for-bit.
-    pub fn sample_attempts(&self, rounds: u64, rng: &mut StdRng) -> u64 {
-        (0..rounds).filter(|_| self.sample(rng)).count() as u64
     }
 }
 
@@ -186,13 +128,22 @@ mod tests {
         }
     }
 
+    /// Rounds until the first success, one single-round draw at a time.
+    fn rounds_to_success(m: &EprModel, pairs: usize, rng: &mut StdRng) -> u64 {
+        let mut rounds = 1;
+        while m.sample_successes(pairs, 1.0, 1, rng) == 0 {
+            rounds += 1;
+        }
+        rounds
+    }
+
     #[test]
     fn expected_rounds_matches_empirical_mean() {
         let m = EprModel::new(0.3);
         let mut rng = StdRng::seed_from_u64(7);
         let trials = 20_000;
         let total: u64 = (0..trials)
-            .map(|_| m.sample_rounds(2, 1_000, &mut rng))
+            .map(|_| rounds_to_success(&m, 2, &mut rng))
             .sum();
         let mean = total as f64 / trials as f64;
         let expected = m.expected_rounds(2);
@@ -206,17 +157,8 @@ mod tests {
     fn certain_success_is_one_round() {
         let m = EprModel::new(1.0);
         let mut rng = StdRng::seed_from_u64(0);
-        assert_eq!(m.sample_rounds(1, 100, &mut rng), 1);
+        assert_eq!(rounds_to_success(&m, 1, &mut rng), 1);
         assert_eq!(m.expected_rounds(1), 1.0);
-    }
-
-    #[test]
-    fn cap_bounds_rounds() {
-        let m = EprModel::new(0.001);
-        let mut rng = StdRng::seed_from_u64(0);
-        for _ in 0..100 {
-            assert!(m.sample_rounds(1, 5, &mut rng) <= 5);
-        }
     }
 
     #[test]
@@ -250,21 +192,26 @@ mod tests {
     #[test]
     fn sampler_matches_per_round_loop_bit_for_bit() {
         let m = EprModel::new(0.3);
-        for &(pairs, quality, rounds) in &[(1usize, 1.0f64, 50u64), (3, 0.8, 200), (7, 0.45, 1000)]
-        {
-            let mut slow_rng = StdRng::seed_from_u64(42);
-            let slow = (0..rounds)
-                .filter(|_| m.sample_round_with_quality(pairs, quality, &mut slow_rng))
+        for &(pairs, quality, attempts) in &[
+            (1usize, 1.0f64, 50u64),
+            (3, 0.8, 200),
+            (7, 0.45, 1000),
+            (0, 1.0, 100),
+        ] {
+            // One draw per attempt at the round probability, none at 0.
+            let p = m.round_success_prob_with_quality(pairs, quality);
+            let mut reference_rng = StdRng::seed_from_u64(42);
+            let reference = (0..attempts)
+                .filter(|_| p > 0.0 && reference_rng.random_bool(p))
                 .count() as u64;
-            let mut fast_rng = StdRng::seed_from_u64(42);
-            let sampler = m.round_sampler(pairs, quality);
-            let fast = sampler.sample_attempts(rounds, &mut fast_rng);
-            assert_eq!(slow, fast);
+            let mut rng = StdRng::seed_from_u64(42);
+            let successes = m.sample_successes(pairs, quality, attempts, &mut rng);
+            assert_eq!(successes, reference);
             // The streams must stay aligned after the batch, too.
             assert_eq!(
-                slow_rng.random_bool(0.5),
-                fast_rng.random_bool(0.5),
-                "RNG streams diverged after batch sampling"
+                reference_rng.random::<u64>(),
+                rng.random::<u64>(),
+                "RNG streams diverged after sampling {attempts} attempts of {pairs} pairs"
             );
         }
     }
@@ -272,15 +219,17 @@ mod tests {
     #[test]
     fn sampler_precomputes_round_probability() {
         let m = EprModel::new(0.3);
-        let sampler = m.round_sampler(4, 0.9);
-        assert_eq!(
-            sampler.round_prob(),
-            m.round_success_prob_with_quality(4, 0.9)
-        );
+        // Every round draws at the one round probability for (pairs, quality).
+        let p = m.round_success_prob_with_quality(4, 0.9);
+        let mut reference_rng = StdRng::seed_from_u64(1);
+        let reference = (0..100)
+            .filter(|_| reference_rng.random_bool(p))
+            .count() as u64;
+        let mut rng = StdRng::seed_from_u64(1);
+        assert_eq!(m.sample_successes(4, 0.9, 100, &mut rng), reference);
         // Zero pairs: probability 0, no RNG draws at all.
         let mut rng = StdRng::seed_from_u64(1);
-        let zero = m.round_sampler(0, 1.0);
-        assert_eq!(zero.sample_attempts(100, &mut rng), 0);
+        assert_eq!(m.sample_successes(0, 1.0, 100, &mut rng), 0);
         let mut fresh = StdRng::seed_from_u64(1);
         assert_eq!(rng.random_bool(0.5), fresh.random_bool(0.5));
     }
@@ -288,6 +237,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "link quality")]
     fn sampler_rejects_bad_quality() {
-        EprModel::default().round_sampler(1, 0.0);
+        EprModel::default().sample_successes(1, 0.0, 1, &mut StdRng::seed_from_u64(0));
     }
 }

@@ -52,7 +52,7 @@ mod tables;
 
 pub use builder::CloudBuilder;
 pub use cloud::Cloud;
-pub use epr::{EprModel, RoundSampler};
+pub use epr::EprModel;
 pub use latency::LatencyModel;
 pub use qpu::{Qpu, QpuId};
 pub use status::{CloudStatus, ResourceError};

@@ -34,9 +34,6 @@ impl Default for BatchWeights {
 pub struct PlacementConfig {
     /// Imbalance factors α to sweep in the graph-partition step.
     pub imbalance_factors: Vec<f64>,
-    /// How many part counts to try above the minimum feasible `k`
-    /// (`k ∈ kmin ..= kmin + k_sweep_width`, capped by the QPU count).
-    pub k_sweep_width: usize,
     /// Scoring weight α of `S = α/T + β/C` (estimated time term).
     /// While both weights are ≥ 0, the CloudQC sweep skips every split
     /// whose score cannot beat the best so far; a negative or NaN
@@ -54,7 +51,6 @@ impl Default for PlacementConfig {
     fn default() -> Self {
         PlacementConfig {
             imbalance_factors: vec![0.1, 0.3, 0.5],
-            k_sweep_width: 4,
             score_alpha: 1.0,
             score_beta: 1.0,
             epsilon: usize::MAX,

@@ -23,10 +23,10 @@
 //! pass over its gates, without a gate DAG. Per gate, the plan holds
 //! its at most two successors (the next gate on each operand, in
 //! ascending order), a pending-predecessor count and its remote-node
-//! index. Per remote gate, it holds the endpoints, the hop count and
-//! the priority: the longest chain of remote gates below the gate,
-//! which is the paper's longest path to a leaf of the remote DAG
-//! (§V.C). Dispatching and completing a gate are O(1). A differential
+//! index. Per remote gate, it holds the endpoints, the hops still to
+//! entangle and the priority: the longest chain of remote gates below
+//! the gate, which is the paper's longest path to a leaf of the remote
+//! DAG (§V.C). Dispatching and completing a gate are O(1). A differential
 //! proptest checks the plan against the public reference model:
 //! [`gate_dag`](cloudqc_circuit::dag::gate_dag),
 //! [`FrontTracker`](cloudqc_circuit::dag::FrontTracker),
@@ -175,7 +175,10 @@ struct PlanNode {
     gate: u32,
     a: QpuId,
     b: QpuId,
-    hops: u32,
+    /// Hops not yet entangled, starting at the route's hop count; every
+    /// such hop attempts in each round, and a success is banked
+    /// (entanglement memory).
+    remaining_hops: u32,
     /// The most remote gates on any gate-DAG path below this one.
     priority: u32,
 }
@@ -239,7 +242,7 @@ impl JobPlan {
                         gate: id,
                         a,
                         b,
-                        hops: cloud.distance_or_max(a, b),
+                        remaining_hops: cloud.distance_or_max(a, b).max(1),
                         priority: 0,
                     });
                 }
@@ -320,14 +323,10 @@ impl JobPlan {
 struct JobState {
     /// Emptied when the job finishes, like every vector below.
     plan: JobPlan,
-    remaining_hops: Vec<u32>,
     /// Swapping-station QPU indices per remote node (the intermediates
     /// of the Fig. 4 "Selected paths"); resolved once at admission and
     /// only populated in path-reservation mode.
     stations: Vec<Vec<usize>>,
-    /// Remote nodes currently pending in the front layer, so a
-    /// suspension can retract them without scanning the layer.
-    pending_nodes: Vec<usize>,
     /// Remote nodes retracted by a suspension, re-inserted on resume.
     parked: Vec<usize>,
     /// Suspended jobs keep their computing qubits and any in-flight
@@ -500,15 +499,12 @@ impl<'a> Executor<'a> {
             Vec::new()
         };
 
-        let remaining_hops: Vec<u32> = plan.nodes.iter().map(|n| n.hops.max(1)).collect();
         let id = self.jobs.len();
         let sources: Vec<usize> = plan.sources().collect();
         self.jobs.push(JobState {
             remote_gates: plan.nodes.len(),
             plan,
-            remaining_hops,
             stations,
-            pending_nodes: Vec::new(),
             parked: Vec::new(),
             suspended: false,
             started_at: self.now,
@@ -537,9 +533,7 @@ impl<'a> Executor<'a> {
         let state = &mut self.jobs[job];
         state.finished_at = Some(self.now);
         state.plan = JobPlan::default();
-        state.remaining_hops = Vec::new();
         state.stations = Vec::new();
-        state.pending_nodes = Vec::new();
         state.parked = Vec::new();
         self.unfinished -= 1;
         self.newly_finished.push(job);
@@ -581,12 +575,10 @@ impl<'a> Executor<'a> {
             .expect_err("request keys are unique while pending");
         self.front.insert(pos, req);
         self.front_settled = false;
-        self.jobs[job].pending_nodes.push(node);
     }
 
-    /// Removes `job`'s request for `node` from the front layer without
-    /// touching the pending-node bookkeeping (shared by the grant path
-    /// and suspension).
+    /// Removes `job`'s request for `node` from the front layer (its
+    /// round started).
     fn retract(&mut self, job: usize, node: usize) {
         let key = encode_key(job, node);
         let priority = self.jobs[job].plan.nodes[node].priority as usize;
@@ -596,18 +588,6 @@ impl<'a> Executor<'a> {
             .expect("retracted request was pending");
         self.front.remove(pos);
         self.front_settled = false;
-    }
-
-    /// Removes a request from the front layer (its round started).
-    fn remove_request(&mut self, key: u64) {
-        let (job, node) = decode_key(key);
-        self.retract(job, node);
-        let pending = &mut self.jobs[job].pending_nodes;
-        let pos = pending
-            .iter()
-            .position(|&n| n == node)
-            .expect("granted node was tracked as pending");
-        pending.swap_remove(pos);
     }
 
     /// Suspends (preempts) a running job: every pending remote-gate
@@ -633,12 +613,21 @@ impl<'a> Executor<'a> {
             return false;
         }
         self.jobs[job].suspended = true;
-        let mut nodes = std::mem::take(&mut self.jobs[job].pending_nodes);
-        nodes.sort_unstable();
-        for &node in &nodes {
-            self.retract(job, node);
+        // The job's requests are the front entries whose key carries
+        // its id; they park in node order.
+        let mut parked = Vec::new();
+        self.front.retain(|r| {
+            let (owner, node) = decode_key(r.key);
+            if owner == job {
+                parked.push(node);
+            }
+            owner != job
+        });
+        if !parked.is_empty() {
+            self.front_settled = false;
         }
-        self.jobs[job].parked = nodes;
+        parked.sort_unstable();
+        self.jobs[job].parked = parked;
         self.preemptions += 1;
         // The retracted demand may redirect this round's grants to the
         // remaining requests immediately.
@@ -736,7 +725,7 @@ impl<'a> Executor<'a> {
             }
             self.comm_free[a.index()] -= pairs;
             self.comm_free[b.index()] -= pairs;
-            self.remove_request(alloc.key);
+            self.retract(job, node);
             granted = true;
             let state = &mut self.jobs[job];
             state.epr_rounds += 1;
@@ -784,23 +773,22 @@ impl<'a> Executor<'a> {
                         state.epr_wait += self.now - state.epr_busy_since;
                     }
                 }
-                // Each remaining hop attempts entanglement this round;
-                // successes are banked (entanglement memory). With the
-                // link-reliability extension, the end-to-end bottleneck
-                // quality scales each attempt's success probability.
-                let epr = self.cloud.epr();
+                // Each remaining hop attempts entanglement this round,
+                // one RNG draw per hop in order; successes are banked
+                // (entanglement memory). With the link-reliability
+                // extension, the end-to-end bottleneck quality scales
+                // each attempt's success probability.
                 let quality = self.cloud.bottleneck_reliability(a, b);
-                let attempts = self.jobs[job].remaining_hops[node];
-                // Fast path: every hop this round shares one
-                // `(pairs, quality)`, so the round-success probability
-                // is computed once and the batch sampler draws the
-                // identical RNG sequence (one draw per hop, same
-                // order) the per-hop loop did — schedules stay
-                // bit-for-bit unchanged.
-                let sampler = epr.round_sampler(pairs, quality);
-                let successes = sampler.sample_attempts(attempts as u64, &mut self.rng) as u32;
-                let remaining = attempts - successes;
-                self.jobs[job].remaining_hops[node] = remaining;
+                let plan_node = &mut self.jobs[job].plan.nodes[node];
+                let attempts = plan_node.remaining_hops;
+                let successes = self.cloud.epr().sample_successes(
+                    pairs,
+                    quality,
+                    u64::from(attempts),
+                    &mut self.rng,
+                );
+                let remaining = attempts - successes as u32;
+                plan_node.remaining_hops = remaining;
                 if remaining == 0 {
                     let gate = self.jobs[job].plan.nodes[node].gate as usize;
                     let done_at = self.now + self.cloud.latency().remote_gate_completion();
@@ -1410,6 +1398,41 @@ mod tests {
     }
 
     #[test]
+    fn suspension_touches_only_its_own_job() {
+        // One communication qubit per QPU: the first job's top request
+        // takes the only pair, and every other request stays pending.
+        let cloud = CloudBuilder::new(2)
+            .line_topology()
+            .communication_qubits(1)
+            .epr_success_prob(0.05)
+            .build();
+        // Remote chains of 1, 3 and 2 gates: the sources' priorities
+        // 0, 2 and 1 put the front out of node order.
+        let mut c = Circuit::new(6);
+        c.cx(2, 3).cx(0, 1).cx(4, 5).cx(0, 1).cx(4, 5).cx(0, 1);
+        let p = Placement::new((0..6).map(|q| QpuId::new(q % 2)).collect());
+        let mut exec = Executor::new(&cloud, &CloudQcScheduler, 3);
+        let first = exec.try_add_job(&c, &p).expect("job admitted");
+        let second = exec.try_add_job(&c, &p).expect("job admitted");
+        let snapshot = exec.front.clone();
+        let (firsts, others): (Vec<RemoteRequest>, Vec<RemoteRequest>) =
+            snapshot.iter().partition(|r| decode_key(r.key).0 == first);
+        let mut first_nodes: Vec<usize> = firsts.iter().map(|r| decode_key(r.key).1).collect();
+        assert!(!first_nodes.is_sorted(), "{first_nodes:?}");
+        assert!(others.iter().any(|r| decode_key(r.key).0 == second));
+
+        assert!(exec.suspend_job(first));
+        assert_eq!(exec.front, others);
+        first_nodes.sort_unstable();
+        assert_eq!(exec.jobs[first].parked, first_nodes);
+
+        assert!(exec.resume_job(first));
+        assert_eq!(exec.front, snapshot);
+        exec.run_to_completion();
+        assert!(exec.job_result(first).is_some() && exec.job_result(second).is_some());
+    }
+
+    #[test]
     fn epr_wait_bounded_by_service_time() {
         let cloud = CloudBuilder::new(4)
             .line_topology()
@@ -1439,8 +1462,6 @@ mod tests {
         exec.run_to_completion();
         let state = &exec.jobs[id];
         assert!(state.plan.gates.is_empty() && state.plan.nodes.is_empty());
-        assert_eq!(state.remaining_hops.capacity(), 0);
-        assert_eq!(state.pending_nodes.capacity(), 0);
         // The same job run alone reports the same result from the
         // scalars that outlive the plan.
         let alone = simulate_job(&c, &p, &cloud, &CloudQcScheduler, 7);
@@ -1562,7 +1583,7 @@ mod tests {
                 for (n, node) in plan.nodes.iter().enumerate() {
                     prop_assert_eq!(node.gate as usize, remote.gate_index(n));
                     prop_assert_eq!((node.a, node.b), remote.endpoints(n));
-                    prop_assert_eq!(node.hops, remote.hops(n));
+                    prop_assert_eq!(node.remaining_hops, remote.hops(n).max(1));
                     prop_assert_eq!(node.priority as usize, priority[n], "node {}", n);
                 }
                 for gate in 0..circuit.gate_count() {

@@ -162,6 +162,10 @@ impl PlacementAlgorithm for CloudQcPlacement {
     }
 }
 
+/// How many part counts the sweep tries above the minimum feasible `k`
+/// (`k ∈ kmin ..= kmin + K_SWEEP_WIDTH`, capped by the QPU count).
+pub(crate) const K_SWEEP_WIDTH: usize = 4;
+
 /// Shared Algorithm 1 driver, parameterized by the Algorithm 2 variant
 /// (community detection for CloudQC, BFS for CloudQC-BFS). `memo`
 /// belongs to the calling instance, whose `config` never changes.
@@ -192,9 +196,7 @@ pub(crate) fn place_with_mode(
     // parts are needed; explore a few more.
     let max_block = status.max_free_computing().max(1);
     let k_min = size.div_ceil(max_block).max(2);
-    let k_max = (k_min + config.k_sweep_width)
-        .min(cloud.qpu_count())
-        .min(size);
+    let k_max = (k_min + K_SWEEP_WIDTH).min(cloud.qpu_count()).min(size);
     if k_min > k_max {
         return Err(PlacementError::NoFeasiblePlacement);
     }

@@ -9,7 +9,7 @@
 //! against every mapping's `T` and `C`, and the whole sweep against an
 //! unbounded reference that scores every split on its expansion.
 
-use super::cloudqc::capacity_fill;
+use super::cloudqc::{capacity_fill, K_SWEEP_WIDTH};
 use super::cost::{
     communication_cost, part_communication_cost, part_crossing_gates, part_remote_ops_per_qpu,
     remote_op_count, remote_ops_per_qpu,
@@ -151,9 +151,7 @@ fn unbounded_sweep(
         return Ok(Placement::new(vec![best_fit; size]));
     }
     let k_min = size.div_ceil(status.max_free_computing().max(1)).max(2);
-    let k_max = (k_min + config.k_sweep_width)
-        .min(cloud.qpu_count())
-        .min(size);
+    let k_max = (k_min + K_SWEEP_WIDTH).min(cloud.qpu_count()).min(size);
     if k_min > k_max {
         return Err(PlacementError::NoFeasiblePlacement);
     }

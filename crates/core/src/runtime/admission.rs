@@ -27,10 +27,9 @@
 
 use crate::batch::job_metric;
 use crate::config::BatchWeights;
-use crate::placement::estimate::estimate_execution_time;
-use crate::placement::Placement;
+use crate::placement::estimate::execution_time_floor;
 use crate::workload::WorkloadJob;
-use cloudqc_cloud::{Cloud, QpuId};
+use cloudqc_cloud::Cloud;
 use cloudqc_sim::Tick;
 
 /// How waiting jobs are ordered, admitted, and (for SLA policies)
@@ -134,12 +133,12 @@ impl LoadShedPolicy {
 
 /// Estimated service time of `circuit` in ticks, assuming an all-local
 /// placement: the weighted critical path under the cloud's latency
-/// model with every qubit on one QPU. A deliberately optimistic, cheap,
-/// placement-free estimate — the common numerator for SJF, WFQ virtual
-/// time, and SLA feasibility.
+/// model with every qubit on one QPU, which prices each two-qubit gate
+/// at the CX latency ([`execution_time_floor`]). A deliberately
+/// optimistic, cheap, placement-free estimate — the common numerator
+/// for SJF, WFQ virtual time, and SLA feasibility.
 pub(crate) fn estimated_service_ticks(circuit: &cloudqc_circuit::Circuit, cloud: &Cloud) -> u64 {
-    let local = Placement::new(vec![QpuId::new(0); circuit.num_qubits()]);
-    estimate_execution_time(circuit, &local, cloud) as u64
+    execution_time_floor(circuit, cloud.latency()) as u64
 }
 
 impl AdmissionPolicy {
@@ -260,10 +259,12 @@ fn wfq_virtual_finish(
 mod tests {
     use super::*;
     use crate::batch::{order_jobs, OrderingPolicy};
+    use crate::placement::estimate::estimate_execution_time;
+    use crate::placement::Placement;
     use crate::workload::Workload;
     use cloudqc_circuit::generators::catalog;
     use cloudqc_circuit::Circuit;
-    use cloudqc_cloud::CloudBuilder;
+    use cloudqc_cloud::{CloudBuilder, QpuId};
 
     fn circuits() -> Vec<Circuit> {
         vec![
@@ -417,5 +418,24 @@ mod tests {
         assert!(big > 10 * small, "small {small}, big {big}");
         // Gate-less circuits estimate to zero without panicking.
         assert_eq!(estimated_service_ticks(&Circuit::new(3), &cloud), 0);
+    }
+
+    #[test]
+    fn estimate_is_the_all_local_critical_path() {
+        let cloud = cloud();
+        let mut circuits: Vec<Circuit> = ["vqe_n4", "qft_n29", "ghz_n16", "qugan_n11"]
+            .iter()
+            .map(|name| catalog::by_name(name).unwrap())
+            .collect();
+        circuits.push(Circuit::new(3));
+        for c in &circuits {
+            let local = Placement::new(vec![QpuId::new(0); c.num_qubits()]);
+            assert_eq!(
+                estimated_service_ticks(c, &cloud),
+                estimate_execution_time(c, &local, &cloud) as u64,
+                "{}",
+                c.name()
+            );
+        }
     }
 }

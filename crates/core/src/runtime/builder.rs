@@ -30,13 +30,14 @@ use crate::schedule::Scheduler;
 use crate::workload::Workload;
 use cloudqc_circuit::Circuit;
 use cloudqc_cloud::{Cloud, CloudStatus};
-use cloudqc_sim::online::OnlineReport;
 
 /// Typed construction of one runtime configuration: every knob the
 /// epoch and continuous faces and the fleet's backends share. The
-/// defaults are priority-aware backfill admission, the placement cache
-/// on, and the default streaming reservoir; preemption and load
-/// shedding are off.
+/// defaults are priority-aware backfill admission and the placement
+/// cache on; path reservation, preemption and load shedding are off.
+/// The streaming report keeps
+/// [`OnlineReport::DEFAULT_RESERVOIR`](cloudqc_sim::online::OnlineReport::DEFAULT_RESERVOIR)
+/// completion times for its percentiles.
 ///
 /// Every job is placed with the seed `seed ^ fingerprint`, where
 /// `fingerprint` is its circuit's structural
@@ -87,8 +88,6 @@ pub struct ServiceBuilder<'a> {
     pub(super) placement_cache: bool,
     pub(super) preemption: bool,
     pub(super) load_shed: Option<LoadShedPolicy>,
-    /// Completion-time reservoir capacity of the streaming report.
-    pub(super) reservoir_capacity: usize,
     pub(super) seed: u64,
 }
 
@@ -110,7 +109,6 @@ impl<'a> ServiceBuilder<'a> {
             placement_cache: true,
             preemption: false,
             load_shed: None,
-            reservoir_capacity: OnlineReport::DEFAULT_RESERVOIR,
             seed,
         }
     }
@@ -157,20 +155,6 @@ impl<'a> ServiceBuilder<'a> {
     /// jobs re-route to another backend instead of being dropped.
     pub fn load_shedding(mut self, policy: LoadShedPolicy) -> Self {
         self.load_shed = Some(policy);
-        self
-    }
-
-    /// Sets the streaming report's completion-time reservoir capacity
-    /// (default [`OnlineReport::DEFAULT_RESERVOIR`]): percentiles are
-    /// exact up to this many completions and bounded-memory estimates
-    /// beyond.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity == 0`.
-    pub fn reservoir_capacity(mut self, capacity: usize) -> Self {
-        assert!(capacity > 0, "reservoir capacity must be positive");
-        self.reservoir_capacity = capacity;
         self
     }
 
@@ -241,13 +225,5 @@ mod tests {
         svc.submit(catalog::by_name("vqe_n4").unwrap(), cloudqc_sim::Tick::ZERO);
         let report = svc.drain().unwrap();
         assert_eq!(report.completed, 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "reservoir capacity must be positive")]
-    fn zero_reservoir_capacity_is_rejected() {
-        let cloud = CloudBuilder::paper_default(3).build();
-        let placement = CloudQcPlacement::default();
-        let _ = ServiceBuilder::new(&cloud, &placement, &CloudQcScheduler, 1).reservoir_capacity(0);
     }
 }

@@ -299,11 +299,6 @@ impl<'a> Fleet<'a> {
         &self.backends[id].service
     }
 
-    /// Jobs ever submitted to the fleet.
-    pub fn submitted(&self) -> u64 {
-        self.jobs.len() as u64
-    }
-
     /// Jobs not yet completed or rejected (queued, running, or
     /// orphaned).
     pub fn unresolved(&self) -> u64 {
@@ -327,11 +322,6 @@ impl<'a> Fleet<'a> {
             .map(|b| b.service.now())
             .max()
             .expect("a fleet has a backend")
-    }
-
-    /// Routing policy name, for reports and tables.
-    pub fn policy_name(&self) -> &'static str {
-        self.policy.name()
     }
 
     /// Submits one circuit (default tenant metadata); returns its fleet

@@ -5,9 +5,9 @@
 //! has a genuine choice (two or more healthy candidate backends; with
 //! one candidate the job is committed directly, which is what keeps a
 //! fleet of one byte-identical to a bare service). The policy sees the
-//! job and a [`RouteContext`] over the candidates — live queue depths,
-//! in-flight counts, capacities, and a speculative placement probe
-//! against each backend's current ledger — and names the winner.
+//! job and a [`RouteContext`] over the candidates — each backend's live
+//! load per computing qubit and a speculative placement probe against
+//! its current ledger — and names the winner.
 //!
 //! Shipped policies, roughly in increasing cost per decision:
 //!
@@ -30,7 +30,7 @@
 use crate::placement::cost::communication_cost;
 use crate::runtime::Service;
 use crate::workload::WorkloadJob;
-use cloudqc_sim::{SimRng, Tick};
+use cloudqc_sim::SimRng;
 use rand::rngs::StdRng;
 use rand::RngExt;
 use std::collections::HashMap;
@@ -67,39 +67,15 @@ impl<'f, 'a> RouteContext<'f, 'a> {
             .expect("id comes from candidate_ids")
     }
 
-    /// Arrived jobs waiting for admission on backend `id`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` is not a candidate (as do all per-id accessors).
-    pub fn queue_depth(&self, id: usize) -> usize {
-        self.get(id).queue_depth()
-    }
-
-    /// Jobs admitted and still running on backend `id`.
-    pub fn in_flight(&self, id: usize) -> usize {
-        self.get(id).in_flight()
-    }
-
-    /// Jobs buffered on backend `id` and not yet injected onto its loop.
-    pub fn pending(&self, id: usize) -> usize {
-        self.get(id).pending()
-    }
-
-    /// Backend `id`'s lifetime clock.
-    pub fn now(&self, id: usize) -> Tick {
-        self.get(id).now()
-    }
-
-    /// Backend `id`'s total computing capacity in qubits.
-    pub fn capacity(&self, id: usize) -> usize {
-        self.get(id).cloud().total_computing_capacity()
-    }
-
     /// Backend `id`'s load: jobs anywhere in its pipeline (pending +
     /// waiting + in flight) per computing qubit, so heterogeneous
     /// backends compare fairly (10 jobs on a 2-QPU backend is a longer
     /// wait than 10 on a 20-QPU one).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` is not a candidate, as does
+    /// [`RouteContext::placement_cost`].
     pub fn load(&self, id: usize) -> f64 {
         let svc = self.get(id);
         let jobs = svc.pending() + svc.queue_depth() + svc.in_flight();
@@ -235,11 +211,6 @@ impl TenantAffinity {
     pub fn new() -> Self {
         Self::default()
     }
-
-    /// The backend `tenant` is currently homed on, if any.
-    pub fn home_of(&self, tenant: usize) -> Option<usize> {
-        self.home.get(&tenant).copied()
-    }
 }
 
 impl RoutingPolicy for TenantAffinity {
@@ -328,6 +299,7 @@ mod tests {
     use crate::schedule::CloudQcScheduler;
     use cloudqc_circuit::generators::catalog;
     use cloudqc_cloud::{Cloud, CloudBuilder};
+    use cloudqc_sim::Tick;
 
     fn clouds() -> Vec<Cloud> {
         vec![
@@ -354,8 +326,6 @@ mod tests {
         }
         let mut ctx = RouteContext::new(services.iter_mut().enumerate().collect());
         assert_eq!(ctx.candidate_ids(), vec![0, 1]);
-        assert_eq!(ctx.pending(0), 4);
-        assert_eq!(ctx.queue_depth(1), 0);
         assert!(ctx.load(0) > ctx.load(1));
         assert_eq!(ctx.least_loaded(), 1);
         assert_eq!(UtilizationBalanced.route(&job(), &mut ctx), 1);
@@ -419,7 +389,7 @@ mod tests {
             let mut ctx = RouteContext::new(vec![(0, &mut left[0]), (1, &mut right[0])]);
             policy.route(&t0, &mut ctx)
         };
-        assert_eq!(policy.home_of(7), Some(first));
+        assert_eq!(policy.home.get(&7), Some(&first));
         // Load up the chosen backend: affinity must still stick.
         for _ in 0..5 {
             services[first].submit(catalog::by_name("vqe_n4").unwrap(), Tick::ZERO);
@@ -437,7 +407,7 @@ mod tests {
             policy.route(&t0, &mut ctx)
         };
         assert_eq!(rehomed, other);
-        assert_eq!(policy.home_of(7), Some(other));
+        assert_eq!(policy.home.get(&7), Some(&other));
     }
 
     #[test]

@@ -249,7 +249,7 @@ impl<'a> Service<'a> {
     pub(crate) fn new(cfg: ServiceBuilder<'a>) -> Self {
         Service {
             cache: cfg.placement_cache.then(PlacementCache::new),
-            online: OnlineReport::with_reservoir(cfg.reservoir_capacity, cfg.seed),
+            online: OnlineReport::new(cfg.seed),
             pending: Vec::new(),
             injected: 0,
             epochs: 0,

@@ -340,16 +340,6 @@ impl Workload {
         &self.jobs
     }
 
-    /// Number of distinct tenants (1 for any single-tenant workload
-    /// with jobs, 0 when empty).
-    pub fn tenant_count(&self) -> usize {
-        self.jobs
-            .iter()
-            .map(|j| j.tenant + 1)
-            .max()
-            .unwrap_or_default()
-    }
-
     /// Number of jobs.
     pub fn len(&self) -> usize {
         self.jobs.len()
@@ -515,8 +505,6 @@ mod tests {
             assert_eq!(j.weight, 1.0);
             assert_eq!(j.deadline, None);
         }
-        assert_eq!(w.tenant_count(), 1);
-        assert_eq!(Workload::batch(Vec::new()).tenant_count(), 0);
     }
 
     #[test]
@@ -569,7 +557,6 @@ mod tests {
         let w = Workload::poisson(&pool(), 6, 300.0, 5)
             .assign_round_robin_tenants(&[3.0, 1.0])
             .with_uniform_sla(10_000);
-        assert_eq!(w.tenant_count(), 2);
         for (i, j) in w.jobs().iter().enumerate() {
             assert_eq!(j.tenant, i % 2);
             assert_eq!(j.weight, if i % 2 == 0 { 3.0 } else { 1.0 });

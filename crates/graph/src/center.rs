@@ -8,29 +8,24 @@
 use crate::traversal::{bfs_distances, eccentricity, reachable_count};
 use crate::Graph;
 
-/// The graph center: the node with minimum eccentricity.
+/// The graph center among a candidate set (e.g. the QPUs of one
+/// community): the candidate with minimum eccentricity.
 ///
-/// For disconnected graphs, nodes that reach the most other nodes are
-/// preferred (so the center lies in the largest component reachable
+/// For disconnected graphs, candidates that reach the most other nodes
+/// are preferred (so the center lies in the largest component reachable
 /// structure); ties are broken by the smaller node index, making the
-/// result deterministic. Returns `None` for an empty graph.
+/// result deterministic. Candidates outside the graph are ignored;
+/// returns `None` if no valid candidate exists.
 ///
 /// # Example
 ///
 /// ```
-/// use cloudqc_graph::{Graph, center::graph_center};
+/// use cloudqc_graph::{Graph, center::graph_center_among};
 ///
 /// // Path 0-1-2-3-4: the middle node 2 is the center.
 /// let g = Graph::from_edges(5, (0..4).map(|i| (i, i + 1, 1.0)));
-/// assert_eq!(graph_center(&g), Some(2));
+/// assert_eq!(graph_center_among(&g, g.nodes()), Some(2));
 /// ```
-pub fn graph_center(graph: &Graph) -> Option<usize> {
-    graph_center_among(graph, graph.nodes())
-}
-
-/// The center restricted to a candidate set (e.g. the QPUs of one
-/// community). Candidates outside the graph are ignored; returns `None`
-/// if no valid candidate exists.
 pub fn graph_center_among(
     graph: &Graph,
     candidates: impl IntoIterator<Item = usize>,
@@ -94,24 +89,26 @@ mod tests {
     #[test]
     fn center_of_star_is_hub() {
         let g = Graph::from_edges(5, (1..5).map(|i| (0, i, 1.0)));
-        assert_eq!(graph_center(&g), Some(0));
+        assert_eq!(graph_center_among(&g, g.nodes()), Some(0));
     }
 
     #[test]
     fn center_of_empty_graph_is_none() {
-        assert_eq!(graph_center(&Graph::new(0)), None);
+        let g = Graph::new(0);
+        assert_eq!(graph_center_among(&g, g.nodes()), None);
     }
 
     #[test]
     fn center_of_singleton() {
-        assert_eq!(graph_center(&Graph::new(1)), Some(0));
+        let g = Graph::new(1);
+        assert_eq!(graph_center_among(&g, g.nodes()), Some(0));
     }
 
     #[test]
     fn center_prefers_larger_component() {
         // Component A: 0-1 (2 nodes). Component B: 2-3-4 path (3 nodes).
         let g = Graph::from_edges(5, [(0, 1, 1.0), (2, 3, 1.0), (3, 4, 1.0)]);
-        assert_eq!(graph_center(&g), Some(3));
+        assert_eq!(graph_center_among(&g, g.nodes()), Some(3));
     }
 
     #[test]

@@ -58,19 +58,15 @@ pub struct PartitionConfig {
     pub imbalance: f64,
     /// RNG seed; the partitioner is deterministic for a fixed seed.
     pub seed: u64,
-    /// Number of refinement passes per level.
-    pub refinement_passes: usize,
 }
 
 impl PartitionConfig {
-    /// Config with `parts` parts, 5% imbalance, seed 0, 4 refinement
-    /// passes.
+    /// Config with `parts` parts, 5% imbalance and seed 0.
     pub fn new(parts: usize) -> Self {
         PartitionConfig {
             parts,
             imbalance: 0.05,
             seed: 0,
-            refinement_passes: 4,
         }
     }
 

@@ -12,6 +12,9 @@ use rand::SeedableRng;
 /// `max(COARSEN_FLOOR, COARSEN_PER_PART * parts)` nodes.
 const COARSEN_FLOOR: usize = 24;
 const COARSEN_PER_PART: usize = 4;
+/// Refinement sweeps per level; each level stops early once a sweep
+/// moves no node.
+const REFINEMENT_PASSES: usize = 4;
 
 /// Partitions `graph` into `config.parts` parts with bounded imbalance.
 ///
@@ -77,7 +80,7 @@ pub fn partition(graph: &Graph, config: &PartitionConfig) -> Result<Partitioning
         &mut assignment,
         k,
         max_part_weight,
-        config.refinement_passes,
+        REFINEMENT_PASSES,
         &mut rng,
     );
 
@@ -106,7 +109,7 @@ pub fn partition(graph: &Graph, config: &PartitionConfig) -> Result<Partitioning
             &mut assignment,
             k,
             max_part_weight,
-            config.refinement_passes,
+            REFINEMENT_PASSES,
             &mut rng,
         );
     }

@@ -1,6 +1,6 @@
-//! Shortest paths: Dijkstra over edge weights and all-pairs hop
-//! distances. The all-pairs hop matrix is the paper's communication cost
-//! `C_ij` (length of the path between QPU i and QPU j, §IV.B).
+//! Shortest hop paths, all-pairs hop distances and widest paths. The
+//! all-pairs hop matrix is the paper's communication cost `C_ij` (length
+//! of the path between QPU i and QPU j, §IV.B).
 
 use crate::traversal::bfs_distances;
 use crate::Graph;
@@ -90,42 +90,6 @@ impl PartialOrd for HeapEntry {
     }
 }
 
-/// Dijkstra shortest-path costs from `src` using edge weights.
-///
-/// Unreachable nodes get `None`.
-///
-/// # Panics
-///
-/// Panics if `src` is out of range or any traversed edge weight is
-/// negative.
-pub fn dijkstra(graph: &Graph, src: usize) -> Vec<Option<f64>> {
-    assert!(src < graph.node_count(), "source {src} out of range");
-    let mut dist: Vec<Option<f64>> = vec![None; graph.node_count()];
-    let mut heap = BinaryHeap::new();
-    dist[src] = Some(0.0);
-    heap.push(HeapEntry {
-        cost: 0.0,
-        node: src,
-    });
-    while let Some(HeapEntry { cost, node }) = heap.pop() {
-        if dist[node].is_some_and(|d| cost > d) {
-            continue; // stale entry
-        }
-        for &(v, w) in graph.neighbors(node) {
-            assert!(w >= 0.0, "negative edge weight");
-            let next = cost + w;
-            if dist[v].is_none_or(|d| next < d) {
-                dist[v] = Some(next);
-                heap.push(HeapEntry {
-                    cost: next,
-                    node: v,
-                });
-            }
-        }
-    }
-    dist
-}
-
 /// Widest-path (maximum-bottleneck) values from `src`: for every node,
 /// the largest `w` such that some path from `src` reaches it using only
 /// edges of weight ≥ `w`. `src` itself gets `f64::INFINITY`; unreachable
@@ -154,7 +118,8 @@ pub fn widest_path_values(graph: &Graph, src: usize) -> Vec<Option<f64>> {
     assert!(src < graph.node_count(), "source {src} out of range");
     let mut width: Vec<Option<f64>> = vec![None; graph.node_count()];
     width[src] = Some(f64::INFINITY);
-    // Max-heap on bottleneck width (reuse HeapEntry by negating cost).
+    // Max-heap on bottleneck width: HeapEntry pops the lowest cost, so
+    // the cost is the negated width.
     let mut heap = BinaryHeap::new();
     heap.push(HeapEntry {
         cost: f64::NEG_INFINITY,
@@ -216,20 +181,6 @@ mod tests {
     fn weighted_square() -> Graph {
         // 0-1 (1.0), 1-3 (1.0), 0-2 (10.0), 2-3 (1.0)
         Graph::from_edges(4, [(0, 1, 1.0), (1, 3, 1.0), (0, 2, 10.0), (2, 3, 1.0)])
-    }
-
-    #[test]
-    fn dijkstra_prefers_light_path() {
-        let d = dijkstra(&weighted_square(), 0);
-        assert_eq!(d[3], Some(2.0));
-        assert_eq!(d[2], Some(3.0)); // via 1 and 3, not the direct 10.0 edge
-    }
-
-    #[test]
-    fn dijkstra_unreachable() {
-        let g = Graph::from_edges(3, [(0, 1, 1.0)]);
-        let d = dijkstra(&g, 0);
-        assert_eq!(d[2], None);
     }
 
     #[test]

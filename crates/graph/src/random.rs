@@ -94,39 +94,6 @@ pub fn line(n: usize) -> Graph {
     Graph::from_edges(n, (0..n.saturating_sub(1)).map(|i| (i, i + 1, 1.0)))
 }
 
-/// A `rows × cols` 2D grid topology.
-///
-/// # Panics
-///
-/// Panics if `rows == 0` or `cols == 0`.
-pub fn grid(rows: usize, cols: usize) -> Graph {
-    assert!(rows > 0 && cols > 0, "grid dimensions must be positive");
-    let mut g = Graph::new(rows * cols);
-    for r in 0..rows {
-        for c in 0..cols {
-            let u = r * cols + c;
-            if c + 1 < cols {
-                g.add_edge(u, u + 1, 1.0);
-            }
-            if r + 1 < rows {
-                g.add_edge(u, u + cols, 1.0);
-            }
-        }
-    }
-    g
-}
-
-/// The complete graph on `n` nodes.
-pub fn complete(n: usize) -> Graph {
-    let mut g = Graph::new(n);
-    for u in 0..n {
-        for v in (u + 1)..n {
-            g.add_edge(u, v, 1.0);
-        }
-    }
-    g
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -173,17 +140,8 @@ mod tests {
     }
 
     #[test]
-    fn line_and_grid_shapes() {
+    fn line_shapes() {
         assert_eq!(line(4).edge_count(), 3);
         assert_eq!(line(1).edge_count(), 0);
-        let g = grid(2, 3);
-        assert_eq!(g.node_count(), 6);
-        assert_eq!(g.edge_count(), 7); // 2*2 horizontal + 3 vertical
-        assert!(is_connected(&g));
-    }
-
-    #[test]
-    fn complete_graph_edges() {
-        assert_eq!(complete(6).edge_count(), 15);
     }
 }

@@ -117,11 +117,6 @@ impl TimeSeries {
         }
     }
 
-    /// The configured bucket width in ticks.
-    pub fn bucket_width(&self) -> u64 {
-        self.bucket_width
-    }
-
     /// Adds `value` to the bucket containing `t`.
     pub fn add(&mut self, t: Tick, value: f64) {
         let idx = (t.as_ticks() / self.bucket_width) as usize;
@@ -136,15 +131,6 @@ impl TimeSeries {
     /// are not materialized.
     pub fn buckets(&self) -> &[f64] {
         &self.buckets
-    }
-
-    /// `(bucket start, value)` pairs for plotting.
-    pub fn points(&self) -> Vec<(Tick, f64)> {
-        self.buckets
-            .iter()
-            .enumerate()
-            .map(|(i, &v)| (Tick::new(i as u64 * self.bucket_width), v))
-            .collect()
     }
 }
 
@@ -292,7 +278,6 @@ mod tests {
         ts.add(Tick::new(10), 1.0);
         ts.add(Tick::new(35), 2.0);
         assert_eq!(ts.buckets(), &[2.0, 1.0, 0.0, 2.0]);
-        assert_eq!(ts.points()[3], (Tick::new(30), 2.0));
     }
 
     #[test]
